@@ -105,15 +105,21 @@ func writeError(w http.ResponseWriter, err error) {
 	WriteErrorf(w, http.StatusInternalServerError, "%v", err)
 }
 
-// decodeBody strictly decodes exactly one JSON value of at most limit
-// bytes: unknown fields, over-limit bodies, and trailing data are rejected.
-// DecodeBody strictly decodes a JSON request body: size-limited, unknown
-// fields rejected, exactly one value (shared with the node-mode control
-// API in internal/nodesvc). Errors carry an HTTP status via APIErrorCode.
+// DecodeBody reads a request body of at most limit bytes whole into a
+// pooled buffer, then strictly decodes the one JSON value in it into v:
+// unknown fields and a second value after the first are rejected (shared
+// with the node-mode control API in internal/nodesvc). An *IngestRequest is
+// decoded in one pass by decodeIngest, which accepts exactly the grammar
+// and yields exactly the values of encoding/json; every other type is
+// decoded by encoding/json. Errors carry an HTTP status via APIErrorCode:
+// 413 for a body over the limit, 400 otherwise.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	d := bodyDecoderPool.Get().(*bodyDecoder)
+	defer d.release()
+	// The buffer grows with the bytes that arrive, not with the declared
+	// Content-Length, which a client could set far above what it sends.
+	d.body.Reset()
+	if _, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return &apiError{
@@ -123,8 +129,14 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 		}
 		return badRequestf("invalid request body: %v", err)
 	}
-	if dec.More() {
-		return badRequestf("invalid request body: trailing data after the JSON value")
+	var err error
+	if req, ok := v.(*IngestRequest); ok {
+		err = d.decodeIngest(d.body.Bytes(), req)
+	} else {
+		err = decodeJSON(d.body.Bytes(), v)
+	}
+	if err != nil {
+		return badRequestf("invalid request body: %v", err)
 	}
 	return nil
 }

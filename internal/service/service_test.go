@@ -210,14 +210,21 @@ func TestIngestValidation(t *testing.T) {
 		``,                 // empty body
 		`{}`,               // neither batches nor synthetic
 		`{"batches":[[]]}`, // 1 batch for p=2
-		`{"batches":[[{"w":0,"id":1}],[{"w":1,"id":2}]]}`,           // nonpositive weight
-		`{"batches":[[]],"synthetic":{"batch_len":10}}`,             // both
-		`{"synthetic":{"batch_len":0}}`,                             // bad batch_len
-		`{"synthetic":{"batch_len":10,"rounds":-2}}`,                // bad rounds
-		`{"synthetic":{"batch_len":10,"source":"quantum"}}`,         // unknown source
-		`{"synthetic":{"batch_len":10,"lo":-5,"hi":5}}`,             // negative weights on a weighted run
-		`{"synthetic":{"batch_len":10,"lo":200,"hi":100}}`,          // hi <= lo
-		`{"batches":[[{"w":1,"id":1,"extra":2}],[{"w":1,"id":2}]]}`, // unknown field
+		`{"batches":[[{"w":0,"id":1}],[{"w":1,"id":2}]]}`,                    // nonpositive weight
+		`{"batches":[[]],"synthetic":{"batch_len":10}}`,                      // both
+		`{"synthetic":{"batch_len":0}}`,                                      // bad batch_len
+		`{"synthetic":{"batch_len":10,"rounds":-2}}`,                         // bad rounds
+		`{"synthetic":{"batch_len":10,"source":"quantum"}}`,                  // unknown source
+		`{"synthetic":{"batch_len":10,"lo":-5,"hi":5}}`,                      // negative weights on a weighted run
+		`{"synthetic":{"batch_len":10,"lo":200,"hi":100}}`,                   // hi <= lo
+		`{"batches":[[{"w":1,"id":1,"extra":2}],[{"w":1,"id":2}]]}`,          // unknown field
+		`{"batches":[[{"w":1,"id":1.5}],[{"w":1,"id":2}]]}`,                  // fractional id
+		`{"batches":[[{"w":1,"id":-1}],[{"w":1,"id":2}]]}`,                   // negative id
+		`{"batches":[[{"w":1,"id":18446744073709551616}],[{"w":1,"id":2}]]}`, // id over uint64
+		`{"batches":[[{"w":"1","id":1}],[{"w":1,"id":2}]]}`,                  // string weight
+		`{"batches":[[{"w":1e400,"id":1}],[{"w":1,"id":2}]]}`,                // weight over float64
+		`{"batches":[[{"w":1,"id":1}],[{"w":1,"id":2}]]}{"batches":[[],[]]}`, // second object
+		`{"batches":[[{"w":1,"id":1}],[{"w":1,"id":2}]],"extra":1}`,          // unknown top-level key
 	}
 	for _, body := range bad {
 		if code, raw := doJSON(t, "POST", base, body, nil); code != http.StatusBadRequest {
@@ -230,6 +237,52 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/runs/nope/sample", "", nil); code != http.StatusNotFound {
 		t.Errorf("sample of unknown run: %d, want 404", code)
+	}
+}
+
+// TestIngestAcceptedBodies posts bodies that spell the same batches in
+// other ways encoding/json accepts; each must leave the sample the
+// canonical body leaves on an identical run.
+func TestIngestAcceptedBodies(t *testing.T) {
+	ts, _ := newTestServer(t)
+	sample := func(cfg, body string) []WireItem {
+		t.Helper()
+		run := createRun(t, ts, cfg)
+		base := ts.URL + "/v1/runs/" + run.ID
+		if code, raw := doJSON(t, "POST", base+"/batches?wait=true", body, nil); code != http.StatusOK {
+			t.Fatalf("ingest %s: got %d (%s), want 200", body, code, raw)
+		}
+		var sr SampleResponse
+		if code, raw := doJSON(t, "GET", base+"/sample", "", &sr); code != http.StatusOK {
+			t.Fatalf("sample: %d %s", code, raw)
+		}
+		return sr.Items
+	}
+	const weighted = `{"kind":"cluster","p":2,"k":2,"seed":7}`
+	const uniform = `{"kind":"cluster","p":2,"k":2,"seed":7,"uniform":true}`
+	const canonical = `{"batches":[[{"w":1.5,"id":1},{"w":2,"id":2},{"w":0.25,"id":3}],[{"w":4,"id":4},{"w":3,"id":5}]]}`
+	cases := []struct {
+		name, cfg, canonical, body string
+	}{
+		{"whitespace", weighted, canonical,
+			" \r\n{ \"batches\" :\t[\n [ { \"w\" : 1.5 , \"id\" : 1 } ,{\"w\":2, \"id\":2},\n{\"w\":0.25,\"id\":3}],\n\t[{\"w\":4,\"id\":4},{\"w\":3,\"id\":5} ] ] }\n"},
+		{"upper-case keys", weighted, canonical,
+			`{"Batches":[[{"W":1.5,"ID":1},{"W":2,"Id":2},{"w":0.25,"iD":3}],[{"W":4,"ID":4},{"W":3,"ID":5}]]}`},
+		{"escaped keys", weighted, canonical,
+			escapeJSON(`{"%u0062atches":[[{"%u0077":1.5,"i%u0064":1},{"%u0057":2,"id":2},{"w":0.25,"%u0049%u0044":3}],[{"w":4,"id":4},{"w":3,"id":5}]]}`)},
+		{"duplicate keys", weighted, canonical,
+			`{"batches":[[{"w":9,"id":9}]],"batches":[[{"w":7,"id":1,"w":1.5},{"w":2,"id":2},{"w":0.25,"id":3}],[{"w":4,"id":4},{"id":5,"w":3}]]}`},
+		{"null items", uniform,
+			`{"batches":[[{"w":0,"id":0},{"w":1,"id":2},{"w":1,"id":3}],[{"w":1,"id":4},{"w":0,"id":0}]]}`,
+			`{"batches":[[null,{"w":1,"id":2},{"w":1,"id":3,"w":null}],[{"w":1,"id":4},{"w":null,"id":null}]],"synthetic":null}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := sample(c.cfg, c.canonical)
+			if got := sample(c.cfg, c.body); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("sample = %v, canonical body gives %v", got, want)
+			}
+		})
 	}
 }
 
@@ -525,3 +578,7 @@ func TestServerCloseRejectsCreates(t *testing.T) {
 		t.Fatalf("create after Close: %d, want 503", code)
 	}
 }
+
+// escapeJSON turns each '%' of s into a backslash, so JSON escapes read
+// plainly in request bodies.
+func escapeJSON(s string) string { return strings.ReplaceAll(s, "%", `\`) }
