@@ -88,8 +88,8 @@ func main() {
 	nodeSeed := flag.Uint64("seed", 1, "node mode: run seed (identical on all nodes)")
 	nodeAlgo := flag.String("algo", "ours", "node mode: sampling algorithm, ours or gather (identical on all nodes)")
 	nodeUniform := flag.Bool("uniform", false, "node mode: uniform (unweighted) sampling (identical on all nodes)")
-	nodeShards := flag.Int("shards", 0, "node mode: fixed logical scan-shard count, part of the sampling stream's identity (identical on all nodes; 0 = legacy single-stream scan)")
-	nodePipeline := flag.Bool("pipeline", false, "node mode: overlap each round's scan with the previous round's selection collectives (implies -shards >= 1; identical on all nodes)")
+	nodeShards := flag.Int("shards", 0, "node mode: fixed logical scan-shard count, part of the sampling stream's identity (identical on all nodes; 0 means 1)")
+	nodePipeline := flag.Bool("pipeline", false, "node mode: overlap each round's scan with the previous round's selection collectives (identical on all nodes)")
 	formation := flag.Duration("formation-timeout", 60*time.Second, "node mode: cluster formation deadline")
 	rejoin := flag.Duration("rejoin-timeout", 0, "node mode: tolerate node crash-restarts within this window (0 = strict reliable-PE semantics)")
 	faultSeed := flag.Uint64("fault-seed", 1, "node mode: deterministic fault-injection schedule seed")

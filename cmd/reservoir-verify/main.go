@@ -45,7 +45,7 @@ func main() {
 	acceptTrials := flag.Int("accept-trials", 400, "for -accept: trials per (algorithm x scenario) cell")
 	rounds := flag.Int("rounds", 8, "for -accept: rounds per trial")
 	batch := flag.Int("batch", 64, "for -accept: mean items per PE per round")
-	shards := flag.Int("shards", 0, "for -accept: logical scan-shard count for the cluster algorithms (0 = legacy single-stream scan)")
+	shards := flag.Int("shards", 0, "for -accept: logical scan-shard count for the cluster algorithms (0 means 1)")
 	acceptAlpha := flag.Float64("accept-alpha", 1e-3, "for -accept: family-wise significance level (Bonferroni-split across checks)")
 	acceptOut := flag.String("accept-out", "", "for -accept: write the reservoir-accept/v1 verdict report to this path")
 	mutant := flag.Bool("mutant", false, "for -accept: power check — swap in the deliberately biased sampler and require the suite to REJECT it")

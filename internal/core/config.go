@@ -99,19 +99,18 @@ type Config struct {
 	// TreeDegree overrides the local reservoir B+ tree degree (0 = default).
 	TreeDegree int
 	// Shards is the fixed logical shard count of the distributed
-	// sampler's batch scan. 0 keeps the legacy single-stream scan
-	// (byte-identical to earlier releases); >= 1 cuts every batch into
-	// Shards contiguous chunks, each scanned with its own
-	// domain-separated RNG substream, merged deterministically in index
-	// order — the sampling stream then depends on Shards but not on
-	// GOMAXPROCS, so simulator and cluster agree at any core count.
+	// sampler's batch scan (0 means 1). Every batch is cut into Shards
+	// contiguous chunks, each scanned with its own domain-separated RNG
+	// substream and merged deterministically in index order — the
+	// sampling stream depends on Shards but not on GOMAXPROCS, so
+	// simulator and cluster agree at any core count.
 	Shards int
 	// Pipeline defers each round's selection collectives into the next
 	// round so a node can overlap them with the next batch's scan. The
 	// scan uses the last committed threshold, which is
 	// conservative-correct: a stale threshold only admits extra
-	// candidates that the merge filters out (DESIGN.md §2.6). Implies
-	// Shards >= 1. Only the distributed sampler honors it.
+	// candidates that the merge filters out (DESIGN.md §2.6). Only the
+	// distributed sampler honors it.
 	Pipeline bool
 	// Seed drives all randomness; per-PE streams are derived from it.
 	Seed uint64
@@ -146,7 +145,7 @@ func (c Config) validate() (Config, error) {
 	if c.Model == (costmodel.Model{}) {
 		c.Model = costmodel.Default()
 	}
-	if c.Pipeline && c.Shards == 0 {
+	if c.Shards == 0 {
 		c.Shards = 1
 	}
 	if c.Shards < 0 || c.Shards > maxShards {

@@ -70,11 +70,11 @@ type DistPE struct {
 	timing  Timing
 	counter Counters
 
-	// Sharded/pipelined scan state (Config.Shards >= 1; DESIGN.md §2.6).
-	// shardSrc holds the per-shard scan streams; scanThresh is the
-	// threshold the next StartScan uses, fixed at the previous
-	// CommitScan; pendingSel marks a round whose selection collectives
-	// were deferred (Config.Pipeline) and not yet drained.
+	// Sharded/pipelined scan state (DESIGN.md §2.6). shardSrc holds the
+	// per-shard scan streams; scanThresh is the threshold the next
+	// StartScan uses, fixed at the previous CommitScan; pendingSel marks
+	// a round whose selection collectives were deferred (Config.Pipeline)
+	// and not yet drained.
 	shardSrc   []*rng.Xoshiro256
 	scanThresh float64
 	scanHaveT  bool
@@ -104,11 +104,9 @@ func NewDistPE(comm *coll.Comm, cfg Config) (*DistPE, error) {
 		src:   rng.NewXoshiro256(rng.Mix64(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(comm.Rank()+1)))),
 		res:   btree.NewWithDegree[workload.Item](degree),
 	}
-	if cfg.Shards > 0 {
-		pe.shardSrc = make([]*rng.Xoshiro256, cfg.Shards)
-		for s := range pe.shardSrc {
-			pe.shardSrc[s] = rng.NewXoshiro256(shardStreamSeed(cfg.Seed, comm.Rank(), s))
-		}
+	pe.shardSrc = make([]*rng.Xoshiro256, cfg.Shards)
+	for s := range pe.shardSrc {
+		pe.shardSrc[s] = rng.NewXoshiro256(shardStreamSeed(cfg.Seed, comm.Rank(), s))
 	}
 	return pe, nil
 }
@@ -119,174 +117,15 @@ func (pe *DistPE) nextKeyID() uint64 {
 	return uint64(pe.comm.Rank())<<40 | pe.keySeq
 }
 
-// weightedKey draws the exponential key -ln(rand())/w of Sec 3.1.
-func (pe *DistPE) weightedKey(w float64) float64 {
-	return rng.Exponential(pe.src, w)
-}
-
-// ProcessBatch implements Sampler. With Config.Shards >= 1 it runs the
-// sharded round sequence — StartScan, FinishPending, CommitScan — in
-// order; a node driver may instead call the three phases itself and
-// overlap StartScan with FinishPending (see reservoir.Node), which
-// yields the byte-identical stream because the two phases touch disjoint
-// state.
+// ProcessBatch implements Sampler: it runs the round sequence —
+// StartScan, FinishPending, CommitScan — in order. A node driver may
+// instead call the three phases itself and overlap StartScan with
+// FinishPending (see reservoir.Node), which yields the byte-identical
+// stream because the two phases touch disjoint state.
 func (pe *DistPE) ProcessBatch(b workload.Batch) {
-	if pe.cfg.Shards > 0 {
-		buf := pe.StartScan(b)
-		pe.FinishPending()
-		pe.CommitScan(b, buf)
-		return
-	}
-	clock := pe.comm.Conn
-
-	// Phase 1: local scan & insert (the "insert" bars of Figure 6).
-	t0 := clock.Clock()
-	if !pe.haveT {
-		pe.insertAll(b)
-	} else if pe.cfg.Weighted {
-		pe.skipScanWeighted(b)
-	} else {
-		pe.skipScanUniform(b)
-	}
-	pe.counter.ItemsProcessed += int64(b.Len())
-	pe.timing.ScanNS += clock.Clock() - t0
-
-	// Phase 2+3: joint selection of the new threshold and local pruning.
-	pe.selectAndPrune(b.Len())
-}
-
-// insertAll handles batches arriving before a global threshold exists
-// (T = -inf in Algorithm 1): every item gets a key and enters the local
-// reservoir, subject to the local thresholding optimization of Sec 5.
-func (pe *DistPE) insertAll(b workload.Batch) {
-	n := b.Len()
-	cap := pe.cfg.sampleCap()
-	useLocalT := pe.cfg.LocalThreshold && n >= maxInt(3*cap/2, cap+500)
-	prune := maxInt(11*cap/10, cap+250)
-
-	// Charges: one key variate per item plus one tree insert per accepted
-	// item; scan touch cost per item.
-	perItem := pe.model.ScanPerItemNS(n, false) + pe.model.RNGNS
-	clock := pe.comm.Conn
-	for i := 0; i < n; i++ {
-		it := b.At(i)
-		var v float64
-		if pe.cfg.Weighted {
-			v = pe.weightedKey(it.W)
-		} else {
-			v = rng.U01(pe.src)
-		}
-		k := btree.Key{V: v, ID: pe.nextKeyID()}
-		if useLocalT && pe.haveLocalT && pe.localThresh.Less(k) {
-			continue
-		}
-		pe.res.Insert(k, it)
-		pe.counter.Inserted++
-		clock.Work(pe.model.TreeOpNS(pe.res.Len()))
-		if useLocalT && pe.res.Len() > prune {
-			// Refresh the local threshold: keep the cap smallest, discard
-			// the rest. The local reservoir is never pruned below cap, so
-			// the union of all local reservoirs keeps at least cap items.
-			tk, _, _ := pe.res.Select(cap)
-			pe.res.SplitAtRank(cap)
-			pe.localThresh, pe.haveLocalT = tk, true
-			clock.Work(pe.model.TreeOpNS(pe.res.Len()) * 2)
-		}
-	}
-	clock.Work(float64(n) * perItem)
-}
-
-// skipScanWeighted is the inner loop of Algorithm 1: skip an Exp(T)
-// amount of weight, insert the item the skip lands on with a key drawn
-// from (0, T), repeat. The global threshold T does not change during the
-// batch.
-func (pe *DistPE) skipScanWeighted(b workload.Batch) {
-	n := b.Len()
-	t := pe.thresh.V
-	clock := pe.comm.Conn
-	wp := grabWeights(b, n)
-	ws := *wp
-	draws := 0
-	x := rng.Exponential(pe.src, t)
-	draws++
-
-	j := 0
-	if pe.cfg.BlockedSkip {
-		// Process 32 items at a time: if the whole block's weight fits in
-		// the remaining skip, jump the block (this is the SIMD-friendly
-		// variant of Sec 5; the cost model charges it at a reduced
-		// per-item rate).
-		const block = 32
-		for j < n {
-			end := j + block
-			if end > n {
-				end = n
-			}
-			var sum float64
-			for _, w := range ws[j:end] {
-				sum += w
-			}
-			if x > sum {
-				x -= sum
-				j = end
-				continue
-			}
-			for ; j < end; j++ {
-				x -= ws[j]
-				if x <= 0 {
-					pe.insertBelow(b.At(j), t)
-					draws++ // the (0,T) key draw inside insertBelow
-					x = rng.Exponential(pe.src, t)
-					draws++
-				}
-			}
-		}
-	} else {
-		for ; j < n; j++ {
-			x -= ws[j]
-			if x <= 0 {
-				pe.insertBelow(b.At(j), t)
-				draws += 2
-				x = rng.Exponential(pe.src, t)
-				draws++
-			}
-		}
-	}
-	releaseWeights(wp)
-	clock.Work(float64(n)*pe.model.ScanPerItemNS(n, pe.cfg.BlockedSkip) + float64(draws)*pe.model.RNGNS)
-}
-
-// insertBelow inserts item it with a key drawn from (0, T) given that it
-// was already determined to enter the reservoir.
-func (pe *DistPE) insertBelow(it workload.Item, t float64) {
-	xlo := math.Exp(-t * it.W)
-	v := -math.Log(rng.Uniform(pe.src, xlo, 1)) / it.W
-	pe.res.Insert(btree.Key{V: v, ID: pe.nextKeyID()}, it)
-	pe.counter.Inserted++
-	pe.comm.Conn.Work(pe.model.TreeOpNS(pe.res.Len()))
-}
-
-// skipScanUniform is the uniform variant (Sec 4.3): geometric jumps skip
-// whole items in O(1), so local work is proportional to the number of
-// insertions only (Corollary 4).
-func (pe *DistPE) skipScanUniform(b workload.Batch) {
-	n := b.Len()
-	t := pe.thresh.V
-	clock := pe.comm.Conn
-	draws := 0
-	j := rng.GeometricSkip(pe.src, t)
-	draws++
-	for j < n {
-		it := b.At(j)
-		v := rng.U01CO(pe.src) * t
-		pe.res.Insert(btree.Key{V: v, ID: pe.nextKeyID()}, it)
-		pe.counter.Inserted++
-		draws++
-		clock.Work(pe.model.TreeOpNS(pe.res.Len()))
-		j += 1 + rng.GeometricSkip(pe.src, t)
-		draws++
-	}
-	clock.Work(float64(draws) * pe.model.RNGNS)
+	buf := pe.StartScan(b)
+	pe.FinishPending()
+	pe.CommitScan(b, buf)
 }
 
 // selectAndPrune runs the collective part of Algorithm 1: determine the
@@ -441,11 +280,6 @@ func (pe *DistPE) SampleSize() int { return pe.size }
 // still deferred (Config.Pipeline). Drain with FinishPending — a
 // collective call — before snapshotting or reading committed state.
 func (pe *DistPE) Pending() bool { return pe.pendingSel }
-
-// Sharded reports whether the sharded scan is active (Config.Shards >=
-// 1), i.e. whether the StartScan/FinishPending/CommitScan phase API is
-// available to external round drivers.
-func (pe *DistPE) Sharded() bool { return len(pe.shardSrc) > 0 }
 
 // Seen returns the global number of items processed so far.
 func (pe *DistPE) Seen() int64 { return pe.seen }

@@ -414,6 +414,12 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil || c.Pivots != 1 {
 		t.Errorf("single-pivot pivots = %d", c.Pivots)
 	}
+	if c, err := (Config{K: 5}).validate(); err != nil || c.Shards != 1 {
+		t.Errorf("unset Shards normalized to %d, err %v; want 1", c.Shards, err)
+	}
+	if _, err := (Config{K: 5, Shards: -1}).validate(); err == nil {
+		t.Error("Shards=-1 accepted")
+	}
 	if SelSinglePivot.String() != "single-pivot" || SelMultiPivot.String() != "multi-pivot" ||
 		SelRandomDist.String() != "random-dist" || SelStrategy(9).String() == "" {
 		t.Error("SelStrategy.String broken")

@@ -20,11 +20,10 @@ import (
 
 const kindDistPE = byte(3)
 
-// MarshalBinary snapshots this PE's sampler state. With Config.Shards
-// >= 1 a config-gated extension section carrying the per-shard scan
-// streams and the fixed scan threshold follows the legacy layout, so
-// snapshots of Shards=0 samplers are bit-identical to earlier releases.
-// Snapshots are round boundaries: a pipelined selection must be drained
+// MarshalBinary snapshots this PE's sampler state: the reservoir,
+// thresholds and selection stream, then a shard section carrying the
+// fixed scan threshold and the per-shard scan streams. Snapshots are
+// round boundaries: a pipelined selection must be drained
 // (FinishPending) first.
 func (pe *DistPE) MarshalBinary() ([]byte, error) {
 	if pe.pendingSel {
@@ -59,18 +58,16 @@ func (pe *DistPE) MarshalBinary() ([]byte, error) {
 	})
 	w(uint64(len(rngState)))
 	buf.Write(rngState)
-	if pe.cfg.Shards > 0 {
-		w(boolByte(pe.scanHaveT))
-		w(math.Float64bits(pe.scanThresh))
-		w(uint32(len(pe.shardSrc)))
-		for _, src := range pe.shardSrc {
-			st, err := src.MarshalBinary()
-			if err != nil {
-				return nil, fmt.Errorf("core: snapshot shard RNG state: %w", err)
-			}
-			w(uint64(len(st)))
-			buf.Write(st)
+	w(boolByte(pe.scanHaveT))
+	w(math.Float64bits(pe.scanThresh))
+	w(uint32(len(pe.shardSrc)))
+	for _, src := range pe.shardSrc {
+		st, err := src.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot shard RNG state: %w", err)
 		}
+		w(uint64(len(st)))
+		buf.Write(st)
 	}
 	return buf.Bytes(), nil
 }
@@ -145,29 +142,26 @@ func (pe *DistPE) UnmarshalBinary(data []byte) error {
 	}
 	var scanHaveT byte
 	var scanThreshBits uint64
-	var shardSrc []*rng.Xoshiro256
-	if pe.cfg.Shards > 0 {
-		var shardCount uint32
-		if err := firstErr(rd(&scanHaveT), rd(&scanThreshBits), rd(&shardCount)); err != nil {
-			return fmt.Errorf("core: truncated snapshot shard section: %w", err)
+	var shardCount uint32
+	if err := firstErr(rd(&scanHaveT), rd(&scanThreshBits), rd(&shardCount)); err != nil {
+		return fmt.Errorf("core: truncated snapshot shard section: %w", err)
+	}
+	if int(shardCount) != pe.cfg.Shards {
+		return fmt.Errorf("core: snapshot has %d scan shards, config wants %d", shardCount, pe.cfg.Shards)
+	}
+	shardSrc := make([]*rng.Xoshiro256, shardCount)
+	for i := range shardSrc {
+		var n uint64
+		if err := rd(&n); err != nil || n > uint64(r.Len()) {
+			return fmt.Errorf("core: truncated snapshot shard RNG state")
 		}
-		if int(shardCount) != pe.cfg.Shards {
-			return fmt.Errorf("core: snapshot has %d scan shards, config wants %d", shardCount, pe.cfg.Shards)
+		st := make([]byte, n)
+		if _, err := r.Read(st); err != nil {
+			return fmt.Errorf("core: truncated snapshot shard RNG state: %w", err)
 		}
-		shardSrc = make([]*rng.Xoshiro256, shardCount)
-		for i := range shardSrc {
-			var n uint64
-			if err := rd(&n); err != nil || n > uint64(r.Len()) {
-				return fmt.Errorf("core: truncated snapshot shard RNG state")
-			}
-			st := make([]byte, n)
-			if _, err := r.Read(st); err != nil {
-				return fmt.Errorf("core: truncated snapshot shard RNG state: %w", err)
-			}
-			shardSrc[i] = rng.NewXoshiro256(1)
-			if err := shardSrc[i].UnmarshalBinary(st); err != nil {
-				return err
-			}
+		shardSrc[i] = rng.NewXoshiro256(1)
+		if err := shardSrc[i].UnmarshalBinary(st); err != nil {
+			return err
 		}
 	}
 	if r.Len() != 0 {
@@ -183,11 +177,9 @@ func (pe *DistPE) UnmarshalBinary(data []byte) error {
 	pe.size = int(size)
 	pe.seen = int64(seen)
 	pe.src = src
-	if pe.cfg.Shards > 0 {
-		pe.shardSrc = shardSrc
-		pe.scanHaveT = scanHaveT != 0
-		pe.scanThresh = math.Float64frombits(scanThreshBits)
-	}
+	pe.shardSrc = shardSrc
+	pe.scanHaveT = scanHaveT != 0
+	pe.scanThresh = math.Float64frombits(scanThreshBits)
 	pe.pendingSel = false
 	pe.pendingLen = 0
 	pe.timing = Timing{}

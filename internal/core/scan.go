@@ -11,8 +11,8 @@ import (
 
 // Sharded, pipelinable batch scan (DESIGN.md §2.6).
 //
-// With Config.Shards >= 1 the skip scan of Algorithm 1 is split into a
-// fixed number of logical shards: shard s scans the contiguous index
+// The skip scan of Algorithm 1 is split into a fixed number
+// (Config.Shards) of logical shards: shard s scans the contiguous index
 // range [s·n/S, (s+1)·n/S) of the batch with its own domain-separated
 // RNG substream. Exponential and geometric skips are memoryless, so
 // restarting the skip at a chunk boundary leaves the admission process
@@ -54,7 +54,7 @@ type ScanBuf struct {
 
 const (
 	// scanInsertAll: no global threshold existed at scan time; every
-	// item drew a full key (the sharded analogue of insertAll).
+	// item drew a full key (T = -inf in Algorithm 1).
 	scanInsertAll = byte(iota)
 	// scanWeighted: exponential weight skips below the scan threshold.
 	scanWeighted
@@ -93,8 +93,7 @@ func (pe *DistPE) nextBuf() *ScanBuf {
 // per-shard scan streams and the returned buffer — never the reservoir
 // tree, the selection stream, or the transport — so the caller may run
 // it concurrently with FinishPending. Hand the buffer to CommitScan on
-// the goroutine that owns the collectives. Only valid when Config.Shards
-// >= 1.
+// the goroutine that owns the collectives.
 func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 	n := b.Len()
 	buf := pe.nextBuf()
@@ -291,9 +290,12 @@ func (pe *DistPE) CommitScan(b workload.Batch, buf *ScanBuf) {
 	pe.scanThresh, pe.scanHaveT = pe.thresh.V, pe.haveT
 }
 
-// mergeInsertAll merges an insertAll-mode buffer while no global
-// threshold exists, applying the Sec 5 local-thresholding optimization
-// exactly as the legacy insertAll does.
+// mergeInsertAll merges a scanInsertAll buffer while no global
+// threshold exists (T = -inf in Algorithm 1), subject to the Sec 5
+// local-thresholding optimization: once the local reservoir outgrows
+// the prune mark it keeps only the cap smallest keys, and later keys
+// above the cap-th are dropped. It is never pruned below cap, so the
+// union of all local reservoirs keeps at least cap items.
 func (pe *DistPE) mergeInsertAll(b workload.Batch, buf *ScanBuf) {
 	n := buf.n
 	cap := pe.cfg.sampleCap()

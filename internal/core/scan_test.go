@@ -8,10 +8,12 @@ package core
 // must leave the sampling stream byte-identical (DESIGN.md §2.6).
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
 
+	"reservoir/internal/rng"
 	"reservoir/internal/simnet"
 	"reservoir/internal/workload"
 )
@@ -201,4 +203,45 @@ func TestSnapshotRefusesPendingSelection(t *testing.T) {
 			t.Errorf("PE %d: snapshot after drain failed: %v", pe.ID(), err)
 		}
 	})
+}
+
+// TestSnapshotWithoutShardSectionRefused: a Shards: 1 snapshot with its
+// shard section cut off has exactly the layout that the single-stream
+// scan of earlier releases wrote for Shards: 0. Restoring it into a PE
+// with Shards unset must fail instead of resuming on a different stream.
+func TestSnapshotWithoutShardSectionRefused(t *testing.T) {
+	const p = 2
+	cfg := Config{K: 32, Weighted: true, Seed: 23, Shards: 1}
+	src := workload.UniformSource{Seed: 29, BatchLen: 300, Lo: 0, Hi: 100}
+	tc := newTestCluster(t, p, cfg, false)
+	for r := 0; r < 3; r++ {
+		tc.processRound(src, r)
+	}
+	st, err := rng.NewXoshiro256(1).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// haveT byte, threshold bits, shard count, one length-prefixed state.
+	section := 1 + 8 + 4 + 8 + len(st)
+
+	unset := cfg
+	unset.Shards = 0
+	fresh := newTestCluster(t, p, unset, false)
+	for i, s := range tc.samplers {
+		blob, err := s.(*DistPE).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := blob[:len(blob)-section]
+		if binary.LittleEndian.Uint64(blob[len(cut)+13:]) != uint64(len(st)) {
+			t.Fatalf("PE %d: shard section is not where expected", i)
+		}
+		d := fresh.samplers[i].(*DistPE)
+		if err := d.UnmarshalBinary(cut); err == nil {
+			t.Fatalf("PE %d: snapshot without a shard section decoded", i)
+		}
+		if err := d.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("PE %d: full snapshot does not decode: %v", i, err)
+		}
+	}
 }

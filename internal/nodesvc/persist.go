@@ -29,6 +29,8 @@ const snapKindNode = byte(9)
 
 // nodeConfigJSON is the persisted cluster configuration, validated on
 // recovery so a node cannot resume into a differently-configured cluster.
+// Shards and Pipeline are part of the sampling stream's identity
+// (DESIGN.md §2.6); Shards is the effective count, so 0 and 1 match.
 type nodeConfigJSON struct {
 	P         int    `json:"p"`
 	Rank      int    `json:"rank"`
@@ -36,6 +38,8 @@ type nodeConfigJSON struct {
 	Seed      uint64 `json:"seed"`
 	Weighted  bool   `json:"weighted"`
 	Algorithm string `json:"algorithm"`
+	Shards    int    `json:"shards"`
+	Pipeline  bool   `json:"pipeline"`
 }
 
 // diskState is the checkpoint blob: everything beyond the sampler bytes
@@ -53,6 +57,10 @@ func (s *Server) configJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards := s.opts.Config.Shards
+	if shards == 0 {
+		shards = 1
+	}
 	return json.Marshal(nodeConfigJSON{
 		P:         s.node.P(),
 		Rank:      s.node.Rank(),
@@ -60,6 +68,8 @@ func (s *Server) configJSON() ([]byte, error) {
 		Seed:      s.opts.Config.Seed,
 		Weighted:  s.opts.Config.Weighted,
 		Algorithm: string(algo),
+		Shards:    shards,
+		Pipeline:  s.opts.Config.Pipeline,
 	})
 }
 

@@ -2,11 +2,10 @@
 // variates used throughout the reservoir sampling library.
 //
 // The paper (Sec 6.2) uses Intel MKL's Mersenne Twister; this package
-// provides a from-scratch MT19937-64 for fidelity (see mt19937.go) as well
-// as xoshiro256** (the default engine, faster and with a much smaller
-// state), splitmix64 (seeding and mixing), and a stateless counter-based
-// generator used to synthesize arbitrarily large mini-batches in O(1)
-// memory.
+// provides xoshiro256** (the default engine, faster and with a much
+// smaller state), splitmix64 (seeding and mixing), and a stateless
+// counter-based generator used to synthesize arbitrarily large
+// mini-batches in O(1) memory.
 //
 // All variate helpers are written against the small Source interface so any
 // engine can back them.

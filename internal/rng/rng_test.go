@@ -12,7 +12,6 @@ func engines(seed uint64) map[string]Source {
 	return map[string]Source{
 		"splitmix64": NewSplitMix64(seed),
 		"xoshiro256": NewXoshiro256(seed),
-		"mt19937-64": NewMT19937(seed),
 		"counter":    &counterSource{c: Counter{Seed: seed}},
 	}
 }
@@ -28,45 +27,6 @@ func (s *counterSource) Uint64() uint64 {
 	v := s.c.At(s.i)
 	s.i++
 	return v
-}
-
-func TestMT19937ReferenceVectors(t *testing.T) {
-	// First outputs of the reference mt19937-64.c seeded with
-	// init_by_array64({0x12345, 0x23456, 0x34567, 0x45678}); these are the
-	// first numbers of the canonical mt19937-64.out file.
-	m := NewMT19937(0)
-	m.SeedByArray([]uint64{0x12345, 0x23456, 0x34567, 0x45678})
-	want := []uint64{
-		7266447313870364031,
-		4946485549665804864,
-		16945909448695747420,
-		16394063075524226720,
-		4873882236456199058,
-	}
-	for i, w := range want {
-		if got := m.Uint64(); got != w {
-			t.Fatalf("MT19937-64 output %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
-func TestMT19937SingleSeedDeterminism(t *testing.T) {
-	a, b := NewMT19937(42), NewMT19937(42)
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("same seed diverged at step %d", i)
-		}
-	}
-	c := NewMT19937(43)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if NewMT19937(42).mt[i%nn] == c.mt[i%nn] {
-			same++
-		}
-	}
-	if same > 10 {
-		t.Fatalf("different seeds produced %d/1000 identical state words", same)
-	}
 }
 
 func TestXoshiroJumpDisjoint(t *testing.T) {
@@ -364,15 +324,6 @@ func sortFloats(xs []float64) {
 
 func BenchmarkXoshiro256(b *testing.B) {
 	src := NewXoshiro256(1)
-	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc += src.Uint64()
-	}
-	_ = acc
-}
-
-func BenchmarkMT19937(b *testing.B) {
-	src := NewMT19937(1)
 	var acc uint64
 	for i := 0; i < b.N; i++ {
 		acc += src.Uint64()

@@ -271,11 +271,10 @@ func TestQueueDepthValidation(t *testing.T) {
 
 // TestRetryAfterDerivation pins the drain-rate arithmetic behind the 429
 // Retry-After hint: (pending rounds / absorbing jobs) × round EMA,
-// rounded up to whole seconds and clamped to [1, 60].
+// rounded up to whole seconds and clamped to [1, 60]. The run is built
+// but never started, so no worker drains the job the test queues.
 func TestRetryAfterDerivation(t *testing.T) {
-	svc := New()
-	t.Cleanup(func() { svc.Close() })
-	run, err := svc.createRun(RunConfig{Kind: KindCluster, P: 2, K: 4, QueueDepth: 4})
+	run, err := newRun("r1", RunConfig{Kind: KindCluster, P: 2, K: 4, QueueDepth: 4}, runDefaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +302,6 @@ func TestRetryAfterDerivation(t *testing.T) {
 	run.roundNS.Store(uint64(4 * time.Second))
 	run.pending.Store(4)
 	run.queue <- &ingestJob{rounds: 1, done: make(chan ingestResult, 1)}
-	defer func() { <-run.queue }()
 	// 4 pending rounds / 2 jobs = 2 rounds × 4s.
 	if got := run.retryAfterSeconds(); got != 8 {
 		t.Errorf("with a queued job: retryAfterSeconds() = %d, want 8", got)

@@ -88,9 +88,9 @@ type RunConfig struct {
 	LocalThreshold bool `json:"local_threshold,omitempty"`
 	BlockedSkip    bool `json:"blocked_skip,omitempty"`
 	// Shards fixes the logical scan-shard count (cluster runs; part of
-	// the sampling stream's identity, 0 = legacy single-stream scan).
-	// Pipeline defers each round's selection so the next scan can
-	// overlap it; implies shards >= 1. See DESIGN.md §2.6.
+	// the sampling stream's identity, 0 means 1). Pipeline defers each
+	// round's selection so the next scan can overlap it. See DESIGN.md
+	// §2.6.
 	Shards   int  `json:"shards,omitempty"`
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Seed drives all run randomness (0 is a valid seed).

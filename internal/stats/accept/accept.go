@@ -65,10 +65,10 @@ type Config struct {
 	// per PE per round (default 64).
 	P, K, Rounds, BatchLen int
 	// Shards fixes the cluster algorithms' logical scan-shard count
-	// (0 = legacy single-stream scan). The sharded scan redraws every
-	// admission variate from per-shard substreams, so re-validating the
-	// scenario grid at Shards > 1 checks the sharded stream's
-	// distributional correctness end to end (DESIGN.md §2.6).
+	// (0 means 1). Each shard redraws its admission variates from its
+	// own substream, so re-validating the scenario grid at Shards > 1
+	// checks the sharded stream's distributional correctness end to end
+	// (DESIGN.md §2.6).
 	Shards int
 	// Seed drives everything: streams, sampler seeds, oracle seeds.
 	Seed uint64

@@ -61,7 +61,9 @@ type manifest struct {
 	NextID  int64 `json:"next_id"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2: the sharded scan became the only scan, so a
+// version-1 store's WALs would replay onto a different sampling stream.
+const manifestVersion = 2
 
 // Status is the store health summary surfaced by GET /healthz.
 type Status struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -416,6 +417,20 @@ func TestLoadRunRefusesResetOnCorruptSnapshot(t *testing.T) {
 	// The files survive for inspection.
 	if _, err := os.Stat(snapPath); err != nil {
 		t.Fatalf("snapshot file removed: %v", err)
+	}
+}
+
+// TestManifestRejectsVersion1: version-1 stores were written by builds
+// with the single-stream scan; replaying their WALs would silently
+// continue on a different sampling stream.
+func TestManifestRejectsVersion1(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte(`{"version":1,"next_id":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if err == nil || !strings.Contains(err.Error(), "manifest version 1") {
+		t.Fatalf("version-1 manifest: Open error %v, want a version refusal", err)
 	}
 }
 

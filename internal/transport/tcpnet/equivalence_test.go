@@ -189,7 +189,6 @@ func TestSamplingEquivalenceAcrossTransports(t *testing.T) {
 		{"distributed-uniform", "ours", core.Config{K: 48, Seed: 7}, 4, 5, 600},
 		{"distributed-multipivot", "ours", core.Config{K: 64, Weighted: true, Seed: 11, Strategy: core.SelMultiPivot, Pivots: 4}, 5, 4, 500},
 		{"gather-baseline", "gather", core.Config{K: 64, Weighted: true, Seed: 23}, 4, 6, 800},
-		{"distributed-sharded1", "ours", core.Config{K: 64, Weighted: true, Seed: 31, Shards: 1}, 4, 6, 800},
 		{"distributed-sharded4", "ours", core.Config{K: 64, Weighted: true, Seed: 37, Shards: 4}, 4, 6, 800},
 	}
 	for _, tc := range cases {

@@ -39,7 +39,7 @@ type Node struct {
 // selection drain plus the merge/selection of CommitScan); OverlapNS is
 // the wall time the pipelined driver saved by running the two
 // concurrently (min of the overlapped pair per round); RoundNS is total
-// round wall time. Only the sharded distributed sampler fills these in.
+// round wall time. Only the distributed sampler fills these in.
 // FlushNS is the transport's accumulated coalesce-flush time (staged
 // frame emission plus socket drain), reported by transports that track
 // it (tcpnet); it is filled in at ClusterStats time, not per round.
@@ -101,15 +101,15 @@ func (n *Node) Algorithm() Algorithm { return n.algo }
 
 // ProcessBatch ingests this node's mini-batch for the current round and
 // runs the collective threshold update (SPMD: all nodes must call it).
-// When the sampler runs the sharded scan (Config.Shards >= 1), the node
-// drives the three round phases itself so that — under Config.Pipeline —
-// the local scan of this round overlaps the still-in-flight selection
-// collectives of the previous one. The overlap is safe and
+// For the distributed sampler the node drives the three round phases
+// itself so that — under Config.Pipeline — the local scan of this round
+// overlaps the still-in-flight selection collectives of the previous
+// one. The overlap is safe and
 // byte-identical to the simulator's sequential phase order because
 // StartScan and FinishPending touch disjoint sampler state (DESIGN.md
 // §2.6).
 func (n *Node) ProcessBatch(b Batch) {
-	if pe, ok := n.sampler.(*core.DistPE); ok && pe.Sharded() {
+	if pe, ok := n.sampler.(*core.DistPE); ok {
 		n.processSharded(pe, b)
 	} else {
 		n.sampler.ProcessBatch(b)
@@ -172,7 +172,7 @@ func (n *Node) Pending() bool {
 }
 
 // PhaseStats returns this node's accumulated wall-clock round-phase
-// breakdown (zero unless the sharded scan is active).
+// breakdown (zero for the centralized gather baseline).
 func (n *Node) PhaseStats() PhaseStats { return n.phase }
 
 // ProcessRound ingests this node's next mini-batch from src (SPMD).

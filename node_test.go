@@ -16,9 +16,9 @@ import (
 )
 
 // runNodes drives p Nodes SPMD over the in-process simulator's transport
-// for the given rounds and returns rank 0's collected sample plus the
-// accumulated phase stats.
-func runNodes(t *testing.T, p, rounds int, cfg Config, src Source) ([]Item, []PhaseStats) {
+// for the given rounds and returns rank 0's collected sample, the
+// accumulated phase stats and every rank's threshold.
+func runNodes(t *testing.T, p, rounds int, cfg Config, src Source) ([]Item, []PhaseStats, []float64) {
 	t.Helper()
 	sim := simnet.NewCluster(p, simnet.DefaultCost())
 	nodes := make([]*Node, p)
@@ -45,10 +45,12 @@ func runNodes(t *testing.T, p, rounds int, cfg Config, src Source) ([]Item, []Ph
 		}
 	})
 	phases := make([]PhaseStats, p)
+	thresh := make([]float64, p)
 	for i, n := range nodes {
 		phases[i] = n.PhaseStats()
+		thresh[i], _ = n.Threshold()
 	}
-	return sample, phases
+	return sample, phases, thresh
 }
 
 // TestNodeOverlapMatchesSequentialCluster pins the tentpole determinism
@@ -62,7 +64,7 @@ func TestNodeOverlapMatchesSequentialCluster(t *testing.T) {
 			cfg := Config{K: 64, Weighted: weighted, Seed: 21, Shards: shards, Pipeline: true}
 			src := UniformSource{Seed: 33, BatchLen: batch, Lo: 0, Hi: 100}
 
-			nodeSample, phases := runNodes(t, p, rounds, cfg, src)
+			nodeSample, phases, _ := runNodes(t, p, rounds, cfg, src)
 
 			cl, err := NewCluster(p, cfg)
 			if err != nil {
@@ -102,7 +104,7 @@ func TestNodePipelineRaceStress(t *testing.T) {
 	const p, rounds, batch, k = 4, 40, 2000, 128
 	cfg := Config{K: k, Weighted: true, Seed: 77, Shards: 4, Pipeline: true}
 	src := ParetoSource{Seed: 78, BatchLen: batch, Shape: 1.5}
-	sample, phases := runNodes(t, p, rounds, cfg, src)
+	sample, phases, _ := runNodes(t, p, rounds, cfg, src)
 	if len(sample) != k {
 		t.Fatalf("sample has %d items, want k=%d", len(sample), k)
 	}
@@ -122,5 +124,61 @@ func TestNodePipelineRaceStress(t *testing.T) {
 	}
 	if overlap <= 0 {
 		t.Error("no overlapped wall time recorded across 40 pipelined rounds")
+	}
+}
+
+// TestDefaultShardsIsOneShard: the sharded scan is the only scan, and an
+// unset Config.Shards means one shard. Both configs must give
+// byte-identical samples and thresholds, on the simulated Cluster and on
+// pipelined Nodes, weighted and uniform.
+func TestDefaultShardsIsOneShard(t *testing.T) {
+	const p, rounds = 4, 8
+	src := ParetoSource{Seed: 5, BatchLen: 1000, Shape: 1.5}
+	runCluster := func(cfg Config) ([]Item, float64) {
+		cl, err := NewCluster(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			cl.ProcessRound(src)
+		}
+		th, ok := cl.Threshold()
+		if !ok {
+			t.Fatal("no threshold after the run")
+		}
+		return cl.Sample(), th
+	}
+	sameItems := func(label string, a, b []Item) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: sample sizes differ: %d vs %d", label, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: sample[%d] differs: %+v vs %+v", label, i, a[i], b[i])
+			}
+		}
+	}
+	for _, weighted := range []bool{true, false} {
+		unset := Config{K: 64, Weighted: weighted, Seed: 13}
+		one := unset
+		one.Shards = 1
+
+		a, ta := runCluster(unset)
+		b, tb := runCluster(one)
+		sameItems("cluster", a, b)
+		if ta != tb {
+			t.Fatalf("cluster weighted=%v: threshold %v (unset) vs %v (Shards: 1)", weighted, ta, tb)
+		}
+
+		unset.Pipeline, one.Pipeline = true, true
+		na, _, nta := runNodes(t, p, rounds, unset, src)
+		nb, _, ntb := runNodes(t, p, rounds, one, src)
+		sameItems("pipelined nodes", na, nb)
+		for rank := range nta {
+			if nta[rank] != ntb[rank] {
+				t.Fatalf("nodes weighted=%v rank %d: threshold %v (unset) vs %v (Shards: 1)", weighted, rank, nta[rank], ntb[rank])
+			}
+		}
 	}
 }
