@@ -53,9 +53,10 @@ func (f faultConfig) active() bool {
 	return f.drop > 0 || f.dup > 0 || f.corrupt > 0 || f.delay > 0
 }
 
-// snapshotRetention is the per-node checkpoint history depth: enough for
-// a restarted node to roll back to whichever round boundary the
-// survivors agree on (the lockstep rounds keep the spread ≤ 1).
+// snapshotRetention is the per-node boundary history depth, the number
+// of slot files in the node's store: enough for a restarted node to roll
+// back to whichever round boundary the survivors agree on (the lockstep
+// rounds keep the spread ≤ 1).
 const snapshotRetention = 4
 
 // signalGrace bounds how long a signalled node may keep unwinding before

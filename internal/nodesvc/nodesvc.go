@@ -40,6 +40,7 @@ import (
 	"reservoir/internal/service"
 	"reservoir/internal/store"
 	"reservoir/internal/transport"
+	"reservoir/internal/workload/scenario"
 )
 
 // Command opcodes broadcast from rank 0. opStats is internal: it runs
@@ -126,10 +127,11 @@ type Options struct {
 	// 0 (tests use port-0 listeners).
 	Listener net.Listener
 	// Store enables crash-restart persistence: this node's per-round
-	// boundary checkpoints and WAL audit trail live in it (each node of
-	// the cluster needs its *own* store directory). Open it with a
-	// snapshot retention of at least 4 (store.WithSnapshotRetention) so
-	// a restarted node can roll back to the survivors' boundary.
+	// boundaries live in its ring of slot files, one in-place write and
+	// fsync per round (each node of the cluster needs its *own* store
+	// directory). Open it with a snapshot retention of at least 4
+	// (store.WithSnapshotRetention), which sizes the ring, so a restarted
+	// node can roll back to the survivors' boundary.
 	Store *store.Store
 	// Log receives lifecycle messages (default: silent). The server adds
 	// component and rank attributes.
@@ -221,6 +223,14 @@ type Server struct {
 	runCfg service.RunConfig
 	log    *slog.Logger
 
+	// srcMu guards a single-entry cache of the last compiled synthetic
+	// source: consecutive commands almost always carry the same spec, and
+	// rank 0 compiles each spec twice (validation, then execution), while
+	// a Zipf scenario's compile alone builds a 4096-entry CDF.
+	srcMu  sync.Mutex
+	srcKey sourceKey
+	src    reservoir.Source
+
 	// formed flips to true once the node can serve collectives: at startup
 	// for a fresh node, after the initial resync for a rejoining one, and
 	// it dips back to false while a resync is in flight. Readiness probes
@@ -236,11 +246,12 @@ type Server struct {
 
 	// Fault tolerance and persistence (see resync.go / persist.go).
 	// ft is non-nil when the transport runs with recoverable faults;
-	// ring holds the restorable round boundaries; rejoining marks a node
-	// that recovered persisted state and must resync before serving.
+	// ring holds the restorable round boundaries, slots their persisted
+	// copies; rejoining marks a node that recovered persisted state and
+	// must resync before serving.
 	ft        ftConn
 	st        *store.Store
-	runLog    *store.RunLog
+	slots     *store.Slots
 	ring      []boundary
 	rejoining bool
 	attempt   uint64 // rank 0's resync attempt counter
@@ -298,7 +309,7 @@ func New(opts Options) (*Server, error) {
 	if !s.rejoining {
 		// Record the round-0 boundary so the very first round is
 		// rollback-able (and, with a store, restartable).
-		if err := s.captureBoundary(nil); err != nil {
+		if err := s.captureBoundary(); err != nil {
 			return nil, err
 		}
 		// A fresh node's mesh is already up (transport dialing completes
@@ -371,8 +382,8 @@ func (s *Server) registerMetrics() {
 // after an orderly cluster shutdown.
 func (s *Server) Run() error {
 	defer func() {
-		if s.runLog != nil {
-			s.runLog.Close()
+		if s.slots != nil {
+			s.slots.Close()
 		}
 	}()
 	if s.node.Rank() == 0 {
@@ -603,7 +614,7 @@ func (s *Server) tryCollective(cmd command) (res result, fault bool) {
 func (s *Server) execute(cmd command) result {
 	switch cmd.Op {
 	case opRounds:
-		src, err := cmd.Spec.BuildSource(s.runCfg)
+		src, err := s.source(cmd.Spec)
 		if err != nil {
 			// Roots validate before broadcasting; reaching this on any
 			// rank means the cluster configs diverge.
@@ -613,19 +624,14 @@ func (s *Server) execute(cmd command) result {
 		if rounds == 0 {
 			rounds = 1
 		}
-		specJSON, err := json.Marshal(cmd.Spec)
-		if err != nil {
-			return result{err: fmt.Errorf("encoding synthetic spec: %w", err)}
-		}
 		for i := 0; i < rounds; i++ {
 			phase0 := s.node.PhaseStats()
 			roundStart := time.Now()
-			//lint:allow walorder -- node mode is apply-then-capture by design: captureBoundary logs the *completed* round as a restorable boundary, and recovery rolls the cluster back to the newest boundary every node can restore (DESIGN.md §2.5) — cluster redundancy, not write-ahead, is the durability contract here
 			s.node.ProcessRound(src)
 			// Every completed round becomes a restorable boundary
-			// (in-memory ring and, when persistence is on, WAL record +
-			// checkpoint) — the recovery protocol's rollback grain.
-			if err := s.captureBoundary(specJSON); err != nil {
+			// (in-memory ring and, when persistence is on, a slot write)
+			// — the recovery protocol's rollback grain.
+			if err := s.captureBoundary(); err != nil {
 				return result{err: err}
 			}
 			s.mRoundSeconds.Observe(time.Since(roundStart).Seconds())
@@ -659,6 +665,35 @@ func (s *Server) execute(cmd command) result {
 	default:
 		return result{err: fmt.Errorf("unknown cluster command %q", cmd.Op)}
 	}
+}
+
+// sourceKey identifies a compiled source by the spec's value: every field
+// BuildSource reads, with the scenario dereferenced and Rounds cleared.
+type sourceKey struct {
+	spec        service.SyntheticSpec
+	hasScenario bool
+	scenario    scenario.Spec
+}
+
+// source returns the compiled source of spec, reusing the last one when
+// the spec is unchanged (sources are immutable and safe to share).
+func (s *Server) source(spec service.SyntheticSpec) (reservoir.Source, error) {
+	key := sourceKey{spec: spec, hasScenario: spec.Scenario != nil}
+	if key.hasScenario {
+		key.scenario = *spec.Scenario
+	}
+	key.spec.Scenario, key.spec.Rounds = nil, 0
+	s.srcMu.Lock()
+	defer s.srcMu.Unlock()
+	if s.src != nil && key == s.srcKey {
+		return s.src, nil
+	}
+	src, err := spec.BuildSource(s.runCfg)
+	if err != nil {
+		return nil, err
+	}
+	s.srcKey, s.src = key, src
+	return src, nil
 }
 
 // publishStats aggregates cluster-wide counters (one merged all-reduction)
@@ -804,7 +839,7 @@ func (s *Server) Handler() http.Handler {
 			service.WriteErrorf(w, http.StatusBadRequest, "rounds must be in [0, %d], got %d", maxRounds, spec.Rounds)
 			return
 		}
-		if _, err := spec.BuildSource(s.runCfg); err != nil {
+		if _, err := s.source(spec); err != nil {
 			service.WriteErrorf(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -1,18 +1,17 @@
 package nodesvc
 
-// Node-mode persistence rides the existing internal/store machinery: each
-// node owns its own store directory holding one run ("node") whose WAL
-// records every executed round (append-before-apply, like the service)
-// and whose checkpoints — one per round boundary, with a small retained
-// history — are what crash-restart recovery restores. Unlike the
-// single-process service, a lone node cannot replay WAL rounds (a round
-// is a cluster-wide collective), so recovery is snapshot-only and the WAL
-// doubles as an audit trail of executed rounds, re-executions after a
-// rollback included.
+// Node-mode persistence: each node owns its own store directory holding
+// one run ("node"): config.json plus a fixed ring of boundary slot files
+// (store.Slots). Every completed round's boundary overwrites one slot in
+// place with one write and one fsync, and crash-restart recovery restores
+// the newest valid slot (or, when the cluster rolls back, an older one).
+// Nothing is logged ahead of a round: a lone node cannot replay a round —
+// rounds are cluster-wide collectives — so recovery is boundary-only and
+// cluster redundancy, not write-ahead logging, is the durability contract
+// (DESIGN.md §2.5).
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -23,7 +22,7 @@ import (
 // nodeRunID is the store run ID every node persists under.
 const nodeRunID = "node"
 
-// snapKindNode tags node-boundary snapshots in store checkpoint files
+// snapKindNode tags node-boundary snapshots in store slot files
 // (distinct from the service's snapshot kinds).
 const snapKindNode = byte(9)
 
@@ -42,14 +41,53 @@ type nodeConfigJSON struct {
 	Pipeline  bool   `json:"pipeline"`
 }
 
-// diskState is the checkpoint blob: everything beyond the sampler bytes
-// that a restarted node needs (the epoch seeds the resync negotiation,
-// the counters keep lifetime stats truthful).
+// diskState is the slot blob: everything beyond the sampler bytes that a
+// restarted node needs (the epoch seeds the resync negotiation, the
+// counters keep lifetime stats truthful).
 type diskState struct {
 	Round    uint64
 	Epoch    uint64
 	Counters reservoir.Counters
 	Sampler  []byte
+}
+
+// diskStateHeader is the fixed part of an encoded diskState: round,
+// epoch and the six counters, 8 bytes each, little endian. The sampler
+// blob fills the rest (the slot's snapshot frame delimits it).
+const diskStateHeader = 8 * 8
+
+func encodeDiskState(ds *diskState) []byte {
+	c := ds.Counters
+	b := make([]byte, 0, diskStateHeader+len(ds.Sampler))
+	for _, v := range [...]uint64{
+		ds.Round, ds.Epoch,
+		uint64(c.ItemsProcessed), uint64(c.Inserted), uint64(c.CandidateWords),
+		uint64(c.Selections), uint64(c.SelectionRounds), uint64(c.GatheredSelections),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return append(b, ds.Sampler...)
+}
+
+// decodeDiskState inverts encodeDiskState. The returned Sampler aliases b.
+func decodeDiskState(b []byte) (*diskState, error) {
+	if len(b) < diskStateHeader {
+		return nil, fmt.Errorf("nodesvc: short boundary state (%d bytes)", len(b))
+	}
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	return &diskState{
+		Round: u(0),
+		Epoch: u(1),
+		Counters: reservoir.Counters{
+			ItemsProcessed:     int64(u(2)),
+			Inserted:           int64(u(3)),
+			CandidateWords:     int64(u(4)),
+			Selections:         int64(u(5)),
+			SelectionRounds:    int64(u(6)),
+			GatheredSelections: int64(u(7)),
+		},
+		Sampler: b[diskStateHeader:],
+	}, nil
 }
 
 func (s *Server) configJSON() ([]byte, error) {
@@ -74,9 +112,9 @@ func (s *Server) configJSON() ([]byte, error) {
 }
 
 // initPersistence opens (or creates) this node's persisted run. On a
-// rejoin it restores the newest checkpoint into the live sampler and
-// marks the server as rejoining, so Run starts with the recovery
-// protocol instead of the command loop.
+// rejoin it restores the newest boundary into the live sampler and marks
+// the server as rejoining, so Run starts with the recovery protocol
+// instead of the command loop.
 func (s *Server) initPersistence() error {
 	wantCfg, err := s.configJSON()
 	if err != nil {
@@ -91,80 +129,76 @@ func (s *Server) initPersistence() error {
 			return s.recoverPersisted(wantCfg)
 		}
 	}
-	log, err := s.st.CreateRun(nodeRunID, wantCfg)
-	if err != nil {
+	if s.slots, err = s.st.CreateSlots(nodeRunID, wantCfg); err != nil {
 		return fmt.Errorf("nodesvc: creating persisted run: %w", err)
 	}
-	s.runLog = log
 	return nil
 }
 
 func (s *Server) recoverPersisted(wantCfg []byte) error {
-	rs, log, err := s.st.LoadRun(nodeRunID)
+	cfg, slots, err := s.st.OpenSlots(nodeRunID)
 	if err != nil {
 		return fmt.Errorf("nodesvc: recovering node state: %w", err)
 	}
-	if rs.Warning != nil {
-		s.log.Warn("recovery warning", "err", rs.Warning)
-	}
+	s.slots = slots
 	var have, want nodeConfigJSON
-	if err := json.Unmarshal(rs.Config, &have); err != nil {
+	if err := json.Unmarshal(cfg, &have); err != nil {
 		return fmt.Errorf("nodesvc: persisted config: %w", err)
 	}
 	_ = json.Unmarshal(wantCfg, &want)
 	if have != want {
 		return fmt.Errorf("nodesvc: persisted config %+v does not match flags %+v; refusing to rejoin", have, want)
 	}
-	if rs.Snapshot == nil {
-		return fmt.Errorf("nodesvc: persisted run has no decodable checkpoint; refusing to guess a boundary")
+	snap, err := slots.Latest()
+	if err != nil {
+		return fmt.Errorf("nodesvc: recovering node state: %w", err)
 	}
-	ds, err := decodeDiskState(rs.Snapshot)
+	if snap == nil {
+		return fmt.Errorf("nodesvc: persisted run has no decodable boundary; refusing to guess one")
+	}
+	ds, err := boundaryState(snap)
 	if err != nil {
 		return err
 	}
 	if err := s.node.RestoreState(ds.Sampler, int(ds.Round)); err != nil {
-		return fmt.Errorf("nodesvc: restoring checkpoint @%d: %w", ds.Round, err)
+		return fmt.Errorf("nodesvc: restoring boundary @%d: %w", ds.Round, err)
 	}
 	s.node.RestoreCounters(ds.Counters)
-	if s.ft != nil {
-		s.ft.AdvanceEpoch(ds.Epoch)
-	}
-	s.runLog = log
+	s.ft.AdvanceEpoch(ds.Epoch) // a store implies a fault-tolerant transport (New)
 	s.rejoining = true
 	s.pushBoundary(boundary{round: ds.Round, blob: ds.Sampler, counters: ds.Counters})
 	s.log.Info("recovered boundary", "round", ds.Round, "epoch", ds.Epoch)
 	return nil
 }
 
-// loadDiskState reads the retained checkpoint at round r.
+// loadDiskState reads the persisted boundary at round r.
 func (s *Server) loadDiskState(r uint64) (*diskState, error) {
-	snap, err := s.st.ReadSnapshot(nodeRunID, r)
+	snap, err := s.slots.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return decodeDiskState(snap)
+	return boundaryState(snap)
 }
 
-func decodeDiskState(snap *store.Snapshot) (*diskState, error) {
+// boundaryState decodes a slot's snapshot into the node state it holds.
+func boundaryState(snap *store.Snapshot) (*diskState, error) {
 	if snap.Kind != snapKindNode {
-		return nil, fmt.Errorf("nodesvc: checkpoint kind %d is not a node boundary", snap.Kind)
+		return nil, fmt.Errorf("nodesvc: slot kind %d is not a node boundary", snap.Kind)
 	}
-	var ds diskState
-	if err := gob.NewDecoder(bytes.NewReader(snap.Blob)).Decode(&ds); err != nil {
-		return nil, fmt.Errorf("nodesvc: decoding checkpoint: %w", err)
+	ds, err := decodeDiskState(snap.Blob)
+	if err != nil {
+		return nil, err
 	}
 	if ds.Round != snap.Round {
-		return nil, fmt.Errorf("nodesvc: checkpoint claims round %d inside a round-%d file", ds.Round, snap.Round)
+		return nil, fmt.Errorf("nodesvc: boundary state claims round %d inside a round-%d slot", ds.Round, snap.Round)
 	}
-	return &ds, nil
+	return ds, nil
 }
 
 // captureBoundary snapshots the node's state as the newest restorable
 // round boundary: into the in-memory ring always, and — with a store —
-// as a WAL record plus checkpoint (append-before-checkpoint, so a crash
-// between the two still recovers the previous boundary). specJSON
-// documents the round's input in the WAL audit trail.
-func (s *Server) captureBoundary(specJSON []byte) error {
+// into its slot ring, fsynced before the command replies.
+func (s *Server) captureBoundary() error {
 	if s.ft == nil && s.st == nil {
 		return nil // nothing can consume a boundary; skip the per-round marshal
 	}
@@ -179,21 +213,9 @@ func (s *Server) captureBoundary(specJSON []byte) error {
 	round := uint64(s.node.Round())
 	b := boundary{round: round, blob: blob, counters: s.node.Counters()}
 	s.pushBoundary(b)
-	if s.runLog == nil {
+	if s.slots == nil {
 		return nil
 	}
-	if round > 0 && specJSON != nil {
-		if err := s.runLog.AppendRound(&store.RoundRecord{Round: round - 1, Synthetic: specJSON}); err != nil {
-			return err
-		}
-	}
-	var buf bytes.Buffer
-	ds := diskState{Round: round, Counters: b.counters, Sampler: blob}
-	if s.ft != nil {
-		ds.Epoch = s.ft.Epoch()
-	}
-	if err := gob.NewEncoder(&buf).Encode(&ds); err != nil {
-		return fmt.Errorf("nodesvc: encoding checkpoint: %w", err)
-	}
-	return s.runLog.Checkpoint(&store.Snapshot{Round: round, Kind: snapKindNode, Blob: buf.Bytes()})
+	ds := diskState{Round: round, Epoch: s.ft.Epoch(), Counters: b.counters, Sampler: blob}
+	return s.slots.Write(&store.Snapshot{Round: round, Kind: snapKindNode, Blob: encodeDiskState(&ds)})
 }

@@ -2,8 +2,8 @@ package nodesvc
 
 // The crash-restart recovery protocol. The unit of recovery is the round
 // boundary: every node snapshots its sampler after each completed round
-// (a small in-memory ring, plus WAL/checkpoints via internal/store when
-// persistence is on). When the transport reports a recoverable fault —
+// (a small in-memory ring, plus a ring of slot files via internal/store
+// when persistence is on). When the transport reports a recoverable fault —
 // a peer died mid-collective, or a control message interrupted a blocked
 // receive — every node abandons the in-flight round and rank 0
 // coordinates a resync:
@@ -119,7 +119,7 @@ type boundary struct {
 }
 
 // pushBoundary records the node's current state as a restorable boundary
-// (ring; the disk checkpoint is written by captureBoundary).
+// (ring; the slot write is captureBoundary's).
 func (s *Server) pushBoundary(b boundary) {
 	s.ring = append(s.ring, b)
 	if len(s.ring) > ringDepth {
@@ -134,8 +134,8 @@ func (s *Server) boundaryRange() (lo, cur uint64) {
 	}
 	lo = s.ring[0].round
 	cur = s.ring[len(s.ring)-1].round
-	if s.st != nil {
-		if rounds, err := s.st.Snapshots(nodeRunID); err == nil && len(rounds) > 0 && rounds[0] < lo {
+	if s.slots != nil {
+		if rounds := s.slots.Rounds(); len(rounds) > 0 && rounds[0] < lo {
 			lo = rounds[0]
 		}
 	}
@@ -144,7 +144,7 @@ func (s *Server) boundaryRange() (lo, cur uint64) {
 
 // restoreBoundary rolls the node back (or, for a freshly restarted node,
 // forward) to the state at round boundary r, from the in-memory ring or
-// the persisted snapshot history.
+// the persisted slot ring.
 func (s *Server) restoreBoundary(r uint64) error {
 	for i := len(s.ring) - 1; i >= 0; i-- {
 		if s.ring[i].round == r {
@@ -156,7 +156,7 @@ func (s *Server) restoreBoundary(r uint64) error {
 			return nil
 		}
 	}
-	if s.st != nil {
+	if s.slots != nil {
 		ds, err := s.loadDiskState(r)
 		if err != nil {
 			return err

@@ -68,5 +68,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !bytes.Equal(EncodeSnapshot(s), data) {
 			t.Fatal("accepted snapshot does not re-encode bit-identically")
 		}
+		// A boundary slot may carry a stale tail after the frame.
+		p, err := decodeSnapshotPrefix(append(append([]byte(nil), data...), data...))
+		if err != nil || p.Round != s.Round || p.Kind != s.Kind || !bytes.Equal(p.Blob, s.Blob) {
+			t.Fatalf("frame with a trailing tail decodes as %+v, %v", p, err)
+		}
 	})
 }

@@ -4,8 +4,9 @@
 // written with atomic renames, and the store keeps a small manifest with
 // the run-ID counter. The serving layer writes records from each run's
 // ingest worker goroutine (the sole sampler owner), so persistence rides
-// the async pipeline without any cross-run lock. See DESIGN.md §6 for the
-// on-disk format and the crash-consistency argument.
+// the async pipeline without any cross-run lock. A cluster node persists
+// only its round boundaries, into a fixed ring of slot files (Slots). See
+// DESIGN.md §6 for the on-disk format and the crash-consistency argument.
 package store
 
 import (
@@ -296,9 +297,13 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	return appendU32(b, crc32.ChecksumIEEE(b[4:]))
 }
 
+// snapHeaderLen is the snapshot frame ahead of the blob: magic, version,
+// kind, round, blob length.
+const snapHeaderLen = 4 + 1 + 1 + 8 + 4
+
 // DecodeSnapshot parses and verifies a snapshot file.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	const hdr = 4 + 1 + 1 + 8 + 4
+	const hdr = snapHeaderLen
 	if len(b) < hdr+4 {
 		return nil, fmt.Errorf("store: short snapshot file (%d bytes)", len(b))
 	}
@@ -319,4 +324,16 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	}
 	s.Blob = append([]byte(nil), b[hdr:len(b)-4]...)
 	return s, nil
+}
+
+// decodeSnapshotPrefix decodes the snapshot frame at the start of b and
+// ignores the bytes after it: a boundary slot overwritten by a shorter
+// frame keeps the tail of the longer one it replaced.
+func decodeSnapshotPrefix(b []byte) (*Snapshot, error) {
+	if len(b) >= snapHeaderLen {
+		if end := snapHeaderLen + uint64(binary.LittleEndian.Uint32(b[14:])) + 4; end < uint64(len(b)) {
+			b = b[:end]
+		}
+	}
+	return DecodeSnapshot(b)
 }

@@ -136,27 +136,14 @@ func (l *RunLog) Checkpoint(snap *Snapshot) error {
 	if old != nil {
 		old.Close()
 	}
-	// Remove what the retained snapshot history supersedes: keep the
-	// store's configured number of newest snapshots, and every WAL
-	// segment reachable from the oldest retained one (so recovery can
-	// still roll back to any retained boundary).
+	// Remove what the newest snapshot on disk supersedes: older
+	// snapshots and the WAL segments before it.
 	entries, _ := os.ReadDir(l.dir)
-	var snaps []uint64
-	for _, e := range entries {
-		if r, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
-			snaps = append(snaps, r)
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 	cutoff := snap.Round
-	retain := l.st.retain
-	if retain < 1 {
-		retain = 1
-	}
-	if len(snaps) >= retain {
-		cutoff = snaps[retain-1]
-	} else if len(snaps) > 0 {
-		cutoff = snaps[len(snaps)-1]
+	for _, e := range entries {
+		if r, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && r > cutoff {
+			cutoff = r
+		}
 	}
 	for _, e := range entries {
 		if r, ok := parseSeq(e.Name(), "wal-", ".log"); ok && r < cutoff {

@@ -77,17 +77,18 @@ type Status struct {
 }
 
 // Store is one persistence directory: MANIFEST.json plus one subdirectory
-// per run under runs/, each holding config.json, WAL segments, and
-// snapshot files.
+// per run under runs/, each holding config.json and either WAL segments
+// and snapshot files (service runs) or boundary slots (a cluster node).
 type Store struct {
-	dir      string
-	policy   FsyncPolicy
-	interval time.Duration
-	retain   int // snapshots kept per run (>= 1)
+	dir       string
+	policy    FsyncPolicy
+	interval  time.Duration
+	slotCount int // boundary slots per slot ring (>= 2)
 
-	mu   sync.Mutex // guards manifest writes and the log registry
-	man  manifest
-	logs map[string]*RunLog
+	mu    sync.Mutex // guards manifest writes and the log and slot registries
+	man   manifest
+	logs  map[string]*RunLog
+	slots []*Slots
 
 	walAppends    atomic.Int64
 	walBytesTotal atomic.Int64
@@ -96,8 +97,9 @@ type Store struct {
 
 	// Optional /metrics instrumentation (nil when WithMetrics was not
 	// given; *metrics.Histogram methods are nil-receiver no-ops).
-	appendSeconds *metrics.Histogram
-	fsyncSeconds  *metrics.Histogram
+	appendSeconds    *metrics.Histogram
+	fsyncSeconds     *metrics.Histogram
+	slotFsyncSeconds *metrics.Histogram
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -123,22 +125,19 @@ func WithFsyncInterval(d time.Duration) Option {
 	}
 }
 
-// WithSnapshotRetention keeps the n newest checkpoints of each run
-// instead of only the latest (default 1). Cluster-node recovery uses a
-// small history so a restarted node can roll back to whichever round
-// boundary the survivors agree on, not just its own newest.
+// WithSnapshotRetention sizes a cluster node's boundary slot ring: the n
+// newest round boundaries stay restorable (n is raised to at least 2).
+// Node recovery uses this history so a restarted node can roll back to
+// whichever round boundary the survivors agree on, not just its own
+// newest. Service runs keep only their newest checkpoint.
 func WithSnapshotRetention(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.retain = n
-		}
-	}
+	return func(s *Store) { s.slotCount = max(n, 2) }
 }
 
 // WithMetrics registers the store's persistence instrumentation on reg:
-// WAL append and fsync latency histograms, plus counter views over the
-// append/byte/checkpoint totals the store already tracks (read at scrape
-// time — no extra hot-path accounting).
+// WAL append, WAL fsync and slot fsync latency histograms, plus counter
+// views over the append/byte/checkpoint totals the store already tracks
+// (read at scrape time — no extra hot-path accounting).
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Store) {
 		if reg == nil {
@@ -156,8 +155,11 @@ func WithMetrics(reg *metrics.Registry) Option {
 		reg.CounterFunc("reservoir_store_wal_bytes_total",
 			"Bytes appended to WAL segments.",
 			nil, nil, func() float64 { return float64(s.walBytesTotal.Load()) })
+		s.slotFsyncSeconds = reg.NewHistogram("reservoir_store_slot_fsync_seconds",
+			"Boundary slot fsync latency (one per node round boundary, under every fsync policy).",
+			metrics.DefBuckets, nil)
 		reg.CounterFunc("reservoir_store_checkpoints_total",
-			"Sampler checkpoints persisted (WAL rotations).",
+			"Sampler checkpoints persisted (service WAL rotations and node boundary slot writes).",
 			nil, nil, func() float64 { return float64(s.checkpoints.Load()) })
 	}
 }
@@ -165,12 +167,12 @@ func WithMetrics(reg *metrics.Registry) Option {
 // Open creates or reopens a store rooted at dir.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
-		dir:      dir,
-		interval: 100 * time.Millisecond,
-		retain:   1,
-		logs:     make(map[string]*RunLog),
-		stopSync: make(chan struct{}),
-		syncDone: make(chan struct{}),
+		dir:       dir,
+		interval:  100 * time.Millisecond,
+		slotCount: 2,
+		logs:      make(map[string]*RunLog),
+		stopSync:  make(chan struct{}),
+		syncDone:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -251,12 +253,9 @@ func (s *Store) SetNextID(n int64) error {
 // config.json (written atomically), and an empty WAL segment starting at
 // round 0. The returned RunLog is registered for interval fsyncs.
 func (s *Store) CreateRun(id string, configJSON []byte) (*RunLog, error) {
-	dir := s.runDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, s.noteErr(fmt.Errorf("store: create run %s: %w", id, err))
-	}
-	if err := writeFileAtomic(dir, filepath.Join(dir, "config.json"), configJSON); err != nil {
-		return nil, s.noteErr(fmt.Errorf("store: write run %s config: %w", id, err))
+	dir, err := s.createRunDir(id, configJSON)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -267,6 +266,19 @@ func (s *Store) CreateRun(id string, configJSON []byte) (*RunLog, error) {
 	l := newRunLog(s, id, dir, f, 0, 0)
 	s.register(l)
 	return l, nil
+}
+
+// createRunDir makes a run's directory and writes its config.json
+// atomically.
+func (s *Store) createRunDir(id string, configJSON []byte) (string, error) {
+	dir := s.runDir(id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", s.noteErr(fmt.Errorf("store: create run %s: %w", id, err))
+	}
+	if err := writeFileAtomic(dir, filepath.Join(dir, "config.json"), configJSON); err != nil {
+		return "", s.noteErr(fmt.Errorf("store: write run %s config: %w", id, err))
+	}
+	return dir, nil
 }
 
 // RunState is what recovery needs before replay: the run's config and the
@@ -386,36 +398,6 @@ func (s *Store) ReplayRecords(id string, from uint64, fn func(*RoundRecord) erro
 	return replayed, warn, nil
 }
 
-// Snapshots lists the rounds of every decodable-looking snapshot file of
-// a run, ascending (decode is only attempted by ReadSnapshot).
-func (s *Store) Snapshots(id string) ([]uint64, error) {
-	entries, err := os.ReadDir(s.runDir(id))
-	if err != nil {
-		return nil, fmt.Errorf("store: run %s: %w", id, err)
-	}
-	var rounds []uint64
-	for _, e := range entries {
-		if r, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	return rounds, nil
-}
-
-// ReadSnapshot loads and verifies the snapshot taken at the given round.
-func (s *Store) ReadSnapshot(id string, round uint64) (*Snapshot, error) {
-	b, err := os.ReadFile(filepath.Join(s.runDir(id), snapName(round)))
-	if err != nil {
-		return nil, fmt.Errorf("store: run %s: %w", id, err)
-	}
-	snap, err := DecodeSnapshot(b)
-	if err != nil {
-		return nil, fmt.Errorf("store: run %s round %d: %w", id, round, err)
-	}
-	return snap, nil
-}
-
 // ListRuns returns the IDs of all persisted runs, sorted.
 func (s *Store) ListRuns() ([]string, error) {
 	entries, err := os.ReadDir(s.runsDir())
@@ -527,10 +509,17 @@ func (s *Store) Close() error {
 	for _, l := range s.logs {
 		logs = append(logs, l)
 	}
+	slots := s.slots
+	s.slots = nil
 	s.mu.Unlock()
 	var first error
 	for _, l := range logs {
 		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	for _, sl := range slots {
+		if err := sl.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
