@@ -1,6 +1,6 @@
 // Command reservoir-lint runs the repo's invariant analyzers
-// (internal/analysis: determinism, tagdiscipline, faultpanic, walorder,
-// gobwire) over Go packages and reports violations grep-style. It is
+// (internal/analysis: determinism, tagdiscipline, faultpanic, walorder)
+// over Go packages and reports violations grep-style. It is
 // the machine check behind DESIGN.md's "Machine-checked invariants"
 // section and a hard CI gate.
 //

@@ -1,6 +1,6 @@
 // Package analysis is the repo's static-analysis suite: a small,
 // dependency-free equivalent of golang.org/x/tools/go/analysis (which this
-// module deliberately does not depend on) plus five repo-specific
+// module deliberately does not depend on) plus four repo-specific
 // analyzers that machine-check the invariants the reproduction's
 // correctness argument rests on:
 //
@@ -18,8 +18,6 @@
 //     swallow a real bug.
 //   - walorder: a WAL append must be error-checked and must precede the
 //     sampler mutation it logs (append-before-apply).
-//   - gobwire: payload types crossing transport sends or collectives must
-//     have exported fields and a gob registration.
 //
 // Intentional violations are waived in place with a comment:
 //
@@ -265,7 +263,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) (*PackageResult, error) {
 	return res, nil
 }
 
-// All returns the five repo analyzers in census order.
+// All returns the four repo analyzers in census order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, TagDiscipline, FaultPanic, WALOrder, GobWire}
+	return []*Analyzer{Determinism, TagDiscipline, FaultPanic, WALOrder}
 }

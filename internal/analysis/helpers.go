@@ -177,17 +177,6 @@ func walkFuncs(file *ast.File, visit func(fn ast.Node, n ast.Node)) {
 	}
 }
 
-// funcBody returns the body of a function node.
-func funcBody(fn ast.Node) *ast.BlockStmt {
-	switch f := fn.(type) {
-	case *ast.FuncDecl:
-		return f.Body
-	case *ast.FuncLit:
-		return f.Body
-	}
-	return nil
-}
-
 // exprMentionsConst reports whether expr references at least one
 // declared named constant from a package for which allowed returns
 // true. Used by tagdiscipline: a constant-valued tag argument is legal

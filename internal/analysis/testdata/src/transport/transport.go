@@ -1,6 +1,6 @@
 // Package transport is a fixture stub mirroring the shapes the analyzers
-// key on: the Conn interface, the Fault marker, the reserved control-tag
-// constant, and the gob registration helpers.
+// key on: the Conn interface, the Fault marker and the reserved control-tag
+// constant.
 package transport
 
 // Conn mirrors the real point-to-point transport interface.
@@ -42,18 +42,4 @@ func IsTransportPanic(r any) bool {
 	}
 	_, ok := r.(*FatalError)
 	return ok
-}
-
-// Register registers a payload type for wire encoding.
-func Register(v any) {}
-
-// RegisterType registers T for wire encoding.
-func RegisterType[T any]() {}
-
-// Dec is a stand-in for the wire decode cursor.
-type Dec struct{}
-
-// RegisterMarshaler registers a hand-rolled wire codec for T; a
-// codec-registered type needs no separate gob registration.
-func RegisterMarshaler[T any](id uint8, enc func(buf []byte, v T) []byte, dec func(d *Dec) (T, error)) {
 }

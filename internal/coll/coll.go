@@ -87,7 +87,6 @@ func Broadcast[T any](c *Comm, root int, val T, words int) T {
 	if p == 1 {
 		return val
 	}
-	transport.RegisterType[T]()
 	defer transport.FlushConn(c.Conn)
 	rel := (c.Rank() - root + p) % p
 	// Highest power of two < p bounds the sender masks.
@@ -119,7 +118,6 @@ func Reduce[T any](c *Comm, root int, val T, op Op[T], words int) T {
 	if p == 1 {
 		return val
 	}
-	transport.RegisterType[T]()
 	defer transport.FlushConn(c.Conn)
 	rel := (c.Rank() - root + p) % p
 	top := 1
@@ -159,7 +157,6 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 	if p == 1 {
 		return val
 	}
-	transport.RegisterType[T]()
 	defer transport.FlushConn(c.Conn)
 	// p2 = largest power of two <= p.
 	p2 := 1
@@ -198,17 +195,16 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 }
 
 // Barrier synchronizes all PEs (and their virtual clocks) without carrying
-// data. (The token is an int, not an empty struct, so the same code runs
-// over wire transports, whose encoder rejects field-less payloads.)
+// data. (The token is an int, so it crosses wire transports on a builtin
+// wire codec.)
 func Barrier(c *Comm) {
 	AllReduce(c, 0, func(a, _ int) int { return a }, 1)
 }
 
-// Chunk carries one PE's contribution through the gather tree. The
-// fields are exported so wire transports can encode chunks crossing
-// process boundaries; the type itself is exported so hot instantiations
-// (e.g. chunks of sample items) can be given hand-rolled wire codecs
-// via transport.RegisterMarshaler.
+// Chunk carries one PE's contribution through the gather tree. It is
+// exported so each instantiation that crosses a wire transport (e.g.
+// chunks of sample items) can be given a wire codec via
+// transport.RegisterMarshaler.
 type Chunk[T any] struct {
 	Src   int
 	Items []T
@@ -225,7 +221,6 @@ func Gather[T any](c *Comm, root int, items []T, wordsPerItem int) [][]T {
 	if p == 1 {
 		return [][]T{items}
 	}
-	transport.RegisterType[[]Chunk[T]]()
 	defer transport.FlushConn(c.Conn)
 	rel := (c.Rank() - root + p) % p
 	top := 1

@@ -10,9 +10,8 @@ import (
 // Wire codecs for the sampler hot path: every payload the distributed
 // samplers send per round — selection pivots and counts, gather chunks
 // of items/keys/candidates, threshold broadcasts, counter reductions —
-// gets a hand-rolled binary encoding so the TCP transport never falls
-// back to per-frame gob (fresh type descriptors every message) for hot
-// traffic. IDs are assigned centrally in internal/transport/wire.go;
+// gets a hand-rolled binary encoding, the only encoding wire transports
+// use. IDs are assigned centrally in internal/transport/wire.go;
 // the formats are specified in DESIGN.md §2.4. Registration happens at
 // init so any binary linking the samplers (reservoir-serve nodes,
 // benches, tests) agrees on the mapping.

@@ -42,11 +42,7 @@ func hotPayloads() []any {
 
 func TestHotPayloadRoundTrip(t *testing.T) {
 	for _, v := range hotPayloads() {
-		body := transport.AppendPayload(nil, v)
-		if body[0] != 0x01 {
-			t.Fatalf("%T: expected the wire fast path, got discriminator 0x%02x", v, body[0])
-		}
-		got, err := transport.DecodePayload(body)
+		got, err := transport.DecodePayload(transport.AppendPayload(nil, v))
 		if err != nil {
 			t.Fatalf("%T: decode: %v", v, err)
 		}
@@ -56,25 +52,24 @@ func TestHotPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// The cross-codec property: for every hot type, the binary path and the
-// gob fallback must decode to the same value, so promoting a type onto
-// the fast path is invisible to receivers.
+// The cross-codec property: for every hot type, the binary codec and
+// encoding/gob (the reference codec) must decode to the same value, so a
+// hand-rolled codec is invisible to receivers.
 func TestHotPayloadMatchesGob(t *testing.T) {
 	for _, v := range hotPayloads() {
-		transport.Register(v) // the gob path needs the concrete type mapped
 		fromWire, err := transport.DecodePayload(transport.AppendPayload(nil, v))
 		if err != nil {
 			t.Fatalf("%T: wire decode: %v", v, err)
 		}
 		var gb bytes.Buffer
-		gb.WriteByte(0x00) // the gob-fallback discriminator
-		if err := gob.NewEncoder(&gb).Encode(&v); err != nil {
+		if err := gob.NewEncoder(&gb).Encode(v); err != nil {
 			t.Fatalf("%T: gob encode: %v", v, err)
 		}
-		fromGob, err := transport.DecodePayload(gb.Bytes())
-		if err != nil {
+		out := reflect.New(reflect.TypeOf(v))
+		if err := gob.NewDecoder(&gb).Decode(out.Interface()); err != nil {
 			t.Fatalf("%T: gob decode: %v", v, err)
 		}
+		fromGob := out.Elem().Interface()
 		if !payloadAgrees(fromWire, fromGob) {
 			t.Fatalf("%T: wire decoded %+v, gob decoded %+v", v, fromWire, fromGob)
 		}
@@ -151,7 +146,7 @@ func TestHotPayloadTruncationRejected(t *testing.T) {
 // A chunk header claiming more elements than its frame carries must fail
 // in Dec.Len, before the decoder allocates.
 func TestChunkLengthLyingRejected(t *testing.T) {
-	body := []byte{0x01, byte(transport.WireIDKeyChunks)}
+	body := []byte{transport.WireIDKeyChunks}
 	body = transport.AppendUvarint(body, 1)        // one chunk
 	body = transport.AppendUvarint(body, 0)        // src 0
 	body = transport.AppendUvarint(body, 1<<40)    // claims ~10^12 keys
@@ -168,7 +163,7 @@ func FuzzDecodeHotPayloads(f *testing.F) {
 	for _, v := range hotPayloads() {
 		f.Add(transport.AppendPayload(nil, v))
 	}
-	f.Add(append([]byte{0x01, byte(transport.WireIDKeyedItemChunks)}, 0xFF, 0xFF, 0xFF, 0x7F))
+	f.Add(append([]byte{transport.WireIDKeyedItemChunks}, 0xFF, 0xFF, 0xFF, 0x7F))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := transport.DecodePayload(data)
 		if err != nil || v == nil {

@@ -69,12 +69,10 @@ type command struct {
 // commandWords is the nominal cost-model size of a command broadcast.
 const commandWords = 8
 
-// The command broadcast runs once per ingest round, so it gets a wire
-// codec like the data-plane payloads instead of the gob fallback (a fresh
-// gob encoder per send recompiles type descriptors — the cost the v3 wire
-// format exists to kill). The spec travels as its JSON encoding: it is a
-// config-shaped struct with a nested scenario pointer, already JSON-tagged
-// for the HTTP API and the WAL, and a few hundred bytes at most.
+// The command broadcast's wire codec. The spec travels as its JSON
+// encoding: it is a config-shaped struct with a nested scenario pointer,
+// already JSON-tagged for the HTTP API and the WAL, and a few hundred
+// bytes at most.
 func init() {
 	transport.RegisterMarshaler(transport.WireIDCommand,
 		func(buf []byte, v command) []byte {

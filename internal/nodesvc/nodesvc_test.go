@@ -270,7 +270,7 @@ func TestHealthz(t *testing.T) {
 	wait()
 }
 
-// The per-round command broadcast uses the wire fast path; its codec must
+// The per-round command broadcast has its own wire codec, which must
 // round-trip every spec shape — including a composed scenario, which
 // travels as JSON — and reject truncated bodies like every other format.
 func TestCommandWireRoundTrip(t *testing.T) {
@@ -290,8 +290,8 @@ func TestCommandWireRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		enc := transport.AppendPayload(nil, want)
-		if enc[0] != 0x01 {
-			t.Fatalf("command %+v took the gob fallback", want)
+		if enc[0] != transport.WireIDCommand {
+			t.Fatalf("command %+v encoded under wire ID 0x%02x", want, enc[0])
 		}
 		got, err := transport.DecodePayload(enc)
 		if err != nil {
@@ -312,11 +312,10 @@ func TestCommandWireRoundTrip(t *testing.T) {
 	}
 }
 
-// The resync control plane rides the wire fast path too (one codec per
-// protocol message saves a fresh gob encoder per SendCtrl on the
-// recovery-critical path). Property: the codec round-trips every field
-// combination bit-exactly, matches what the gob fallback would have
-// delivered, and rejects every truncation.
+// The resync control plane has its own wire codec. Property: the codec
+// round-trips every field combination bit-exactly, agrees with
+// encoding/gob (the reference codec) on the value, and rejects every
+// truncation.
 func TestResyncMsgWireRoundTrip(t *testing.T) {
 	src := rand.New(rand.NewSource(7))
 	cases := []resyncMsg{
@@ -339,8 +338,8 @@ func TestResyncMsgWireRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		enc := transport.AppendPayload(nil, want)
-		if enc[0] != 0x01 {
-			t.Fatalf("resyncMsg %+v took the gob fallback", want)
+		if enc[0] != transport.WireIDResyncMsg {
+			t.Fatalf("resyncMsg %+v encoded under wire ID 0x%02x", want, enc[0])
 		}
 		got, err := transport.DecodePayload(enc)
 		if err != nil {
@@ -349,8 +348,8 @@ func TestResyncMsgWireRoundTrip(t *testing.T) {
 		if gm, ok := got.(resyncMsg); !ok || gm != want {
 			t.Fatalf("round trip changed value: got %+v want %+v", got, want)
 		}
-		// The gob path must agree on the value (the codecs encode the
-		// same struct; a field dropped by the wire codec would diverge).
+		// gob must agree on the value (a field dropped by the wire codec
+		// would diverge).
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(want); err != nil {
 			t.Fatal(err)

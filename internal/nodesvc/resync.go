@@ -77,12 +77,9 @@ type resyncMsg struct {
 }
 
 // The recovery protocol exchanges O(p) control messages per resync
-// attempt; with the cluster mid-fault they sit on the latency-critical
-// path back to serving, so resyncMsg gets a wire codec like the
-// data-plane payloads (a fresh gob encoder per SendCtrl recompiles type
-// descriptors every time). The JOIN side of recovery — a restarted node's
-// transport handshake — is a fixed binary frame below the payload layer
-// and is untouched by codec choice.
+// attempt, each a resyncMsg in this wire codec. The JOIN side of
+// recovery — a restarted node's transport handshake — is a fixed binary
+// frame below the payload layer and is untouched by codec choice.
 func init() {
 	transport.RegisterMarshaler(transport.WireIDResyncMsg,
 		func(buf []byte, v resyncMsg) []byte {

@@ -114,9 +114,8 @@ type Stats struct {
 }
 
 // envelope frames one copy of a logical message on the underlying
-// transport. Fields are exported so wire transports can gob-encode it;
-// a Corrupt envelope carries no payload — it models a copy the
-// receiver's integrity check rejects.
+// transport. A Corrupt envelope carries no payload — it models a copy
+// the receiver's integrity check rejects.
 type envelope struct {
 	Seq     uint64
 	Corrupt bool
@@ -124,9 +123,8 @@ type envelope struct {
 }
 
 // The envelope's wire codec nests the wrapped payload's own encoding,
-// so fault-injected runs keep the binary fast path for hot traffic:
-// an envelope around a gather chunk costs a few header bytes, not a
-// fall-back to gob for the whole message.
+// so an envelope around a gather chunk costs a few header bytes on top
+// of the chunk's own codec.
 func init() {
 	transport.RegisterMarshaler(transport.WireIDEnvelope,
 		func(buf []byte, v envelope) []byte {
@@ -194,7 +192,6 @@ func New(conn transport.Conn, cfg Config) *Conn {
 		c.rngs[to] = rng.NewXoshiro256(rng.Mix64(
 			cfg.Seed ^ 0x9e3779b97f4a7c15*uint64(conn.ID()+1) ^ 0xbf58476d1ce4e5b9*uint64(to+1)))
 	}
-	transport.Register(envelope{})
 	return c
 }
 

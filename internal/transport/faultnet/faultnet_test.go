@@ -265,7 +265,7 @@ func TestUnwrappedPeerIsDetected(t *testing.T) {
 	var panicked any
 	cl.Parallel(func(pe *simnet.PE) {
 		if pe.ID() == 0 {
-			pe.Send(1, 0, "bare", 1) // not wrapped in faultnet
+			pe.Send(1, 0, 7, 1) // not wrapped in faultnet
 		} else {
 			fc := faultnet.New(pe, faultnet.Config{Seed: 1})
 			func() {
@@ -303,10 +303,10 @@ func TestStatsDelegation(t *testing.T) {
 			defer wg.Done()
 			fc := faultnet.New(ts[rank], sched)
 			if rank == 0 {
-				fc.Send(1, 7, fmt.Sprintf("m%d", rank), 1)
+				fc.Send(1, 7, 100+rank, 1)
 				fc.Flush() // tcpnet batches sends until a flush point
 			} else {
-				if got := fc.Recv(0, 7); got != "m0" {
+				if got := fc.Recv(0, 7); got != 100 {
 					panic(fmt.Sprintf("got %v", got))
 				}
 			}

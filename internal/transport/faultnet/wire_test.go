@@ -45,7 +45,7 @@ func TestEnvelopeWireRoundTrip(t *testing.T) {
 func TestEnvelopeNestingBounded(t *testing.T) {
 	body := transport.AppendPayload(nil, 42)
 	for i := 0; i < 64; i++ {
-		hdr := []byte{0x01, transport.WireIDEnvelope}
+		hdr := []byte{transport.WireIDEnvelope}
 		hdr = transport.AppendUvarint(hdr, uint64(i))
 		hdr = transport.AppendBool(hdr, false)
 		hdr = transport.AppendBool(hdr, true)

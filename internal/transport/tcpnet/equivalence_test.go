@@ -3,7 +3,7 @@ package tcpnet_test
 // The transport-equivalence suite: every collective of internal/coll and a
 // full distributed sampling run must produce identical results over the
 // in-process simulator (payloads passed by reference, virtual clocks) and
-// over tcpnet (payloads gob-encoded across real sockets, wall clocks).
+// over tcpnet (payloads wire-encoded across real sockets, wall clocks).
 // This is the contract that lets one SPMD codebase serve both as the
 // paper's measurement harness and as a real multi-process system.
 
@@ -80,8 +80,8 @@ func collectiveScript(p int) func(c *coll.Comm) []string {
 		add("bcast_int", coll.Broadcast(c, 0, c.Rank()*10+7, 1))
 		add("bcast_float", coll.Broadcast(c, p-1, float64(c.Rank())+0.5, 1))
 		add("reduce_sum", coll.Reduce(c, 0, c.Rank()+1, coll.SumInt, 1))
-		add("reduce_concat", coll.Reduce(c, p/2, fmt.Sprintf("<%d>", c.Rank()),
-			func(a, b string) string { return a + b }, 1))
+		add("reduce_concat", coll.Reduce(c, p/2, []int{c.Rank()},
+			func(a, b []int) []int { return append(append([]int(nil), a...), b...) }, 1))
 		add("allreduce_min", coll.AllReduce(c, 100-float64(c.Rank()), coll.MinFloat64, 1))
 		add("allreduce_max", coll.AllReduce(c, float64(c.Rank()*c.Rank()), coll.MaxFloat64, 1))
 		add("allreduce_vec", coll.AllReduce(c, []int{c.Rank(), 1, -c.Rank()}, coll.SumInts, 3))

@@ -8,6 +8,7 @@ package tcpnet
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -109,7 +110,6 @@ func TestFTPeerLossInterruptsRecoverablyAndRedials(t *testing.T) {
 	// Traffic flows again in both directions. Sends are batched until a
 	// flush point, and this goroutine plays both ranks — so flush the
 	// sender explicitly where a real rank's own Recv would.
-	transport.Register(0)
 	t0b.Send(1, 2, 41, 1)
 	t0b.Flush()
 	if got := ts[1].Recv(0, 2).(int); got != 41 {
@@ -125,11 +125,10 @@ func TestFTPeerLossInterruptsRecoverablyAndRedials(t *testing.T) {
 func TestFTEpochFilterDiscardsStaleTraffic(t *testing.T) {
 	ts, _ := dialPair(t, 5*time.Second)
 	defer closeAll(ts)
-	transport.Register("")
 
 	// An epoch-0 message is sent, then both sides resync to epoch 1: the
 	// stale message must never be delivered, only the epoch-1 retry.
-	ts[0].Send(1, 7, "stale", 1)
+	ts[0].Send(1, 7, -1, 1)
 	ts[0].Flush() // batched sends only hit the socket at a flush point
 	deadline := time.Now().Add(5 * time.Second)
 	for ts[1].Pending() == 0 && time.Now().Before(deadline) {
@@ -143,10 +142,10 @@ func TestFTEpochFilterDiscardsStaleTraffic(t *testing.T) {
 		t.Fatalf("%d stale messages survived the epoch advance", n)
 	}
 	ts[0].AdvanceEpoch(1)
-	ts[0].Send(1, 7, "fresh", 1)
+	ts[0].Send(1, 7, 1, 1)
 	ts[0].Flush()
-	if got := ts[1].Recv(0, 7).(string); got != "fresh" {
-		t.Fatalf("payload = %q, want the epoch-1 retry", got)
+	if got := ts[1].Recv(0, 7).(int); got != 1 {
+		t.Fatalf("payload = %d, want the epoch-1 retry", got)
 	}
 	if ts[0].Epoch() != 1 || ts[1].Epoch() != 1 {
 		t.Fatalf("epochs = %d/%d, want 1/1", ts[0].Epoch(), ts[1].Epoch())
@@ -156,7 +155,6 @@ func TestFTEpochFilterDiscardsStaleTraffic(t *testing.T) {
 func TestFTCtrlChannelInterruptsAndDelivers(t *testing.T) {
 	ts, _ := dialPair(t, 5*time.Second)
 	defer closeAll(ts)
-	transport.Register("")
 
 	// A blocked data receive aborts recoverably when a control message
 	// arrives (the peer is initiating a resync, the data will never come).
@@ -166,7 +164,7 @@ func TestFTCtrlChannelInterruptsAndDelivers(t *testing.T) {
 		ts[1].Recv(0, 9)
 	}()
 	time.Sleep(100 * time.Millisecond)
-	if err := ts[0].SendCtrl(1, "prepare", time.Now().Add(5*time.Second)); err != nil {
+	if err := ts[0].SendCtrl(1, []int{2, 9}, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -189,13 +187,13 @@ func TestFTCtrlChannelInterruptsAndDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != 0 || payload.(string) != "prepare" {
+	if from != 0 || !reflect.DeepEqual(payload, []int{2, 9}) {
 		t.Fatalf("ctrl message = %v from %d", payload, from)
 	}
-	ts[0].Send(1, 10, "data", 1)
+	ts[0].Send(1, 10, 10, 1)
 	ts[0].Flush() // this goroutine plays both ranks; flush for the sender
-	if got := ts[1].Recv(0, 10).(string); got != "data" {
-		t.Fatalf("post-ctrl payload = %q", got)
+	if got := ts[1].Recv(0, 10).(int); got != 10 {
+		t.Fatalf("post-ctrl payload = %d", got)
 	}
 
 	// RecvCtrl times out cleanly when nothing arrives.

@@ -38,21 +38,13 @@
 // and one checksum.
 //
 // (all little-endian). The payload is the transport wire codec's output
-// (see internal/transport's wire.go and DESIGN.md §2.4): a one-byte
-// discriminator selecting either a registered hand-rolled binary codec
-// for the hot payload types (gather chunks, key/item vectors, reduce
-// accumulators) or, for everything else, the gob encoding of the value
-// as an interface — so any type registered via transport.Register still
-// round-trips and cold control-plane traffic needs no codec work. Each
-// payload is self-contained (gob bodies carry their own type
-// descriptors): that costs some bytes per gob message versus a
-// persistent per-connection encoder, but it is what allows Recv to
-// decode lazily in (peer, tag) match order — a stream-stateful encoding
-// would force decoding in arrival order, before the receiving rank has
-// necessarily entered the collective that registers the payload type.
-// Both codec paths encode float64 bit patterns and integers exactly,
-// which is what makes a tcpnet sampling run produce byte-identical
-// samples to a simnet run with the same seed. The CRC guards against
+// (see internal/transport's wire.go and DESIGN.md §2.4, protocol v5): a
+// one-byte static wire ID naming the payload type's registered binary
+// codec, then that codec's encoding of the value. Each payload is
+// self-contained, so Recv decodes lazily in (peer, tag) match order. The
+// codecs encode float64 bit patterns and integers exactly, which is what
+// makes a tcpnet sampling run produce byte-identical samples to a simnet
+// run with the same seed. The CRC guards against
 // corrupt or misframed streams: a mismatch poisons the transport rather
 // than delivering a mangled payload to the sampler.
 //
@@ -124,7 +116,7 @@ import (
 
 const (
 	handshakeMagic  = 0x52535654 // "RSVT"
-	protocolVersion = 4          // v4: coalesced frames (v3: wire-codec payload discriminator, v2: epoch frame word, two-way handshake with incarnation)
+	protocolVersion = 5          // v5: wire-ID-only payloads, no gob (v4: coalesced frames, v3: wire-codec payload discriminator, v2: epoch frame word, two-way handshake with incarnation)
 	handshakeLen    = 21
 	frameHeaderLen  = 20
 	// maxFramePayload bounds one frame; larger messages are fragmented
@@ -858,8 +850,8 @@ func (t *Transport) ID() int { return t.rank }
 // P implements transport.Conn.
 func (t *Transport) P() int { return t.p }
 
-// Send implements transport.Conn: encode the payload (wire codec fast
-// path, gob fallback — see transport.AppendPayload) and buffer one
+// Send implements transport.Conn: encode the payload (its registered
+// wire codec — see transport.AppendPayload) and buffer one
 // framed message on the directed link to `to`; the frames reach the
 // socket at the next flush point (Recv, collective exit, or the write
 // buffer spilling). In fault-tolerant mode a write failure panics with

@@ -1,12 +1,13 @@
 package tcpnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"log/slog"
+	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,9 +25,6 @@ func closeAll(ts []*Transport) {
 }
 
 func TestPointToPoint(t *testing.T) {
-	transport.Register(42)
-	transport.Register("")
-	transport.Register([]float64(nil))
 	ts, err := Loopback(3)
 	if err != nil {
 		t.Fatal(err)
@@ -38,22 +36,22 @@ func TestPointToPoint(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		ts[0].Send(1, 7, 42, 1)
-		ts[0].Send(2, 7, "hello", 1)
+		ts[0].Send(2, 7, -0.25, 1)
 		ts[0].Flush() // a rank that stops without receiving must flush
 	}()
 	go func() {
 		defer wg.Done()
-		ts[2].Send(1, 9, []float64{1.5, -0.25}, 2)
+		ts[2].Send(1, 9, []int{15, -4}, 2)
 		ts[2].Flush()
 	}()
 	if got := ts[1].Recv(0, 7).(int); got != 42 {
 		t.Fatalf("int payload = %d, want 42", got)
 	}
-	if got := ts[1].Recv(2, 9).([]float64); got[0] != 1.5 || got[1] != -0.25 {
+	if got := ts[1].Recv(2, 9).([]int); len(got) != 2 || got[0] != 15 || got[1] != -4 {
 		t.Fatalf("slice payload = %v", got)
 	}
-	if got := ts[2].Recv(0, 7).(string); got != "hello" {
-		t.Fatalf("string payload = %q", got)
+	if got := ts[2].Recv(0, 7).(float64); got != -0.25 {
+		t.Fatalf("float payload = %v, want -0.25", got)
 	}
 	wg.Wait()
 
@@ -72,7 +70,6 @@ func TestPointToPoint(t *testing.T) {
 }
 
 func TestTagMatchingOutOfOrder(t *testing.T) {
-	transport.Register(0)
 	ts, err := Loopback(2)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +134,6 @@ func TestDialRetryWhileListenerComesUpLate(t *testing.T) {
 	}
 	defer closeAll(ts)
 	// Smoke a round-trip over the late-formed mesh.
-	transport.Register(0)
 	for _, tr := range ts {
 		if tr.ID() == 0 {
 			tr.Send(1, 1, 7, 1)
@@ -214,7 +210,7 @@ func TestCorruptFramePoisonsRecv(t *testing.T) {
 	if _, err := conn.Write(hs[:]); err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("not a gob stream")
+	payload := []byte("not a wire payload")
 	var head [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(head[4:8], 3)
@@ -244,31 +240,33 @@ func TestOversizedMessageFragmentsAndReassembles(t *testing.T) {
 	// A message above the per-frame cap must arrive intact via
 	// fragmentation (a big gather — e.g. the centralized baseline's
 	// candidate funnel — can legitimately exceed one frame).
-	transport.Register([]byte(nil))
 	ts, err := Loopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeAll(ts)
 
-	big := bytes.Repeat([]byte("reservoir-frame-fragmentation!"), (maxFramePayload+maxFramePayload/4)/30)
-	big = append(big, 0xA5, 0x5A, 0x42) // uneven tail crossing the last fragment
+	// Every element encodes as a 10-byte varint, so the body is about
+	// 1.25 frames, with an uneven tail crossing the last fragment.
+	big := make([]int, (maxFramePayload+maxFramePayload/4)/10+3)
+	for i := range big {
+		big[i] = math.MinInt64 + i
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ts[0].Send(1, 5, big, len(big)/8)
+		ts[0].Send(1, 5, big, len(big))
 	}()
-	got := ts[1].Recv(0, 5).([]byte)
+	got := ts[1].Recv(0, 5).([]int)
 	<-done
 	if len(got) != len(big) {
-		t.Fatalf("reassembled %d bytes, want %d", len(got), len(big))
+		t.Fatalf("reassembled %d ints, want %d", len(got), len(big))
 	}
-	if !bytes.Equal(got, big) {
+	if !slices.Equal(got, big) {
 		t.Fatal("payload corrupted by fragmentation round-trip")
 	}
 	// A small message on the same link afterwards still works (fragment
 	// state fully reset).
-	transport.Register(0)
 	ts[0].Send(1, 6, 99, 1)
 	ts[0].Flush()
 	if got := ts[1].Recv(0, 6).(int); got != 99 {
@@ -332,28 +330,40 @@ func TestHandshakeRejectsWrongClusterSize(t *testing.T) {
 	go tr.acceptLoop(inbound)
 	defer tr.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		version byte
+		p       uint32
+	}{
+		{"wrong cluster size", protocolVersion, 5},
+		// A v4 peer would frame gob-or-wire payloads behind a one-byte
+		// discriminator; it must be refused here, not misparsed later.
+		{"stale protocol v4", 4, 2},
 	}
-	defer conn.Close()
-	var hs [handshakeLen]byte
-	binary.LittleEndian.PutUint32(hs[0:4], handshakeMagic)
-	hs[4] = protocolVersion
-	binary.LittleEndian.PutUint32(hs[5:9], 0)
-	binary.LittleEndian.PutUint32(hs[9:13], 5) // claims a 5-node cluster
-	if _, err := conn.Write(hs[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The transport must close the connection without registering the peer.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("connection stayed open after a bad handshake")
-	}
-	select {
-	case r := <-inbound:
-		t.Fatalf("bad handshake registered peer %d", r)
-	default:
+	for _, tc := range cases {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs [handshakeLen]byte
+		binary.LittleEndian.PutUint32(hs[0:4], handshakeMagic)
+		hs[4] = tc.version
+		binary.LittleEndian.PutUint32(hs[5:9], 0)
+		binary.LittleEndian.PutUint32(hs[9:13], tc.p)
+		if _, err := conn.Write(hs[:]); err != nil {
+			t.Fatal(err)
+		}
+		// The transport must close the connection without registering the peer.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 1)
+		if _, err := conn.Read(buf); err == nil {
+			t.Fatalf("%s: connection stayed open after a bad handshake", tc.name)
+		}
+		conn.Close()
+		select {
+		case r := <-inbound:
+			t.Fatalf("%s: bad handshake registered peer %d", tc.name, r)
+		default:
+		}
 	}
 }

@@ -12,14 +12,13 @@
 //     deterministic virtual clocks charging the paper's α+βℓ cost model.
 //     (*simnet.PE satisfies Conn directly; no adapter is needed.)
 //   - internal/transport/tcpnet: a real network. Each PE is its own OS
-//     process, messages are gob-encoded and framed with a length prefix
-//     and CRC over TCP, and Clock reports wall time.
+//     process, messages are encoded by the wire codec (wire.go) and framed
+//     with a length prefix and CRC over TCP, and Clock reports wall time.
 //
 // Because the simulator passes payloads by reference while wire transports
-// must serialize them, payload types that cross a wire transport inside an
-// interface value need a gob registration. The collectives in internal/coll
-// call Register on their payload types at operation entry (before any
-// Recv), so SPMD code is oblivious to which backend it runs on.
+// must serialize them, every payload type that crosses a wire transport
+// needs a wire codec registered with RegisterMarshaler at package init.
+// Encoding an unregistered type panics at the send site, naming the type.
 package transport
 
 // Conn is one PE's endpoint for point-to-point word-framed messages.

@@ -1,26 +1,23 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
 )
 
-// This file is the wire codec: a hand-rolled binary fast path past gob
-// for the hot payload types that dominate inter-node traffic (gather
-// chunks, key/item vectors, reduce accumulators, control frames).
+// This file is the wire codec: the one payload encoding of every wire
+// transport. Each payload type that crosses a wire transport registers a
+// hand-rolled binary codec under a static wire ID, and every encoded body
+// is
 //
-// Every payload body on a wire transport starts with a one-byte
-// discriminator:
+//	wire ID (1 byte) | that codec's binary encoding of the value
 //
-//	0x00  gob     — the rest is a self-contained gob stream encoding the
-//	               payload as an interface value (cold control-plane
-//	               types: nodesvc commands, anything unregistered).
-//	0x01  wire    — one wire-ID byte naming a registered Marshaler,
-//	               then that codec's binary encoding of the value.
+// Wire ID 0 is never assigned, so a body from the retired gob encoding
+// (which began with a 0x00 discriminator) fails to decode as an unknown
+// ID. Sending an unregistered type is a programming error: AppendPayload
+// panics at the send site, naming the type.
 //
 // Wire IDs are assigned statically in the constant block below — across
 // packages — so every process of a cluster agrees on the mapping
@@ -35,17 +32,9 @@ import (
 // allocation (a 10-byte frame cannot claim a billion elements), and
 // trailing bytes after a complete value are rejected.
 
-// MaxPayloadBytes caps one encoded message body, discriminator included.
-// Wire transports refuse larger messages; the gob fallback encoder
-// writes through a size-limited writer so a runaway payload aborts at
-// the cap instead of materializing a multi-gigabyte buffer first.
+// MaxPayloadBytes caps one encoded message body, wire ID included. Wire
+// transports refuse larger messages.
 const MaxPayloadBytes = 1 << 30
-
-// Payload discriminator bytes (the first byte of every encoded body).
-const (
-	payloadGob  = 0x00
-	payloadWire = 0x01
-)
 
 // maxNestedPayloads bounds envelope-in-envelope recursion during decode
 // so a hostile frame cannot drive DecodePayload arbitrarily deep.
@@ -53,7 +42,8 @@ const maxNestedPayloads = 4
 
 // Static wire-ID assignments. IDs live here, not in the registering
 // packages, so the full mapping is auditable in one place and two
-// packages can never collide silently.
+// packages can never collide silently. ID 0 is reserved (never
+// assigned).
 const (
 	// Registered by this package (builtins).
 	WireIDInt      uint8 = 1 // int: zigzag varint
@@ -81,9 +71,9 @@ const (
 	WireIDEnvelope uint8 = 17 // faultnet.envelope (wraps a nested payload)
 )
 
-// Marshaler is one concrete payload type's hand-rolled wire codec: the
-// fast path past the gob fallback. Construct and register one with
-// RegisterMarshaler from a package init function.
+// Marshaler is one concrete payload type's hand-rolled wire codec.
+// Construct and register one with RegisterMarshaler from a package init
+// function.
 type Marshaler struct {
 	id     uint8
 	name   string
@@ -101,11 +91,15 @@ var (
 // extended slice; dec reads exactly one value from the cursor (the
 // registry rejects trailing bytes afterwards). Must be called from
 // package init only — the registry is lock-free read-only afterwards —
-// and panics on a duplicate ID or type, which is always a wiring bug.
+// and panics on the reserved ID 0 or a duplicate ID or type, which is
+// always a wiring bug.
 func RegisterMarshaler[T any](id uint8, enc func(buf []byte, v T) []byte, dec func(d *Dec) (T, error)) {
 	var zero T
 	t := reflect.TypeOf(zero)
 	name := t.String()
+	if id == 0 {
+		panic(fmt.Sprintf("transport: wire ID 0 is reserved (registering %s)", name))
+	}
 	if wireByID[id] != nil {
 		panic(fmt.Sprintf("transport: wire ID %d already registered for %s", id, wireByID[id].name))
 	}
@@ -127,47 +121,25 @@ func RegisterMarshaler[T any](id uint8, enc func(buf []byte, v T) []byte, dec fu
 }
 
 // AppendPayload appends the encoded body for payload v to buf and
-// returns the extended slice: the discriminator byte, then either the
-// registered wire codec's binary encoding or a gob stream. It panics if
-// v cannot be encoded or if the encoding exceeds MaxPayloadBytes — both
-// are programming errors at the send site, and the cap trips during
-// encoding (via a size-limited writer on the gob path) rather than
-// after an oversized buffer has been built.
+// returns the extended slice: the wire ID of v's registered codec, then
+// that codec's binary encoding. It panics if v's type has no registered
+// codec or if the encoding exceeds MaxPayloadBytes — both are
+// programming errors at the send site.
 func AppendPayload(buf []byte, v any) []byte {
-	if m := wireByType[reflect.TypeOf(v)]; m != nil {
-		buf = append(buf, payloadWire, m.id)
-		buf = m.append(buf, v)
-		if len(buf) > MaxPayloadBytes {
-			panic(fmt.Sprintf("transport: encoded %s exceeds %d bytes", m.name, MaxPayloadBytes))
-		}
-		return buf
+	m := wireByType[reflect.TypeOf(v)]
+	if m == nil {
+		panic(fmt.Sprintf("transport: no wire codec registered for payload type %T", v))
 	}
-	buf = append(buf, payloadGob)
-	w := cappedAppender{buf: &buf, limit: MaxPayloadBytes}
-	if err := gob.NewEncoder(&w).Encode(&v); err != nil {
-		panic(fmt.Sprintf("transport: encoding %T: %v", v, err))
+	buf = append(buf, m.id)
+	buf = m.append(buf, v)
+	if len(buf) > MaxPayloadBytes {
+		panic(fmt.Sprintf("transport: encoded %s exceeds %d bytes", m.name, MaxPayloadBytes))
 	}
 	return buf
 }
 
-// cappedAppender appends into *buf, refusing the first write that would
-// push the body past limit — so a runaway gob payload fails as the
-// encoder flushes, not after an oversized buffer has been materialized.
-type cappedAppender struct {
-	buf   *[]byte
-	limit int
-}
-
-func (w cappedAppender) Write(p []byte) (int, error) {
-	if len(*w.buf)+len(p) > w.limit {
-		return 0, fmt.Errorf("transport: message exceeds %d bytes", w.limit)
-	}
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
 // DecodePayload decodes one message body produced by AppendPayload.
-// Unknown discriminators and wire IDs, truncated values, length-lying
+// Unknown wire IDs (0 included), truncated values, length-lying
 // slice headers, and trailing garbage all return errors — never panics
 // and never large speculative allocations (fuzzed; see wire_fuzz_test).
 func DecodePayload(data []byte) (any, error) {
@@ -181,33 +153,19 @@ func decodePayload(data []byte, depth int) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("transport: empty payload body")
 	}
-	switch data[0] {
-	case payloadGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&v); err != nil {
-			return nil, fmt.Errorf("transport: gob payload: %w", err)
-		}
-		return v, nil
-	case payloadWire:
-		if len(data) < 2 {
-			return nil, fmt.Errorf("transport: wire payload missing codec ID")
-		}
-		m := wireByID[data[1]]
-		if m == nil {
-			return nil, fmt.Errorf("transport: unknown wire codec ID 0x%02x", data[1])
-		}
-		d := &Dec{b: data[2:], depth: depth}
-		v, err := m.decode(d)
-		if err != nil {
-			return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
-		}
-		if err := d.Close(); err != nil {
-			return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
-		}
-		return v, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown payload discriminator 0x%02x", data[0])
+	m := wireByID[data[0]]
+	if m == nil {
+		return nil, fmt.Errorf("transport: unknown wire codec ID 0x%02x", data[0])
 	}
+	d := &Dec{b: data[1:], depth: depth}
+	v, err := m.decode(d)
+	if err != nil {
+		return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
+	}
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
+	}
+	return v, nil
 }
 
 // Encode helpers for wire codecs.

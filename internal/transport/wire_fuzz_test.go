@@ -16,28 +16,25 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(AppendPayload(nil, int(-12345)))
 	f.Add(AppendPayload(nil, math.Copysign(0, -1)))
 	f.Add(AppendPayload(nil, []int{1, -2, 1 << 40}))
-	f.Add(AppendPayload(nil, "a cold gob string"))
-	// Hostile shapes: length-lying header, unknown ID, bare discriminators.
-	f.Add(append([]byte{0x01, WireIDIntSlice}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))
-	f.Add([]byte{0x01, 0xEE})
-	f.Add([]byte{0x01})
-	f.Add([]byte{0x00})
+	f.Add(AppendPayload(nil, 2.5))
+	// Hostile shapes: length-lying header, unknown IDs, a bare ID, the
+	// reserved ID 0 that began every retired gob body.
+	f.Add(append([]byte{WireIDIntSlice}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))
+	f.Add([]byte{0xEE, 0x01})
+	f.Add([]byte{WireIDIntSlice})
+	f.Add([]byte{0x00, 0xFF, 0x00, 0x13})
 	f.Add([]byte{0x7F, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodePayload(data)
 		if err != nil || v == nil {
 			return
 		}
-		// Whatever decoded must survive a round trip: re-encoding takes
-		// the wire path for registered types and gob for the rest, and
-		// both must reproduce the value (modulo gob's legal erasures —
-		// a gob-decoded nil slice re-encodes on the wire path as empty).
-		body := AppendPayload(nil, v)
-		v2, err := DecodePayload(body)
+		// Whatever decoded must survive a bit-exact round trip.
+		v2, err := DecodePayload(AppendPayload(nil, v))
 		if err != nil {
 			t.Fatalf("re-decoding %T failed: %v", v, err)
 		}
-		if !gobAgrees(v, v2) {
+		if !wireEqual(v, v2) {
 			t.Fatalf("unstable round trip: %v became %v", v, v2)
 		}
 	})

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -33,11 +34,11 @@ func wireEqual(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// gobAgrees is the looser equality for cross-checking against the gob
-// fallback, which legally erases two representation details the wire
-// codec keeps: a nil slice decodes as empty, and gob's zero-field
-// omission turns negative zero into positive zero. Values that differ
-// only in those ways still count as agreeing.
+// gobAgrees is the looser equality for cross-checking against
+// encoding/gob, the reference codec, which legally erases two
+// representation details the wire codec keeps: a nil slice decodes as
+// empty, and gob's zero-field omission turns negative zero into positive
+// zero. Values that differ only in those ways still count as agreeing.
 func gobAgrees(a, b any) bool {
 	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
 	if av.Kind() != bv.Kind() {
@@ -64,11 +65,7 @@ func gobAgrees(a, b any) bool {
 
 func TestBuiltinRoundTrip(t *testing.T) {
 	for _, v := range builtinValues() {
-		body := AppendPayload(nil, v)
-		if body[0] != payloadWire {
-			t.Fatalf("%T %v: expected the wire fast path, got discriminator 0x%02x", v, v, body[0])
-		}
-		got, err := DecodePayload(body)
+		got, err := DecodePayload(AppendPayload(nil, v))
 		if err != nil {
 			t.Fatalf("%T %v: decode: %v", v, v, err)
 		}
@@ -78,53 +75,71 @@ func TestBuiltinRoundTrip(t *testing.T) {
 	}
 }
 
+// viaGob round-trips v through encoding/gob, the reference codec the
+// wire codecs are checked against, and returns the decoded value.
+func viaGob(v any) (any, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	out := reflect.New(reflect.TypeOf(v))
+	if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
+		return nil, err
+	}
+	return out.Elem().Interface(), nil
+}
+
 // TestWireMatchesGob is the cross-codec property test: the hand-rolled
-// binary path and the gob fallback must decode to identical values for
-// the same payload, so switching a type onto the fast path can never
-// change what a receiver observes.
+// binary codec and encoding/gob must decode to identical values for the
+// same payload, so a codec can never change what a receiver observes.
 func TestWireMatchesGob(t *testing.T) {
 	for _, v := range builtinValues() {
-		Register(v) // the gob path needs the concrete type mapped
 		fromWire, err := DecodePayload(AppendPayload(nil, v))
 		if err != nil {
 			t.Fatalf("%T: wire decode: %v", v, err)
 		}
-		// Hand-build the gob-fallback body for the same value: the 0x00
-		// discriminator followed by a gob stream of the interface value.
-		var gb bytes.Buffer
-		gb.WriteByte(payloadGob)
-		if err := gob.NewEncoder(&gb).Encode(&v); err != nil {
-			t.Fatalf("%T: gob encode: %v", v, err)
-		}
-		fromGob, err := DecodePayload(gb.Bytes())
+		fromGob, err := viaGob(v)
 		if err != nil {
-			t.Fatalf("%T: gob decode: %v", v, err)
+			t.Fatalf("%T: gob: %v", v, err)
 		}
 		if !gobAgrees(fromWire, fromGob) {
-			t.Fatalf("%T: wire path decoded %v, gob path decoded %v", v, fromWire, fromGob)
+			t.Fatalf("%T: wire codec decoded %v, gob decoded %v", v, fromWire, fromGob)
 		}
 	}
 }
 
-// Unregistered types must keep flowing through the gob fallback.
-type coldControlMsg struct {
-	Name  string
-	Ranks []int
+// A payload type without a registered codec cannot be sent: encoding it
+// panics at the send site and names the type.
+func TestUnregisteredPayloadPanics(t *testing.T) {
+	type coldControlMsg struct{ Name string }
+	for _, v := range []any{coldControlMsg{Name: "rebalance"}, "a string", []float64{1}, nil} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			AppendPayload(nil, v)
+			return "no panic"
+		}()
+		if !strings.Contains(msg, fmt.Sprintf("%T", v)) {
+			t.Errorf("AppendPayload(%T): panic %q does not name the type", v, msg)
+		}
+	}
 }
 
-func TestGobFallbackRoundTrip(t *testing.T) {
-	gob.Register(coldControlMsg{})
-	v := coldControlMsg{Name: "rebalance", Ranks: []int{3, 1, 4}}
-	body := AppendPayload(nil, v)
-	if body[0] != payloadGob {
-		t.Fatalf("unregistered type should use the gob fallback, got discriminator 0x%02x", body[0])
+// Only assigned wire IDs decode: 0 (the leading byte of a retired gob
+// body) and every other unassigned ID are rejected whatever follows.
+func TestUnassignedWireIDsRejected(t *testing.T) {
+	if wireByID[0] != nil {
+		t.Fatal("wire ID 0 is assigned")
 	}
-	got, err := DecodePayload(body)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("round trip: sent %+v, got %+v", v, got)
+	for id := 0; id < 256; id++ {
+		if wireByID[id] != nil {
+			continue
+		}
+		for _, body := range [][]byte{{byte(id)}, {byte(id), 0xFF, 0x00, 0x13}} {
+			_, err := DecodePayload(body)
+			if err == nil || !strings.Contains(err.Error(), "unknown wire codec ID") {
+				t.Fatalf("body % x: want an unknown-ID error, got %v", body, err)
+			}
+		}
 	}
 }
 
@@ -157,7 +172,7 @@ func TestTruncationRejected(t *testing.T) {
 // A length-lying header must be rejected before the decoder sizes an
 // allocation from it: 10 bytes cannot claim a billion elements.
 func TestLengthLyingHeaderRejected(t *testing.T) {
-	body := []byte{payloadWire, WireIDIntSlice}
+	body := []byte{WireIDIntSlice}
 	body = AppendUvarint(body, 1<<40) // claims ~10^12 elements, carries none
 	_, err := DecodePayload(body)
 	if err == nil {
@@ -182,10 +197,8 @@ func TestMalformedEnvelopes(t *testing.T) {
 		body []byte
 	}{
 		{"empty", nil},
-		{"unknown discriminator", []byte{0xAB, 1, 2, 3}},
-		{"wire missing ID", []byte{payloadWire}},
-		{"unknown wire ID", []byte{payloadWire, 0xEE, 1, 2}},
-		{"gob garbage", []byte{payloadGob, 0xFF, 0x00, 0x13}},
+		{"wire ID without a value", []byte{WireIDFloat64}},
+		{"protocol v4 body", []byte{0x01, WireIDInt, 0x02}},
 	}
 	for _, tc := range cases {
 		if _, err := DecodePayload(tc.body); err == nil {
@@ -212,20 +225,6 @@ func TestDecCloseRejectsTrailing(t *testing.T) {
 	}
 }
 
-// The gob fallback must abort while encoding once the cap is crossed,
-// not after materializing the oversized buffer.
-func TestCappedAppenderFailsFast(t *testing.T) {
-	var buf []byte
-	w := cappedAppender{buf: &buf, limit: 64}
-	big := strings.Repeat("x", 1<<16)
-	if err := gob.NewEncoder(&w).Encode(&big); err == nil {
-		t.Fatal("64-byte cap did not reject a 64KiB payload")
-	}
-	if len(buf) > 64 {
-		t.Fatalf("cap breached: buffer grew to %d bytes", len(buf))
-	}
-}
-
 // Registration collisions are wiring bugs and must fail loudly at init.
 func TestRegisterCollisionPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
@@ -240,6 +239,11 @@ func TestRegisterCollisionPanics(t *testing.T) {
 	// real codec table untouched.
 	mustPanic("duplicate ID", func() {
 		RegisterMarshaler(WireIDInt,
+			func(buf []byte, v uint16) []byte { return buf },
+			func(d *Dec) (uint16, error) { return 0, nil })
+	})
+	mustPanic("reserved ID 0", func() {
+		RegisterMarshaler(0,
 			func(buf []byte, v uint16) []byte { return buf },
 			func(d *Dec) (uint16, error) { return 0, nil })
 	})
