@@ -153,8 +153,13 @@ func (pe *DistPE) selectAndPrune(batchLen int) {
 		}
 		if s == target {
 			// The union is exactly the sample; the new threshold is the
-			// global maximum key, found with one all-reduction.
-			pe.setThresholdToMax()
+			// global maximum key, found with one all-reduction. Once a
+			// threshold exists the union already held k keys at or below
+			// it, so s == k means no PE inserted anything: the maximum is
+			// the threshold already held and the reduction is skipped.
+			if !pe.haveT {
+				pe.setThresholdToMax()
+			}
 			pe.size = s
 			return
 		}

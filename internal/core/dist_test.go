@@ -184,6 +184,40 @@ func TestDistExactlyKItems(t *testing.T) {
 	}
 }
 
+// Once a threshold exists, a round that inserts nothing leaves the union
+// at exactly k keys whose maximum is the threshold already held, so it
+// must cost only the size all-reduction: no threshold-max reduction, and
+// the threshold stays put. Covered for both ways the threshold arises —
+// the s == k reduction and a selection.
+func TestDistNoInsertRoundCostsOneAllReduce(t *testing.T) {
+	const p, k = 4, 32
+	const oneAllReduce = p * 2 // butterfly: log2(p) exchanges per PE
+	for _, n := range []int{k, 4 * k} {
+		cfg := Config{K: k, Weighted: true, Seed: 3}
+		items := makeItems(n, func(i int) float64 { return float64(i%7 + 1) })
+		tc := newTestCluster(t, p, cfg, false)
+		tc.processRound(splitItems(items, p, 1), 0)
+		before, have := tc.samplers[0].Threshold()
+		if !have {
+			t.Fatalf("n=%d: no threshold after %d items", n, n)
+		}
+		empty := sliceSource{batches: [][]workload.SliceBatch{make([]workload.SliceBatch, p)}}
+		for r := 0; r < 3; r++ {
+			msgs := tc.cl.Stats().Messages
+			tc.processRound(empty, 0)
+			if got := tc.cl.Stats().Messages - msgs; got != oneAllReduce {
+				t.Errorf("n=%d: empty round %d cost %d messages, want %d", n, r, got, oneAllReduce)
+			}
+			for i, s := range tc.samplers {
+				if th, _ := s.Threshold(); th != before || s.SampleSize() != k {
+					t.Fatalf("n=%d: PE %d threshold %v size %d after an empty round, want %v and %d",
+						n, i, th, s.SampleSize(), before, k)
+				}
+			}
+		}
+	}
+}
+
 // distInclusionCounts runs the full distributed pipeline many times and
 // counts item inclusions.
 func distInclusionCounts(t *testing.T, n, k, p, rounds, trials int, weights func(i int) float64,

@@ -9,12 +9,12 @@ import (
 
 // Wire codecs for the sampler hot path: every payload the distributed
 // samplers send per round — selection pivots and counts, gather chunks
-// of items/keys/candidates, threshold broadcasts, counter reductions —
-// gets a hand-rolled binary encoding, the only encoding wire transports
-// use. IDs are assigned centrally in internal/transport/wire.go;
-// the formats are specified in DESIGN.md §2.4. Registration happens at
-// init so any binary linking the samplers (reservoir-serve nodes,
-// benches, tests) agrees on the mapping.
+// of items/keys/candidates, threshold broadcasts — gets a hand-rolled
+// binary encoding, the only encoding wire transports use. IDs are
+// assigned centrally in internal/transport/wire.go; the formats are
+// specified in DESIGN.md §2.4. Registration happens at init so any
+// binary linking the samplers (reservoir-serve nodes, benches, tests)
+// agrees on the mapping.
 
 // Fixed-width element codecs. Keys and items are two 8-byte words each
 // (float bits + id), keyed candidates are the pair — all bit-exact, so
@@ -153,25 +153,5 @@ func init() {
 		},
 		func(d *transport.Dec) (threshMsg, error) {
 			return threshMsg{T: decKey(d), Have: d.Bool(), Size: d.Int()}, d.Err()
-		})
-
-	transport.RegisterMarshaler(transport.WireIDCounters,
-		func(buf []byte, v Counters) []byte {
-			buf = transport.AppendVarint(buf, v.ItemsProcessed)
-			buf = transport.AppendVarint(buf, v.Inserted)
-			buf = transport.AppendVarint(buf, v.CandidateWords)
-			buf = transport.AppendVarint(buf, v.Selections)
-			buf = transport.AppendVarint(buf, v.SelectionRounds)
-			return transport.AppendVarint(buf, v.GatheredSelections)
-		},
-		func(d *transport.Dec) (Counters, error) {
-			return Counters{
-				ItemsProcessed:     d.Varint(),
-				Inserted:           d.Varint(),
-				CandidateWords:     d.Varint(),
-				Selections:         d.Varint(),
-				SelectionRounds:    d.Varint(),
-				GatheredSelections: d.Varint(),
-			}, d.Err()
 		})
 }

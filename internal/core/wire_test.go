@@ -35,8 +35,6 @@ func hotPayloads() []any {
 		[]coll.Chunk[int]{{Src: 0, Items: []int{5, -1}}, {Src: 1, Items: []int{}}},
 		[][]int{{1, 2}, {}, {-3}},
 		threshMsg{T: btree.Key{V: 0.75, ID: 12}, Have: true, Size: -1},
-		Counters{ItemsProcessed: 1, Inserted: 2, CandidateWords: 3,
-			Selections: 4, SelectionRounds: 5, GatheredSelections: 6},
 	}
 }
 
@@ -164,6 +162,13 @@ func FuzzDecodeHotPayloads(f *testing.F) {
 		f.Add(transport.AppendPayload(nil, v))
 	}
 	f.Add(append([]byte{transport.WireIDKeyedItemChunks}, 0xFF, 0xFF, 0xFF, 0x7F))
+	// A counters body as the retired wire ID 15 carried it: the ID is
+	// unassigned now, so this and its mutations must fail cleanly.
+	retired := []byte{15}
+	for c := int64(1); c <= 6; c++ {
+		retired = transport.AppendVarint(retired, c)
+	}
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := transport.DecodePayload(data)
 		if err != nil || v == nil {

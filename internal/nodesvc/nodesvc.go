@@ -55,7 +55,7 @@ const (
 
 // command is the control message distributed through the cluster's own
 // Broadcast collective. Fields are exported for the wire transport.
-// DeferStats skips the per-command stats all-reduction (opRounds only):
+// DeferStats skips the per-command stats reduction (opRounds only):
 // pipelined benchmark drivers post one round per request, and a stats
 // collective after each would both serialize the rounds and leave no
 // selection in flight for the next scan to overlap. Deferred stats are
@@ -173,7 +173,7 @@ type Stats struct {
 }
 
 // NetworkStats is the cluster-wide traffic summary (all nodes' outgoing
-// counters, summed with one all-reduction after each command). The wire
+// counters, summed by one reduction to rank 0 after each command). The wire
 // shape is shared with the single-process service's stats.
 type NetworkStats = service.NetworkStats
 
@@ -260,8 +260,12 @@ type Server struct {
 	done chan struct{}
 
 	mu       sync.Mutex
-	lastStat Stats
+	lastStat Stats // rank 0 only: the last published cluster stats
 	shutdown bool
+
+	// statRound is this node's round as of its last stats publication,
+	// which /healthz reports on every rank.
+	statRound atomic.Int64
 }
 
 // New creates this node's server over an established transport.
@@ -315,6 +319,7 @@ func New(opts Options) (*Server, error) {
 		s.formed.Store(true)
 	}
 	s.lastStat = s.snapshotLocked(reservoir.NetworkStats{}, reservoir.Counters{}, reservoir.PhaseStats{})
+	s.statRound.Store(int64(s.lastStat.Rounds))
 	return s, nil
 }
 
@@ -356,8 +361,8 @@ func (s *Server) registerMetrics() {
 			rankLabel, []string{rank}, func() float64 { return float64(s.ft.Epoch()) })
 	}
 	if s.node.Rank() == 0 {
-		// Cluster-wide aggregates, published by the stats all-reduction
-		// after each command (lastStats is the cached copy — scraping
+		// Cluster-wide aggregates, published by the stats reduction to
+		// rank 0 after each command (lastStats is the cached copy — scraping
 		// never runs a collective).
 		s.reg.GaugeFunc("reservoir_cluster_rounds", "Cluster rounds as of the last completed command.",
 			nil, nil, func() float64 { return float64(s.lastStats().Rounds) })
@@ -365,11 +370,11 @@ func (s *Server) registerMetrics() {
 			nil, nil, func() float64 { return float64(s.lastStats().SampleSize) })
 		s.reg.CounterFunc("reservoir_cluster_items_total", "Items processed cluster-wide.",
 			nil, nil, func() float64 { return float64(s.lastStats().ItemsProcessed) })
-		s.reg.CounterFunc("reservoir_cluster_network_messages_total", "Transport messages sent cluster-wide (all-reduced).",
+		s.reg.CounterFunc("reservoir_cluster_network_messages_total", "Transport messages sent cluster-wide (reduced to rank 0).",
 			nil, nil, func() float64 { return float64(s.lastStats().Network.Messages) })
-		s.reg.CounterFunc("reservoir_cluster_network_words_total", "Cost-model words sent cluster-wide (all-reduced).",
+		s.reg.CounterFunc("reservoir_cluster_network_words_total", "Cost-model words sent cluster-wide (reduced to rank 0).",
 			nil, nil, func() float64 { return float64(s.lastStats().Network.Words) })
-		s.reg.CounterFunc("reservoir_cluster_network_bytes_total", "Wire bytes sent cluster-wide (all-reduced).",
+		s.reg.CounterFunc("reservoir_cluster_network_bytes_total", "Wire bytes sent cluster-wide (reduced to rank 0).",
 			nil, nil, func() float64 { return float64(s.lastStats().Network.Bytes) })
 	}
 }
@@ -642,7 +647,7 @@ func (s *Server) execute(cmd command) result {
 		if cmd.DeferStats {
 			// Leave the last round's selection in flight (the next
 			// command's scan will overlap it) and skip the stats
-			// all-reduction; the caller refreshes collectively later.
+			// reduction; the caller refreshes collectively later.
 			return result{stats: s.lastStats()}
 		}
 		s.node.DrainPending()
@@ -694,15 +699,21 @@ func (s *Server) source(spec service.SyntheticSpec) (reservoir.Source, error) {
 	return src, nil
 }
 
-// publishStats aggregates cluster-wide counters (one merged all-reduction)
-// and, on every rank, returns the updated stats; rank 0 also caches them
-// for the non-collective GET /v1/cluster/stats.
+// publishStats aggregates cluster-wide counters (one merged reduction to
+// rank 0) and returns the updated stats. Only rank 0 receives the totals,
+// so only rank 0 caches them for the non-collective GET
+// /v1/cluster/stats and the cluster gauges; the other ranks' totals are
+// zero and their replies are discarded.
 func (s *Server) publishStats() Stats {
 	net, cnt, phase := s.node.ClusterStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastStat = s.snapshotLocked(net, cnt, phase)
-	return s.lastStat
+	st := s.snapshotLocked(net, cnt, phase)
+	if s.node.Rank() == 0 {
+		s.lastStat = st
+	}
+	s.statRound.Store(int64(st.Rounds))
+	return st
 }
 
 func (s *Server) snapshotLocked(net reservoir.NetworkStats, cnt reservoir.Counters, phase reservoir.PhaseStats) Stats {
@@ -793,7 +804,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"mode":   "cluster-node",
 		"rank":   s.node.Rank(),
 		"p":      s.node.P(),
-		"rounds": s.lastStats().Rounds,
+		"rounds": s.statRound.Load(),
 	})
 }
 
@@ -815,7 +826,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/rounds", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Synthetic *service.SyntheticSpec `json:"synthetic"`
-			// defer_stats skips the post-command stats all-reduction so a
+			// defer_stats skips the post-command stats reduction so a
 			// pipelined round's selection stays in flight across requests;
 			// refresh with GET /v1/cluster/stats?refresh=1.
 			DeferStats bool `json:"defer_stats,omitempty"`
@@ -867,7 +878,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("refresh") == "1" {
 			// Collective refresh: drains any deferred selection and runs
-			// the stats all-reduction (the counterpart of defer_stats).
+			// the stats reduction (the counterpart of defer_stats).
 			res, ok := s.submit(command{Op: opStats})
 			if !ok {
 				service.WriteErrorf(w, http.StatusServiceUnavailable, "cluster is shutting down")

@@ -191,7 +191,12 @@ func (s *Server) coordinateResync() error {
 		}
 		s.log.Info("resync attempt", "attempt", a, "down", fmt.Sprint(s.ft.DownPeers()))
 
-		// PREPARE + collect REPORTs.
+		// PREPARE + collect REPORTs. Refresh the links to down peers
+		// first: a node that rejoined mid-resync must get this PREPARE
+		// on its new connection, not buffered into the dead one.
+		if !s.refreshDown(phase) {
+			continue
+		}
 		if !s.sendAll(resyncMsg{Kind: kindPrepare, Attempt: a}, phase) {
 			continue
 		}

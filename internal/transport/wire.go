@@ -43,7 +43,8 @@ const maxNestedPayloads = 4
 // Static wire-ID assignments. IDs live here, not in the registering
 // packages, so the full mapping is auditable in one place and two
 // packages can never collide silently. ID 0 is reserved (never
-// assigned).
+// assigned); IDs 15 and 16 (the retired per-family stats reductions)
+// stay unassigned like it, so an old body carrying them fails to decode.
 const (
 	// Registered by this package (builtins).
 	WireIDInt      uint8 = 1 // int: zigzag varint
@@ -59,11 +60,9 @@ const (
 	WireIDKeyChunks       uint8 = 12 // []coll.Chunk[btree.Key]
 	WireIDKeyedItemChunks uint8 = 13 // []coll.Chunk[core.keyedItem]
 	WireIDThreshMsg       uint8 = 14 // core threshold broadcast
-	WireIDCounters        uint8 = 15 // core.Counters
-	WireIDNetworkStats    uint8 = 16 // reservoir.NetworkStats
 	WireIDIntChunks       uint8 = 18 // []coll.Chunk[int] (AllGather of sizes)
 	WireIDIntTable        uint8 = 19 // [][]int (AllGather broadcast of the rank table)
-	WireIDClusterStats    uint8 = 20 // reservoir.clusterStats (merged stats all-reduction)
+	WireIDClusterStats    uint8 = 20 // reservoir.clusterStats (merged stats reduction)
 	WireIDCommand         uint8 = 21 // nodesvc.command (per-round control broadcast)
 	WireIDResyncMsg       uint8 = 22 // nodesvc.resyncMsg (recovery control plane)
 
@@ -159,14 +158,25 @@ func decodePayload(data []byte, depth int) (any, error) {
 	}
 	d := &Dec{b: data[1:], depth: depth}
 	v, err := m.decode(d)
-	if err != nil {
-		return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
+	if err == nil {
+		err = d.Close()
 	}
-	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("transport: decoding %s: %w", m.name, err)
+	if err != nil {
+		return nil, &payloadError{name: m.name, err: err}
 	}
 	return v, nil
 }
+
+// payloadError names the payload type a decode failed in. Like
+// decodeError it is formatted only when read, so rejecting hostile input
+// costs one small allocation and no formatting.
+type payloadError struct {
+	name string
+	err  error
+}
+
+func (e *payloadError) Error() string { return "transport: decoding " + e.name + ": " + e.err.Error() }
+func (e *payloadError) Unwrap() error { return e.err }
 
 // Encode helpers for wire codecs.
 
@@ -206,10 +216,23 @@ func AppendBytes(buf, b []byte) []byte {
 // mid-decode before trusting a length, or let the registry's Close call
 // surface it. After an error every subsequent read returns zero values.
 type Dec struct {
-	b     []byte
-	off   int
-	depth int
-	err   error
+	b       []byte
+	off     int
+	depth   int
+	err     error
+	failure decodeError // err points here after a failed read
+}
+
+// decodeError is a failed Dec read: what was being read and where. It
+// is formatted only when read; the cursor embeds it, so failing a read
+// allocates nothing.
+type decodeError struct {
+	what string
+	off  int
+}
+
+func (e *decodeError) Error() string {
+	return fmt.Sprintf("truncated or malformed %s at offset %d", e.what, e.off)
 }
 
 // NewDec returns a cursor over b (tests and nested codecs; transports
@@ -218,7 +241,8 @@ func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
 func (d *Dec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("truncated or malformed %s at offset %d", what, d.off)
+		d.failure = decodeError{what: what, off: d.off}
+		d.err = &d.failure
 	}
 }
 

@@ -208,8 +208,8 @@ func (n *Node) Counters() Counters { return n.sampler.Counters() }
 func (n *Node) ClockNS() float64 { return n.conn.Clock() }
 
 // NetworkStats returns this node's own traffic counters, if the transport
-// reports them (zero otherwise). See ClusterNetworkStats for the
-// cluster-wide view.
+// reports them (zero otherwise). See ClusterStats for the cluster-wide
+// view.
 func (n *Node) NetworkStats() NetworkStats {
 	if s, ok := n.conn.(transport.StatsSource); ok {
 		return statsFromTransport(s.Stats())
@@ -217,29 +217,7 @@ func (n *Node) NetworkStats() NetworkStats {
 	return NetworkStats{}
 }
 
-// ClusterNetworkStats sums every node's traffic counters with one
-// all-reduction and returns the total on every node (SPMD).
-func (n *Node) ClusterNetworkStats() NetworkStats {
-	local := n.NetworkStats()
-	return coll.AllReduce(n.comm, local, func(a, b NetworkStats) NetworkStats {
-		return NetworkStats{
-			Messages: a.Messages + b.Messages,
-			Words:    a.Words + b.Words,
-			Bytes:    a.Bytes + b.Bytes,
-		}
-	}, 3)
-}
-
-// ClusterCounters sums every node's operation counters with one
-// all-reduction and returns the total on every node (SPMD).
-func (n *Node) ClusterCounters() Counters {
-	return coll.AllReduce(n.comm, n.sampler.Counters(), func(a, b Counters) Counters {
-		a.Add(b)
-		return a
-	}, 6)
-}
-
-// clusterStats carries all three stat families through one all-reduction
+// clusterStats carries all three stat families through one reduction
 // so a stats round costs log p latency terms once, not three times. It
 // crosses the wire on stats refreshes, so it gets a codec
 // (WireIDClusterStats, wire.go).
@@ -250,16 +228,16 @@ type clusterStats struct {
 }
 
 // ClusterStats sums every node's traffic counters, operation counters,
-// and round-phase breakdown with a single all-reduction and returns the
-// totals on every node (SPMD). It is equivalent to ClusterNetworkStats +
-// ClusterCounters at a third of the round-trip count; the stats
-// publication uses it.
+// and round-phase breakdown with a single reduction to rank 0
+// (collective: every node must call it). Rank 0 gets the totals; the
+// other nodes get zero values, as only rank 0 publishes cluster-wide
+// stats.
 func (n *Node) ClusterStats() (NetworkStats, Counters, PhaseStats) {
 	local := clusterStats{Net: n.NetworkStats(), Ops: n.sampler.Counters(), Phase: n.phase}
 	if f, ok := n.conn.(interface{ FlushNS() int64 }); ok {
 		local.Phase.FlushNS = f.FlushNS()
 	}
-	total := coll.AllReduce(n.comm, local, func(a, b clusterStats) clusterStats {
+	total := coll.Reduce(n.comm, 0, local, func(a, b clusterStats) clusterStats {
 		a.Net.Messages += b.Net.Messages
 		a.Net.Words += b.Net.Words
 		a.Net.Bytes += b.Net.Bytes
@@ -267,6 +245,9 @@ func (n *Node) ClusterStats() (NetworkStats, Counters, PhaseStats) {
 		a.Phase.Add(b.Phase)
 		return a
 	}, 14)
+	if n.Rank() != 0 {
+		return NetworkStats{}, Counters{}, PhaseStats{}
+	}
 	return total.Net, total.Ops, total.Phase
 }
 

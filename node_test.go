@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"reservoir/internal/simnet"
+	"reservoir/internal/transport"
 )
 
 // runNodes drives p Nodes SPMD over the in-process simulator's transport
@@ -180,5 +181,79 @@ func TestDefaultShardsIsOneShard(t *testing.T) {
 				t.Fatalf("nodes weighted=%v rank %d: threshold %v (unset) vs %v (Shards: 1)", weighted, rank, nta[rank], ntb[rank])
 			}
 		}
+	}
+}
+
+// countingConn adds per-PE traffic counters to a simulator PE, so a Node
+// over it reports NetworkStats the way a wire transport does. Each PE
+// goroutine touches only its own conn.
+type countingConn struct {
+	*simnet.PE
+	msgs, words int64
+}
+
+func (c *countingConn) Send(to, tag int, payload any, words int) {
+	c.msgs++
+	c.words += int64(words)
+	c.PE.Send(to, tag, payload, words)
+}
+
+func (c *countingConn) Stats() transport.Stats {
+	return transport.Stats{Messages: c.msgs, Words: c.words, Bytes: 8 * c.words}
+}
+
+// TestClusterStatsReducesToRankZero: ClusterStats is one reduction to
+// rank 0 — p-1 messages — and rank 0's result is the sum of every rank's
+// own traffic and operation counters as they stood at the call.
+func TestClusterStatsReducesToRankZero(t *testing.T) {
+	const p = 4
+	sim := simnet.NewCluster(p, simnet.DefaultCost())
+	nodes := make([]*Node, p)
+	for i := range nodes {
+		n, err := NewNode(&countingConn{PE: sim.PE(i)}, Config{K: 64, Weighted: true, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	src := UniformSource{Seed: 6, BatchLen: 500, Lo: 0, Hi: 100}
+	for r := 0; r < 3; r++ {
+		sim.Parallel(func(pe *simnet.PE) { nodes[pe.ID()].ProcessRound(src) })
+	}
+	var wantNet NetworkStats
+	var wantOps Counters
+	for _, n := range nodes {
+		net := n.NetworkStats()
+		wantNet.Messages += net.Messages
+		wantNet.Words += net.Words
+		wantNet.Bytes += net.Bytes
+		wantOps.Add(n.Counters())
+	}
+	if wantNet.Messages == 0 || wantOps.ItemsProcessed != 3*p*500 {
+		t.Fatalf("rounds left no traffic or wrong item count: %+v %+v", wantNet, wantOps)
+	}
+	msgs := sim.Stats().Messages
+	var gotNet NetworkStats
+	var gotOps Counters
+	zeroElsewhere := true
+	var mu sync.Mutex
+	sim.Parallel(func(pe *simnet.PE) {
+		net, ops, _ := nodes[pe.ID()].ClusterStats()
+		mu.Lock()
+		defer mu.Unlock()
+		if pe.ID() == 0 {
+			gotNet, gotOps = net, ops
+		} else if net != (NetworkStats{}) || ops != (Counters{}) {
+			zeroElsewhere = false
+		}
+	})
+	if got := sim.Stats().Messages - msgs; got != p-1 {
+		t.Errorf("ClusterStats cost %d messages, want p-1 = %d", got, p-1)
+	}
+	if gotNet != wantNet || gotOps != wantOps {
+		t.Errorf("rank 0 totals %+v %+v, want %+v %+v", gotNet, gotOps, wantNet, wantOps)
+	}
+	if !zeroElsewhere {
+		t.Error("a rank other than 0 got nonzero totals")
 	}
 }

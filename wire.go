@@ -2,25 +2,11 @@ package reservoir
 
 import "reservoir/internal/transport"
 
-// NetworkStats crosses the wire once per round (ClusterNetworkStats'
-// all-reduction), so it gets a wire codec like the rest of the hot
-// round traffic; see internal/transport/wire.go for the ID table and
-// DESIGN.md §2.4 for the format.
+// clusterStats crosses the wire on every stats refresh (ClusterStats'
+// reduction), so it gets a wire codec like the rest of the hot round
+// traffic; see internal/transport/wire.go for the ID table and DESIGN.md
+// §2.4 for the format.
 func init() {
-	transport.RegisterMarshaler(transport.WireIDNetworkStats,
-		func(buf []byte, v NetworkStats) []byte {
-			buf = transport.AppendVarint(buf, v.Messages)
-			buf = transport.AppendVarint(buf, v.Words)
-			return transport.AppendVarint(buf, v.Bytes)
-		},
-		func(d *transport.Dec) (NetworkStats, error) {
-			return NetworkStats{
-				Messages: d.Varint(),
-				Words:    d.Varint(),
-				Bytes:    d.Varint(),
-			}, d.Err()
-		})
-
 	transport.RegisterMarshaler(transport.WireIDClusterStats,
 		func(buf []byte, v clusterStats) []byte {
 			buf = transport.AppendVarint(buf, v.Net.Messages)
