@@ -1,6 +1,7 @@
 package reservoir
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"reservoir/internal/coll"
@@ -290,49 +291,46 @@ const (
 	countersPerPE = 6
 )
 
+// peState is the checkpoint surface of both PE kinds (core.DistPE and
+// core.GatherPE). Each PE blob starts with its own kind byte, so a
+// snapshot of one algorithm is refused when restored as the other.
+type peState interface {
+	MarshalBinary() ([]byte, error)
+	UnmarshalBinary([]byte) error
+	RestoreCounters(core.Counters)
+}
+
 // Snapshot serializes the whole cluster's sampler state (per-PE
 // reservoirs, threshold, PRNG states, operation counters) so a sampling
 // process can be persisted and resumed bit-identically with
-// RestoreCluster. Only the Distributed algorithm supports snapshots, and
-// only up to maxSnapshotPEs PEs.
+// RestoreCluster. Both algorithms support snapshots, up to
+// maxSnapshotPEs PEs.
 // Virtual-time measurements are not part of the state and restart from
 // zero after a restore; operation counters round-trip.
 func (c *Cluster) Snapshot() ([]byte, error) {
-	if c.algo != Distributed {
-		return nil, fmt.Errorf("reservoir: snapshots require the Distributed algorithm")
-	}
 	if c.p > maxSnapshotPEs {
 		return nil, fmt.Errorf("reservoir: snapshots support at most %d PEs, cluster has %d", maxSnapshotPEs, c.p)
 	}
 	// Snapshots are round boundaries: complete a pipelined round first.
 	c.drainPending()
-	var buf []byte
-	var head [8]byte
-	putU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			head[i] = byte(v >> (8 * i))
-		}
-		buf = append(buf, head[:]...)
-	}
-	buf = append(buf,
-		byte(clusterSnapMagic&0xff), byte(clusterSnapMagic>>8&0xff),
-		byte(clusterSnapMagic>>16&0xff), byte(clusterSnapMagic>>24&0xff),
-		clusterSnapVersion)
-	putU64(uint64(c.p))
-	putU64(uint64(c.round))
+	le := binary.LittleEndian
+	buf := le.AppendUint32(make([]byte, 0, 21), clusterSnapMagic)
+	buf = append(buf, clusterSnapVersion)
+	buf = le.AppendUint64(buf, uint64(c.p))
+	buf = le.AppendUint64(buf, uint64(c.round))
 	for i := 0; i < c.p; i++ {
-		cnt := c.samplers[i].Counters()
-		putU64(uint64(cnt.ItemsProcessed))
-		putU64(uint64(cnt.Inserted))
-		putU64(uint64(cnt.CandidateWords))
-		putU64(uint64(cnt.Selections))
-		putU64(uint64(cnt.SelectionRounds))
-		putU64(uint64(cnt.GatheredSelections))
-		blob, err := c.samplers[i].(*core.DistPE).MarshalBinary()
+		blob, err := c.samplers[i].(peState).MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		putU64(uint64(len(blob)))
+		cnt := c.samplers[i].Counters()
+		for _, v := range [countersPerPE + 1]uint64{
+			uint64(cnt.ItemsProcessed), uint64(cnt.Inserted), uint64(cnt.CandidateWords),
+			uint64(cnt.Selections), uint64(cnt.SelectionRounds), uint64(cnt.GatheredSelections),
+			uint64(len(blob)),
+		} {
+			buf = le.AppendUint64(buf, v)
+		}
 		buf = append(buf, blob...)
 	}
 	return buf, nil
@@ -347,18 +345,14 @@ func RestoreCluster(cfg Config, snapshot []byte, opts ...Option) (*Cluster, erro
 		if len(snapshot) < 8 {
 			return 0, fmt.Errorf("reservoir: truncated snapshot")
 		}
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(snapshot[i]) << (8 * i)
-		}
+		v := binary.LittleEndian.Uint64(snapshot)
 		snapshot = snapshot[8:]
 		return v, nil
 	}
 	if len(snapshot) < 5 {
 		return nil, fmt.Errorf("reservoir: truncated snapshot")
 	}
-	magic := uint32(snapshot[0]) | uint32(snapshot[1])<<8 | uint32(snapshot[2])<<16 | uint32(snapshot[3])<<24
-	if magic != clusterSnapMagic {
+	if binary.LittleEndian.Uint32(snapshot) != clusterSnapMagic {
 		return nil, fmt.Errorf("reservoir: not a cluster snapshot")
 	}
 	if v := snapshot[4]; v != clusterSnapVersion {
@@ -386,9 +380,6 @@ func RestoreCluster(cfg Config, snapshot []byte, opts ...Option) (*Cluster, erro
 	if err != nil {
 		return nil, err
 	}
-	if c.algo != Distributed {
-		return nil, fmt.Errorf("reservoir: snapshots require the Distributed algorithm")
-	}
 	c.round = int(round)
 	for i := 0; i < c.p; i++ {
 		var raw [countersPerPE]uint64
@@ -404,7 +395,7 @@ func RestoreCluster(cfg Config, snapshot []byte, opts ...Option) (*Cluster, erro
 		if n > uint64(len(snapshot)) {
 			return nil, fmt.Errorf("reservoir: truncated snapshot at PE %d", i)
 		}
-		pe := c.samplers[i].(*core.DistPE)
+		pe := c.samplers[i].(peState)
 		if err := pe.UnmarshalBinary(snapshot[:n]); err != nil {
 			return nil, fmt.Errorf("reservoir: PE %d: %w", i, err)
 		}

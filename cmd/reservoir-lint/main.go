@@ -1,5 +1,5 @@
 // Command reservoir-lint runs the repo's invariant analyzers
-// (internal/analysis: determinism, tagdiscipline, faultpanic, walorder)
+// (internal/analysis: determinism, tagdiscipline, faultpanic)
 // over Go packages and reports violations grep-style. It is
 // the machine check behind DESIGN.md's "Machine-checked invariants"
 // section and a hard CI gate.

@@ -95,7 +95,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 0xC0FFEE, "run seed")
 	flag.IntVar(&cfg.queue, "queue", 0, "per-run ingest queue depth (0 = server default)")
 	flag.StringVar(&cfg.data, "data", "", "persistence directory for the in-process server (empty = persistence off; ignored with -addr)")
-	flag.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy with -data: always, interval, or off")
+	flag.StringVar(&cfg.fsync, "fsync", "interval", "boundary fsync policy with -data: always or interval (both fsync every round boundary), or off")
 	flag.StringVar(&cfg.sampleOut, "sample-out", "", "with -cluster: write the merged sample as a verifiable dump for reservoir-verify -match")
 	flag.BoolVar(&cfg.chaos, "chaos", false, "with -cluster: tolerate node kill/restart cycles — retry requests through connection errors and control-plane downtime")
 	flag.DurationVar(&cfg.chaosWait, "chaos-timeout", 3*time.Minute, "with -chaos: give up after this long without a successful request")

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	reservoir-serve -addr :8080 [-queue 64]
-//	reservoir-serve -data /var/lib/reservoir [-fsync interval] \
-//	    [-checkpoint-rounds 64] [-checkpoint-bytes 4194304]
+//	reservoir-serve -data /var/lib/reservoir [-fsync interval]
 //
 // With -peers, the server instead runs in node mode: it becomes one PE of
 // a real multi-process sampling cluster. Every process is started with the
@@ -35,17 +34,17 @@
 // changes the sample, only retries and latency. See docs/DEPLOY.md
 // "Failure model" and "Chaos testing".
 //
-// With -data, every run is durable: its config and each ingest round are
-// written to a per-run write-ahead log before the round applies, and full
-// sampler snapshots are checkpointed periodically. After a crash or
-// restart with the same -data directory, all runs recover — config, round
-// counters, and reservoir contents — and continue the identical sampling
-// stream (the PRNG state is part of the checkpoint).
+// With -data, every run is durable: its config is written at creation,
+// and after each ingest round the run's whole sampler state at that round
+// boundary overwrites one slot of a small per-run ring before the round is
+// acknowledged. After a crash or restart with the same -data directory,
+// all runs recover from their newest boundary — config, round counters,
+// and reservoir contents — and continue the identical sampling stream
+// (the PRNG state is part of the boundary).
 //
 // The server drains gracefully on SIGINT/SIGTERM: metric streams are
-// closed, ingest workers stop at the next round boundary and write a
-// final checkpoint, in-flight requests complete, then the listener shuts
-// down.
+// closed, ingest workers stop at the next round boundary, in-flight
+// requests complete, then the listener shuts down.
 package main
 
 import (
@@ -78,10 +77,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 	queue := flag.Int("queue", 0, "default per-run ingest queue depth (0 = built-in default)")
 	data := flag.String("data", "", "persistence directory (empty = in-memory only)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy with -data: always, interval, or off")
-	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence for -fsync interval")
-	ckRounds := flag.Int("checkpoint-rounds", 0, "default rounds between checkpoints (0 = built-in default, negative disables)")
-	ckBytes := flag.Int64("checkpoint-bytes", 0, "default WAL bytes between checkpoints (0 = built-in default, negative disables)")
+	fsync := flag.String("fsync", "interval", "boundary fsync policy with -data: always or interval (both fsync every round boundary), or off")
 	peerID := flag.Int("peer-id", -1, "node mode: this process's rank in the -peers list")
 	peers := flag.String("peers", "", "node mode: comma-separated rank-indexed peer list (host:port,...)")
 	nodeK := flag.Int("k", 256, "node mode: sample size (identical on all nodes)")
@@ -157,23 +153,22 @@ func main() {
 			os.Exit(2)
 		}
 		runNode(nodeConfig{
-			peerID:     *peerID,
-			peers:      strings.Split(*peers, ","),
-			addr:       *addr,
-			k:          *nodeK,
-			seed:       *nodeSeed,
-			algo:       *nodeAlgo,
-			uniform:    *nodeUniform,
-			shards:     *nodeShards,
-			pipeline:   *nodePipeline,
-			formation:  *formation,
-			rejoin:     *rejoin,
-			data:       *data,
-			fsync:      *fsync,
-			fsyncEvery: *fsyncEvery,
-			fault:      fault,
-			metrics:    *metricsAddr,
-			log:        logger,
+			peerID:    *peerID,
+			peers:     strings.Split(*peers, ","),
+			addr:      *addr,
+			k:         *nodeK,
+			seed:      *nodeSeed,
+			algo:      *nodeAlgo,
+			uniform:   *nodeUniform,
+			shards:    *nodeShards,
+			pipeline:  *nodePipeline,
+			formation: *formation,
+			rejoin:    *rejoin,
+			data:      *data,
+			fsync:     *fsync,
+			fault:     fault,
+			metrics:   *metricsAddr,
+			log:       logger,
 		})
 		return
 	}
@@ -187,9 +182,6 @@ func main() {
 	if *queue > 0 {
 		opts = append(opts, service.WithQueueDepth(*queue))
 	}
-	if *ckRounds != 0 || *ckBytes != 0 {
-		opts = append(opts, service.WithCheckpointDefaults(*ckRounds, *ckBytes))
-	}
 
 	var st *store.Store
 	if *data != "" {
@@ -198,7 +190,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "reservoir-serve:", err)
 			os.Exit(2)
 		}
-		st, err = store.Open(*data, store.WithFsync(policy), store.WithFsyncInterval(*fsyncEvery), store.WithMetrics(reg))
+		st, err = store.Open(*data, store.WithFsync(policy), store.WithMetrics(reg))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reservoir-serve:", err)
 			os.Exit(1)
@@ -235,7 +227,7 @@ func main() {
 	}
 
 	logger.Info("shutting down", "drain", drain.String())
-	svc.Close() // end SSE streams, stop workers, write final checkpoints
+	svc.Close() // end SSE streams, stop workers at a round boundary
 	if st != nil {
 		if err := st.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "reservoir-serve: store close:", err)

@@ -42,9 +42,8 @@ func TestKillNineRecovery(t *testing.T) {
 	srv := startServer(t, bin, addr, dataDir)
 	waitHealthy(t, base)
 
-	// Two runs: a distributed cluster (checkpointing aggressively) and a
-	// sequential sampler.
-	clusterID := createRunHTTP(t, base, `{"kind":"cluster","p":2,"k":32,"seed":3,"checkpoint_rounds":5}`)
+	// Two runs: a distributed cluster and a sequential sampler.
+	clusterID := createRunHTTP(t, base, `{"kind":"cluster","p":2,"k":32,"seed":3}`)
 	seqID := createRunHTTP(t, base, `{"kind":"sequential","k":16,"seed":4}`)
 
 	// A durable baseline: rounds acknowledged synchronously before the

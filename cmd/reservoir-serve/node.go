@@ -22,23 +22,22 @@ import (
 
 // nodeConfig collects the node-mode flags.
 type nodeConfig struct {
-	peerID     int
-	peers      []string
-	addr       string
-	k          int
-	seed       uint64
-	algo       string
-	uniform    bool
-	shards     int
-	pipeline   bool
-	formation  time.Duration
-	rejoin     time.Duration
-	data       string
-	fsync      string
-	fsyncEvery time.Duration
-	fault      faultConfig
-	metrics    string // ops listen address for /healthz + /metrics ("" = off)
-	log        *slog.Logger
+	peerID    int
+	peers     []string
+	addr      string
+	k         int
+	seed      uint64
+	algo      string
+	uniform   bool
+	shards    int
+	pipeline  bool
+	formation time.Duration
+	rejoin    time.Duration
+	data      string
+	fsync     string
+	fault     faultConfig
+	metrics   string // ops listen address for /healthz + /metrics ("" = off)
+	log       *slog.Logger
 }
 
 // faultConfig collects the fault-injection flags (deterministic chaos
@@ -103,7 +102,6 @@ func runNode(cfg nodeConfig) {
 		}
 		st, err = store.Open(cfg.data,
 			store.WithFsync(policy),
-			store.WithFsyncInterval(cfg.fsyncEvery),
 			store.WithSnapshotRetention(snapshotRetention),
 			store.WithMetrics(reg))
 		if err != nil {

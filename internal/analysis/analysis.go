@@ -1,6 +1,6 @@
 // Package analysis is the repo's static-analysis suite: a small,
 // dependency-free equivalent of golang.org/x/tools/go/analysis (which this
-// module deliberately does not depend on) plus four repo-specific
+// module deliberately does not depend on) plus three repo-specific
 // analyzers that machine-check the invariants the reproduction's
 // correctness argument rests on:
 //
@@ -16,8 +16,6 @@
 //     value against transport.Fault (or the typed fatal transport errors)
 //     and re-panic anything else, so fault-tolerance recovery can never
 //     swallow a real bug.
-//   - walorder: a WAL append must be error-checked and must precede the
-//     sampler mutation it logs (append-before-apply).
 //
 // Intentional violations are waived in place with a comment:
 //
@@ -263,7 +261,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) (*PackageResult, error) {
 	return res, nil
 }
 
-// All returns the four repo analyzers in census order.
+// All returns the three repo analyzers in census order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, TagDiscipline, FaultPanic, WALOrder}
+	return []*Analyzer{Determinism, TagDiscipline, FaultPanic}
 }

@@ -33,43 +33,43 @@ func (pe *DistPE) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
 	}
-	var buf bytes.Buffer
-	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(snapshotMagic)
-	w(byte(snapshotVersion))
-	w(kindDistPE)
-	w(uint32(pe.comm.Rank()))
-	w(boolByte(pe.haveT))
-	w(math.Float64bits(pe.thresh.V))
-	w(pe.thresh.ID)
-	w(boolByte(pe.haveLocalT))
-	w(math.Float64bits(pe.localThresh.V))
-	w(pe.localThresh.ID)
-	w(pe.keySeq)
-	w(uint64(pe.size))
-	w(uint64(pe.seen))
-	w(uint64(pe.res.Len()))
+	le := binary.LittleEndian
+	n := pe.res.Len()
+	// Header 76 bytes, 32 per reservoir entry, the length-prefixed RNG
+	// state, then 13 bytes of shard header and each shard's prefixed
+	// state (the same size as the selection stream's).
+	b := make([]byte, 0, 76+32*n+8+len(rngState)+13+len(pe.shardSrc)*(8+len(rngState)))
+	b = le.AppendUint32(b, snapshotMagic)
+	b = append(b, snapshotVersion, kindDistPE)
+	b = le.AppendUint32(b, uint32(pe.comm.Rank()))
+	b = append(b, boolByte(pe.haveT))
+	b = le.AppendUint64(b, math.Float64bits(pe.thresh.V))
+	b = le.AppendUint64(b, pe.thresh.ID)
+	b = append(b, boolByte(pe.haveLocalT))
+	b = le.AppendUint64(b, math.Float64bits(pe.localThresh.V))
+	b = le.AppendUint64(b, pe.localThresh.ID)
+	b = le.AppendUint64(b, pe.keySeq)
+	b = le.AppendUint64(b, uint64(pe.size))
+	b = le.AppendUint64(b, uint64(pe.seen))
+	b = le.AppendUint64(b, uint64(n))
 	pe.res.ForEach(func(k btree.Key, it workload.Item) bool {
-		w(math.Float64bits(k.V))
-		w(k.ID)
-		w(math.Float64bits(it.W))
-		w(it.ID)
+		b = appendItem(appendKey(b, k), it)
 		return true
 	})
-	w(uint64(len(rngState)))
-	buf.Write(rngState)
-	w(boolByte(pe.scanHaveT))
-	w(math.Float64bits(pe.scanThresh))
-	w(uint32(len(pe.shardSrc)))
+	b = le.AppendUint64(b, uint64(len(rngState)))
+	b = append(b, rngState...)
+	b = append(b, boolByte(pe.scanHaveT))
+	b = le.AppendUint64(b, math.Float64bits(pe.scanThresh))
+	b = le.AppendUint32(b, uint32(len(pe.shardSrc)))
 	for _, src := range pe.shardSrc {
 		st, err := src.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot shard RNG state: %w", err)
 		}
-		w(uint64(len(st)))
-		buf.Write(st)
+		b = le.AppendUint64(b, uint64(len(st)))
+		b = append(b, st...)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // UnmarshalBinary restores a snapshot produced by MarshalBinary on a

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"reservoir/internal/rng"
@@ -44,13 +47,40 @@ func seqSnapshotSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzUnmarshalSeq hammers the sequential-sampler snapshot decoders with
+// newFuzzWindowed builds the sliding-window sampler FuzzUnmarshalSeq
+// decodes into; its snapshot decoder refuses other shapes, so every
+// windowed seed comes from this configuration.
+func newFuzzWindowed() *WindowedWeighted {
+	return NewWindowedWeighted(4, 30, 10, rng.NewXoshiro256(11))
+}
+
+// windowedSnapshotSeeds produces valid window-sampler snapshots: empty,
+// mid-chunk, and after the ring wrapped.
+func windowedSnapshotSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
+	for _, n := range []int{0, 7, 95} {
+		s := newFuzzWindowed()
+		for i := 0; i < n; i++ {
+			s.Process(workload.Item{W: float64(i%7) + 0.5, ID: uint64(i)})
+		}
+		b, err := s.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+// FuzzUnmarshalSeq hammers the single-stream snapshot decoders (both
+// sequential samplers and the sliding-window sampler) with
 // arbitrary bytes: truncated, bit-flipped, and length-lying inputs must
 // return an error — never panic and never allocate beyond what the input
 // length can justify. A successfully decoded snapshot must re-marshal
 // bit-identically (decode is the inverse of encode on its image).
 func FuzzUnmarshalSeq(f *testing.F) {
-	for _, s := range seqSnapshotSeeds(f) {
+	for _, s := range append(seqSnapshotSeeds(f), windowedSnapshotSeeds(f)...) {
 		f.Add(s)
 		f.Add(s[:len(s)/2])
 		flipped := append([]byte(nil), s...)
@@ -81,5 +111,42 @@ func FuzzUnmarshalSeq(f *testing.F) {
 				t.Fatalf("uniform snapshot does not round-trip (%d vs %d bytes)", len(out), len(data))
 			}
 		}
+		win := newFuzzWindowed()
+		if err := win.UnmarshalBinary(data); err == nil {
+			out, err := win.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-marshal of accepted windowed snapshot failed: %v", err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("windowed snapshot does not round-trip (%d vs %d bytes)", len(out), len(data))
+			}
+			// A restored sampler must keep sampling without panicking.
+			win.Process(workload.Item{W: 1, ID: 1})
+			win.Sample()
+		}
 	})
+}
+
+// TestFuzzCorpusWindowedValid pins the committed windowed_valid seed to
+// the snapshot it is generated from (the 95-item seed of
+// windowedSnapshotSeeds); windowed_truncated keeps its first len*2/3
+// bytes. A layout change leaves the seed stale — it would then only
+// exercise the error path — so it fails here until both are regenerated.
+func TestFuzzCorpusWindowedValid(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzUnmarshalSeq/windowed_valid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	quoted, ok := strings.CutPrefix(body, "[]byte(")
+	if header != "go test fuzz v1" || !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("corpus entry is not a []byte seed: %.40q", raw)
+	}
+	seed, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := windowedSnapshotSeeds(t)[2]; !bytes.Equal([]byte(seed), want) {
+		t.Fatalf("windowed_valid is stale (%d bytes, fresh snapshot %d bytes): regenerate it", len(seed), len(want))
+	}
 }

@@ -25,28 +25,24 @@ func (pe *GatherPE) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
 	}
-	var buf bytes.Buffer
-	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(snapshotMagic)
-	w(byte(snapshotVersion))
-	w(kindGatherPE)
-	w(uint32(pe.comm.Rank()))
-	w(boolByte(pe.haveT))
-	w(math.Float64bits(pe.thresh.V))
-	w(pe.thresh.ID)
-	w(pe.keySeq)
-	w(uint64(pe.size))
-	w(uint64(pe.seen))
-	w(uint64(len(pe.rootRes)))
+	le := binary.LittleEndian
+	// Header 59 bytes, 32 per sample entry, the length-prefixed RNG state.
+	b := make([]byte, 0, 59+32*len(pe.rootRes)+8+len(rngState))
+	b = le.AppendUint32(b, snapshotMagic)
+	b = append(b, snapshotVersion, kindGatherPE)
+	b = le.AppendUint32(b, uint32(pe.comm.Rank()))
+	b = append(b, boolByte(pe.haveT))
+	b = le.AppendUint64(b, math.Float64bits(pe.thresh.V))
+	b = le.AppendUint64(b, pe.thresh.ID)
+	b = le.AppendUint64(b, pe.keySeq)
+	b = le.AppendUint64(b, uint64(pe.size))
+	b = le.AppendUint64(b, uint64(pe.seen))
+	b = le.AppendUint64(b, uint64(len(pe.rootRes)))
 	for _, ki := range pe.rootRes {
-		w(math.Float64bits(ki.Key.V))
-		w(ki.Key.ID)
-		w(math.Float64bits(ki.Item.W))
-		w(ki.Item.ID)
+		b = appendKeyedItem(b, ki)
 	}
-	w(uint64(len(rngState)))
-	buf.Write(rngState)
-	return buf.Bytes(), nil
+	b = le.AppendUint64(b, uint64(len(rngState)))
+	return append(b, rngState...), nil
 }
 
 // UnmarshalBinary restores a snapshot produced by MarshalBinary on a

@@ -71,7 +71,7 @@ const commandWords = 8
 
 // The command broadcast's wire codec. The spec travels as its JSON
 // encoding: it is a config-shaped struct with a nested scenario pointer,
-// already JSON-tagged for the HTTP API and the WAL, and a few hundred
+// already JSON-tagged for the HTTP API, and a few hundred
 // bytes at most.
 func init() {
 	transport.RegisterMarshaler(transport.WireIDCommand,

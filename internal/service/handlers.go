@@ -72,7 +72,7 @@ type ListResponse struct {
 
 // HealthResponse is the GET /healthz response body. Store is present only
 // when the server runs with a persistence store (-data) and reports its
-// directory, fsync policy, and WAL/checkpoint counters.
+// directory, fsync policy, open slot rings and boundary writes.
 type HealthResponse struct {
 	Status string        `json:"status"`
 	Runs   int           `json:"runs"`

@@ -6,6 +6,6 @@ import (
 	"reservoir/internal/testutil"
 )
 
-// TestMain fails the suite if an HTTP handler, WAL syncer, or snapshot
+// TestMain fails the suite if an HTTP handler, ingest worker, or snapshot
 // goroutine outlives the tests.
 func TestMain(m *testing.M) { testutil.VerifyTestMain(m) }

@@ -1,5 +1,15 @@
 package service
 
+// Run persistence: with a store, every run owns a ring of boundary slots
+// (store.Slots). Creating a run writes boundary 0; after each round it
+// applies, the run's worker writes the run's whole sampler state at that
+// round boundary into the ring — before the round's read view is
+// published and before the job is acknowledged, so an acknowledged round
+// survives a process crash. Against power failure, -fsync always fsyncs
+// every boundary and interval once per ring cycle (Slots.SyncPerCycle).
+// Recovery restores the newest valid slot and replays nothing (DESIGN.md
+// §6).
+
 import (
 	"encoding"
 	"encoding/json"
@@ -10,128 +20,87 @@ import (
 	"reservoir/internal/store"
 )
 
-// Sampler-kind tags stored in snapshot files (opaque bytes to the store).
+// Sampler-kind tags stored in boundary slots (opaque bytes to the store).
 const (
-	snapKindCluster = byte(1)
-	snapKindSeqW    = byte(2)
-	snapKindSeqU    = byte(3)
+	snapKindCluster  = byte(1) // distributed and gather clusters alike
+	snapKindSeqW     = byte(2)
+	snapKindSeqU     = byte(3)
+	snapKindWindowed = byte(4)
 )
 
-// snapshotable reports whether the run's sampler supports full-state
-// checkpoints. Windowed runs and gather clusters do not: they persist
-// their entire ingest history in the WAL and recover by full replay.
-func (r *Run) snapshotable() bool {
+// boundary serializes the sampler at the current round boundary. Only
+// the worker goroutine (or run creation, before the worker starts) may
+// call it.
+func (r *Run) boundary() (*store.Snapshot, error) {
+	var (
+		kind byte
+		blob []byte
+		err  error
+	)
 	switch {
 	case r.cluster != nil:
-		return r.cluster.Algorithm() == reservoir.Distributed
-	case r.seqW != nil, r.seqU != nil:
-		return true
-	default:
-		return false
+		kind = snapKindCluster
+		blob, err = r.cluster.Snapshot()
+	case r.seqW != nil:
+		kind = snapKindSeqW
+		blob, err = r.seqW.MarshalBinary()
+	case r.seqU != nil:
+		kind = snapKindSeqU
+		blob, err = r.seqU.MarshalBinary()
+	case r.win != nil:
+		kind = snapKindWindowed
+		blob, err = r.win.MarshalBinary()
 	}
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return &store.Snapshot{Round: uint64(r.rounds), Kind: kind, Blob: blob}, nil
 }
 
-// persistRound appends the upcoming round's input to the run's WAL. Called
-// by the worker immediately before applying the round (write-ahead): a
-// crash after the append replays the round on recovery; a crash before it
-// leaves no trace of a round that never ran. Jobs rejected at the queue
-// (429) never reach this point, so backpressure leaves no dangling WAL
-// entries.
-func (r *Run) persistRound(job *ingestJob) error {
-	if r.log == nil {
+// persistBoundary writes the boundary the round just applied reached.
+// Called by the worker after the round and before it publishes or
+// acknowledges anything. A failed write answers 500 and rolls the sampler
+// back to the newest boundary on disk through restoreSnapshot — the path
+// recovery takes — so memory never runs ahead of disk. If even that
+// fails, the run refuses further ingest until a restart recovers it.
+func (r *Run) persistBoundary() error {
+	if r.slots == nil {
 		return nil
 	}
-	rec := &store.RoundRecord{Round: uint64(r.rounds)}
-	if job.spec != nil {
-		rec.Synthetic = job.spec
-	} else {
-		// Zero-copy: store.Item aliases the sampler item, and AppendRound
-		// serializes the record before returning, so handing it the pooled
-		// batch slices is safe — the buffers are not retained.
-		rec.Batches = make([][]store.Item, len(job.batches))
-		for i, b := range job.batches {
-			rec.Batches[i] = b
-		}
+	snap, err := r.boundary()
+	if err == nil && r.slotHook != nil {
+		err = r.slotHook()
 	}
-	if err := r.log.AppendRound(rec); err != nil {
-		return &apiError{
-			code: http.StatusInternalServerError,
-			msg:  fmt.Sprintf("persistence failure: %v", err),
-		}
+	if err == nil {
+		err = r.slots.Write(snap)
 	}
-	return nil
+	if err == nil {
+		return nil
+	}
+	if rerr := r.rollback(); rerr != nil {
+		r.broken = fmt.Errorf("boundary write failed (%v) and the rollback to the last boundary on disk failed (%v); restart the server to recover the run", err, rerr)
+		r.logger.Error("run disabled", "err", r.broken)
+	}
+	return &apiError{code: http.StatusInternalServerError, msg: fmt.Sprintf("persistence failure: %v", err)}
 }
 
-// snapshotBlob serializes the sampler for a checkpoint. Only the worker
-// goroutine (or recovery, before the worker starts) may call it.
-func (r *Run) snapshotBlob() (byte, []byte, error) {
-	switch {
-	case r.cluster != nil:
-		blob, err := r.cluster.Snapshot()
-		return snapKindCluster, blob, err
-	case r.seqW != nil:
-		blob, err := r.seqW.MarshalBinary()
-		return snapKindSeqW, blob, err
-	case r.seqU != nil:
-		blob, err := r.seqU.MarshalBinary()
-		return snapKindSeqU, blob, err
-	default:
-		return 0, nil, fmt.Errorf("run %s cannot snapshot", r.id)
-	}
-}
-
-// checkpointDue reports whether the checkpoint cadence has tripped:
-// enough rounds or enough WAL bytes since the last checkpoint.
-func (r *Run) checkpointDue() bool {
-	if r.log == nil || !r.snapshotable() {
-		return false
-	}
-	if n := r.cfg.CheckpointRounds; n > 0 && r.rounds-r.lastCkRound >= n {
-		return true
-	}
-	if m := r.cfg.CheckpointBytes; m > 0 && r.log.WALBytes() >= m {
-		return r.rounds > r.lastCkRound
-	}
-	return false
-}
-
-// checkpoint writes a full sampler snapshot and rotates the WAL. Worker
-// goroutine only, between rounds. Checkpoint failures are reported (and
-// surfaced via the store's health status) but do not fail ingest: the WAL
-// alone still recovers the run.
-func (r *Run) checkpoint() {
-	kind, blob, err := r.snapshotBlob()
+// rollback restores the newest boundary on disk into the sampler.
+func (r *Run) rollback() error {
+	snap, err := r.slots.Latest()
 	if err != nil {
-		r.logger.Error("snapshot failed", "err", err)
-		return
+		return err
 	}
-	if err := r.log.Checkpoint(&store.Snapshot{Round: uint64(r.rounds), Kind: kind, Blob: blob}); err != nil {
-		r.logger.Error("checkpoint failed", "err", err)
-		return
+	if snap == nil {
+		return fmt.Errorf("no slot holds a boundary")
 	}
-	r.lastCkRound = r.rounds
-}
-
-// finishPersistence runs on worker exit: unless the run is being deleted,
-// it takes a final checkpoint (so a graceful shutdown restarts from a
-// snapshot instead of a long replay) and closes the WAL handle.
-func (r *Run) finishPersistence() {
-	if r.log == nil {
-		return
-	}
-	if !r.deleted.Load() && r.snapshotable() && r.rounds > r.lastCkRound {
-		r.checkpoint()
-	}
-	if err := r.log.Close(); err != nil {
-		r.logger.Error("closing WAL failed", "err", err)
-	}
+	return r.restoreSnapshot(snap)
 }
 
 // Recover rebuilds every persisted run from the store: config, sampler
-// state (latest checkpoint plus WAL replay), and round counters. It must
-// be called before the server starts handling requests. Runs that cannot
-// be recovered are skipped with a log line, their files left in place for
-// inspection; the store itself failing is an error.
+// state (its newest boundary) and round counter. It must be called before
+// the server starts handling requests. Runs that cannot be recovered are
+// skipped with a log line, their files left in place for inspection; the
+// store itself failing is an error.
 func (s *Server) Recover() error {
 	if s.store == nil {
 		return nil
@@ -147,8 +116,8 @@ func (s *Server) Recover() error {
 	s.mu.Unlock()
 	for _, id := range ids {
 		// Never touch the files of a run that is already live (Recover
-		// called twice, or after createRun): LoadRun would truncate and
-		// re-register the WAL handle out from under its worker.
+		// called twice, or after createRun): a second slot handle would
+		// race the worker's writes.
 		if _, live := s.lookup(id); live {
 			s.logger.Warn("recover: run already live, skipped", "run", id)
 			continue
@@ -160,51 +129,39 @@ func (s *Server) Recover() error {
 	return nil
 }
 
-// recoverRun rebuilds one run and starts its worker.
+// recoverRun rebuilds one run from its newest boundary and starts its
+// worker. A run with no decodable slot is refused: creation writes
+// boundary 0, so an empty ring means damage, not a fresh run, and
+// resetting it would silently drop acknowledged rounds.
 func (s *Server) recoverRun(id string) error {
-	rs, rlog, err := s.store.LoadRun(id)
+	cfgJSON, slots, err := s.store.OpenSlots(id)
 	if err != nil {
 		return err
 	}
 	fail := func(err error) error {
-		rlog.Close()
+		slots.Close()
 		return err
 	}
 	var cfg RunConfig
-	if err := json.Unmarshal(rs.Config, &cfg); err != nil {
+	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return fail(fmt.Errorf("config: %w", err))
 	}
-	run, err := newRun(id, cfg, s.defaults())
+	run, err := newRun(id, cfg, s.queueDepth)
 	if err != nil {
 		return fail(fmt.Errorf("rebuild sampler: %w", err))
 	}
-	if rs.Warning != nil {
-		s.logger.Warn("recovering to the last consistent round", "run", id, "warning", rs.Warning.Error())
+	snap, err := slots.Latest()
+	if err == nil && snap == nil {
+		err = fmt.Errorf("no slot holds a decodable boundary")
 	}
-	if rs.Snapshot != nil {
-		if err := run.restoreSnapshot(rs.Snapshot); err != nil {
-			return fail(err)
-		}
-		run.lastCkRound = run.rounds
-	}
-	// Stream the WAL past the snapshot through the live ingest code paths;
-	// one record is in memory at a time, so recovery of runs that never
-	// checkpoint (windowed, gather) stays bounded.
-	replayed, warn, err := s.store.ReplayRecords(id, uint64(run.rounds), run.replayRecord)
 	if err != nil {
 		return fail(err)
 	}
-	if warn != nil {
-		// A gap or corrupt frame in the WAL proper (torn tails were already
-		// truncated by LoadRun): the segment still holds records beyond the
-		// replayed prefix, so registering the run for live append would
-		// write new rounds *behind* them, out of round order, shadowing
-		// those rounds on every future recovery. Refuse the run instead,
-		// matching LoadRun's refuse-to-reset policy; the files stay for
-		// inspection.
-		return fail(warn)
+	if err := run.restoreSnapshot(snap); err != nil {
+		return fail(err)
 	}
-	run.log = rlog
+	slots.SyncPerCycle()
+	run.slots = slots
 	run.logger = s.logger.With("run", id)
 	// Publish the recovered read view before the worker starts; from then
 	// on the worker owns snapshot publication.
@@ -224,12 +181,12 @@ func (s *Server) recoverRun(id string) error {
 	run.start(s.shutdownCtx, s.workers.Done)
 	s.mu.Unlock()
 	s.registerRunMetrics(run)
-	s.logger.Info("recovered run", "run", id, "kind", run.cfg.Kind, "p", run.cfg.P,
-		"rounds", run.rounds, "snapshot", rs.Snapshot != nil, "replayed", replayed)
+	s.logger.Info("recovered run", "run", id, "kind", run.cfg.Kind, "p", run.cfg.P, "rounds", run.rounds)
 	return nil
 }
 
-// restoreSnapshot loads a checkpoint into the freshly built sampler.
+// restoreSnapshot loads a boundary into the run's sampler: at recovery
+// into the freshly built one, after a failed slot write into the live one.
 func (r *Run) restoreSnapshot(sn *store.Snapshot) error {
 	var err error
 	switch sn.Kind {
@@ -243,13 +200,16 @@ func (r *Run) restoreSnapshot(sn *store.Snapshot) error {
 			r.cluster = cl
 			r.rounds = cl.Round()
 		}
-	case snapKindSeqW, snapKindSeqU:
+	case snapKindSeqW, snapKindSeqU, snapKindWindowed:
 		var u encoding.BinaryUnmarshaler
-		if sn.Kind == snapKindSeqW && r.seqW != nil {
+		switch {
+		case sn.Kind == snapKindSeqW && r.seqW != nil:
 			u = r.seqW
-		} else if sn.Kind == snapKindSeqU && r.seqU != nil {
+		case sn.Kind == snapKindSeqU && r.seqU != nil:
 			u = r.seqU
-		} else {
+		case sn.Kind == snapKindWindowed && r.win != nil:
+			u = r.win
+		default:
 			return fmt.Errorf("snapshot kind %d does not match run kind %s", sn.Kind, r.cfg.Kind)
 		}
 		if err = u.UnmarshalBinary(sn.Blob); err == nil {
@@ -263,35 +223,6 @@ func (r *Run) restoreSnapshot(sn *store.Snapshot) error {
 	}
 	if uint64(r.rounds) != sn.Round {
 		return fmt.Errorf("snapshot round %d, sampler state says %d", sn.Round, r.rounds)
-	}
-	return nil
-}
-
-// replayRecord re-applies one WAL round during recovery. Records replay on
-// the same code paths the live worker uses, so a recovered run is the same
-// deterministic continuation an uninterrupted run would have produced.
-func (r *Run) replayRecord(rec *store.RoundRecord) error {
-	if uint64(r.rounds) != rec.Round {
-		return fmt.Errorf("replay gap: at round %d, next record is for round %d", r.rounds, rec.Round)
-	}
-	if rec.Synthetic != nil {
-		var spec SyntheticSpec
-		if err := json.Unmarshal(rec.Synthetic, &spec); err != nil {
-			return fmt.Errorf("replay round %d: spec: %w", rec.Round, err)
-		}
-		src, err := spec.BuildSource(r.cfg)
-		if err != nil {
-			return fmt.Errorf("replay round %d: %w", rec.Round, err)
-		}
-		r.syntheticRound(src)
-		return nil
-	}
-	batches := make([]reservoir.SliceBatch, len(rec.Batches))
-	for i, b := range rec.Batches {
-		batches[i] = reservoir.SliceBatch(b)
-	}
-	if err := r.explicitRound(batches); err != nil {
-		return fmt.Errorf("replay round %d: %w", rec.Round, err)
 	}
 	return nil
 }

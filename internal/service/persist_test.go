@@ -1,11 +1,14 @@
 package service
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -73,17 +76,16 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
-// persistedRunKinds is the recovery test matrix: one snapshotting cluster,
-// one WAL-only gather cluster, a sequential sampler, and a windowed
-// sampler (also WAL-only).
+// persistedRunKinds is the recovery test matrix: a distributed cluster, a
+// gather cluster, a sequential sampler and a windowed sampler.
 var persistedRunKinds = []struct {
 	name string
 	cfg  string
 	p    int
 }{
-	{"cluster", `{"kind":"cluster","p":3,"k":48,"seed":11,"checkpoint_rounds":4}`, 3},
+	{"cluster", `{"kind":"cluster","p":3,"k":48,"seed":11}`, 3},
 	{"gather", `{"kind":"cluster","p":2,"k":32,"seed":12,"algorithm":"gather"}`, 2},
-	{"sequential", `{"kind":"sequential","k":24,"seed":13,"checkpoint_rounds":3}`, 1},
+	{"sequential", `{"kind":"sequential","k":24,"seed":13}`, 1},
 	{"windowed", `{"kind":"windowed","k":16,"window":1200,"chunk_len":300,"seed":14}`, 1},
 }
 
@@ -101,9 +103,10 @@ func driveSchedule(t *testing.T, ts *httptest.Server, id string, p int, phase in
 
 // TestCrashRecoveryEquivalence is the service-layer analogue of
 // snapshot_test.go: ingest into persisted runs, hard-stop the service (no
-// graceful shutdown, no final checkpoint), reopen the store, and require
-// every recovered run to match an uninterrupted twin — same sample IDs,
-// same round counters and stats — and to *continue* identically.
+// graceful shutdown), reopen the store, and require every recovered run to
+// match an uninterrupted twin — same sample IDs, same round counters and
+// stats — and to *continue* identically. Recovery restores each run's
+// newest boundary and writes (replays) nothing.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	crashTS, crashSvc, crashStore := newPersistentServer(t, dir)
@@ -129,11 +132,11 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		driveSchedule(t, twinTS, ids[k.name], k.p, 0)
 	}
 
-	// Hard stop: abandon the first server entirely — no Server.Close, no
-	// final checkpoint, worker goroutines simply orphaned, exactly the
-	// on-disk state a kill -9 leaves behind (all writes that the OS
-	// already has; fsync policy only matters for power loss). Abandon
-	// releases the store's flock the way process death would.
+	// Hard stop: abandon the first server entirely — no Server.Close,
+	// worker goroutines simply orphaned, exactly the on-disk state a
+	// kill -9 leaves behind (all writes that the OS already has; fsync
+	// policy only matters for power loss). Abandon releases the store's
+	// flock the way process death would.
 	crashTS.Close()
 	crashStore.Abandon()
 
@@ -147,6 +150,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	var list ListResponse
 	if code, raw := doJSON(t, "GET", recTS.URL+"/v1/runs", "", &list); code != http.StatusOK || len(list.Runs) != len(persistedRunKinds) {
 		t.Fatalf("recovered run list: %d %s", code, raw)
+	}
+	if n := recStore.Status().Checkpoints; n != 0 {
+		t.Fatalf("recovery wrote %d boundaries; it should only restore", n)
 	}
 
 	for _, k := range persistedRunKinds {
@@ -179,40 +185,33 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownWritesFinalCheckpoint: Close must leave every
-// snapshotable run with a checkpoint at its final round so a restart
-// replays nothing.
+// TestGracefulShutdownWritesFinalCheckpoint: after Close, the newest
+// boundary in every run's ring is its final round — the last round wrote
+// it, so shutdown needs no extra step and a restart restores that round
+// without writing anything.
 func TestGracefulShutdownWritesFinalCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	ts, svc, st := newPersistentServer(t, dir)
-	run := createRun(t, ts, `{"kind":"cluster","p":2,"k":16,"seed":5}`)
-	ingestWait(t, ts, run.ID, `{"synthetic":{"batch_len":100,"rounds":3}}`)
+	svc, st := openRecovered(t, dir)
+	id := createRunOn(t, svc, `{"kind":"cluster","p":2,"k":16,"seed":5}`)
+	if code := ingestDirect(svc, id, `{"synthetic":{"batch_len":100,"rounds":3}}`); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
 	svc.Close()
 	st.Close()
-	ts.Close()
 
-	st2, err := store.Open(dir, store.WithFsync(store.FsyncOff))
-	if err != nil {
-		t.Fatal(err)
+	rsvc, rst := openRecovered(t, dir)
+	defer func() { rsvc.Close(); rst.Close() }()
+	if got := viewOf(t, rsvc, id).rounds; got != 3 {
+		t.Fatalf("restart restored round %d, want the final round 3", got)
 	}
-	defer st2.Close()
-	rs, rlog, err := st2.LoadRun(run.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rlog.Close()
-	if rs.Snapshot == nil || rs.Snapshot.Round != 3 {
-		t.Fatalf("final checkpoint missing: %+v", rs.Snapshot)
-	}
-	n, warn, err := st2.ReplayRecords(run.ID, rs.Snapshot.Round, func(*store.RoundRecord) error { return nil })
-	if n != 0 || warn != nil || err != nil {
-		t.Fatalf("%d WAL records survive the final checkpoint (warn %v, err %v)", n, warn, err)
+	if n := rst.Status().Checkpoints; n != 0 {
+		t.Fatalf("restart wrote %d boundaries", n)
 	}
 }
 
 // TestDeleteRemovesDiskState: DELETE /v1/runs/{id} must remove the run's
-// on-disk directory (config, WAL, snapshots), and a subsequent recovery
-// must not resurrect the run.
+// on-disk directory (config and slots), and a subsequent recovery must not
+// resurrect the run.
 func TestDeleteRemovesDiskState(t *testing.T) {
 	dir := t.TempDir()
 	ts, svc, st := newPersistentServer(t, dir)
@@ -249,19 +248,18 @@ func TestDeleteRemovesDiskState(t *testing.T) {
 	}
 }
 
-// TestQueueFullLeavesNoDanglingWAL: a batch rejected with 429 must leave
-// no WAL record — recovery must replay exactly the applied rounds. The
-// WAL append happens in the worker immediately before the round runs, so
-// the test parks the worker, fills the queue, collects a 429, and then
-// verifies the on-disk record count.
-func TestQueueFullLeavesNoDanglingWAL(t *testing.T) {
+// TestQueueFullWritesNoSlot: a batch rejected with 429 must write no
+// boundary — only applied rounds reach the slot ring. The boundary write
+// happens in the worker right after a round runs, so the test parks the
+// worker, fills the queue, collects a 429, and then counts the boundaries
+// written and the rounds the ring holds.
+func TestQueueFullWritesNoSlot(t *testing.T) {
 	dir := t.TempDir()
 	ts, svc, st := newPersistentServer(t, dir)
 	// The hard stop below abandons svc without closing it; reap its worker
-	// at cleanup, after the WAL has been inspected.
+	// at cleanup, after the slots have been inspected.
 	t.Cleanup(svc.Close)
-	// Disable checkpoints so the raw WAL records stay inspectable.
-	run := createRun(t, ts, `{"kind":"cluster","p":1,"k":8,"seed":7,"queue_depth":1,"checkpoint_rounds":-1,"checkpoint_bytes":-1}`)
+	run := createRun(t, ts, `{"kind":"cluster","p":1,"k":8,"seed":7,"queue_depth":1}`)
 	r, _ := svc.lookup(run.ID)
 	entered, release := blockWorker(r)
 
@@ -277,7 +275,7 @@ func TestQueueFullLeavesNoDanglingWAL(t *testing.T) {
 	if code := post(); code != http.StatusAccepted { // job A: picked up by the worker
 		t.Fatalf("job A: %d", code)
 	}
-	<-entered                                        // worker parked before A's WAL append
+	<-entered                                        // worker parked before A's round
 	if code := post(); code != http.StatusAccepted { // job B: sits on the queue
 		t.Fatalf("job B: %d", code)
 	}
@@ -286,8 +284,12 @@ func TestQueueFullLeavesNoDanglingWAL(t *testing.T) {
 	}
 	close(release)
 	pollStats(t, ts, run.ID, func(st Stats) bool { return st.Rounds == 2 && st.PendingRounds == 0 })
+	// Boundary 0 at creation, then one per applied round.
+	if n := st.Status().Checkpoints; n != 3 {
+		t.Fatalf("%d boundaries written, want 3 (creation plus the 2 applied rounds)", n)
+	}
 
-	// Hard stop and inspect the WAL: exactly two records, rounds 0 and 1.
+	// Hard stop and inspect the ring: the newest boundary is round 2.
 	ts.Close()
 	st.Abandon()
 	st2, err := store.Open(dir, store.WithFsync(store.FsyncOff))
@@ -295,24 +297,13 @@ func TestQueueFullLeavesNoDanglingWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rs, rlog, err := st2.LoadRun(run.ID)
+	_, slots, err := st2.OpenSlots(run.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rlog.Close()
-	if rs.Snapshot != nil {
-		t.Fatalf("unexpected checkpoint: %+v", rs.Snapshot)
-	}
-	var rounds []uint64
-	n, warn, err := st2.ReplayRecords(run.ID, 0, func(rec *store.RoundRecord) error {
-		rounds = append(rounds, rec.Round)
-		return nil
-	})
-	if err != nil || warn != nil {
-		t.Fatalf("replay: %v / %v", err, warn)
-	}
-	if n != 2 || rounds[0] != 0 || rounds[1] != 1 {
-		t.Fatalf("WAL has %d records (%v), want exactly the 2 applied rounds", n, rounds)
+	defer slots.Close()
+	if got := slots.Rounds(); !reflect.DeepEqual(got, []uint64{0, 1, 2}) {
+		t.Fatalf("slot ring holds rounds %v, want [0 1 2]", got)
 	}
 }
 
@@ -335,23 +326,9 @@ func TestCloseWaitsForDeleteCleanup(t *testing.T) {
 	}
 }
 
-// TestCheckpointDefaultsPartialOverride: overriding only one trigger via
-// WithCheckpointDefaults keeps the other at its built-in default instead
-// of silently disabling it.
-func TestCheckpointDefaultsPartialOverride(t *testing.T) {
-	svc := New(WithCheckpointDefaults(128, 0))
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	run := createRun(t, ts, `{"kind":"cluster","p":1,"k":4,"seed":1}`)
-	if run.Config.CheckpointRounds != 128 || run.Config.CheckpointBytes != defaultCkBytes {
-		t.Fatalf("defaults: rounds=%d bytes=%d, want 128/%d",
-			run.Config.CheckpointRounds, run.Config.CheckpointBytes, int64(defaultCkBytes))
-	}
-}
-
 // TestHealthzReportsStore: the health endpoint surfaces the store
-// directory, fsync policy, and WAL counters when persistence is on.
+// directory, fsync policy, open runs and boundary writes when persistence
+// is on.
 func TestHealthzReportsStore(t *testing.T) {
 	dir := t.TempDir()
 	ts, svc, st := newPersistentServer(t, dir)
@@ -366,7 +343,288 @@ func TestHealthzReportsStore(t *testing.T) {
 	if hr.Store == nil {
 		t.Fatal("healthz has no store section")
 	}
-	if hr.Store.Dir != dir || hr.Store.Fsync != "off" || hr.Store.WALAppends != 2 || hr.Store.Runs != 1 {
+	// Boundary 0 at creation plus one per round.
+	if hr.Store.Dir != dir || hr.Store.Fsync != "off" || hr.Store.Checkpoints != 3 || hr.Store.Runs != 1 {
 		t.Fatalf("store status: %+v", hr.Store)
 	}
+}
+
+// runView is a run's published state as the crash tests compare it.
+type runView struct {
+	rounds, sampleSize      int
+	items, inserted, selRnd int64
+	threshold               float64
+	sample                  []uint64
+}
+
+func viewOf(t *testing.T, svc *Server, id string) runView {
+	t.Helper()
+	r, ok := svc.lookup(id)
+	if !ok {
+		t.Fatalf("run %s is not live", id)
+	}
+	st := r.stats()
+	items, _ := r.sample()
+	ids := make([]uint64, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return runView{
+		rounds: st.Rounds, sampleSize: st.SampleSize, items: st.ItemsProcessed,
+		inserted: st.Inserted, selRnd: st.SelectionDepth, threshold: st.Threshold, sample: ids,
+	}
+}
+
+// ingestDirect posts one wait-mode ingest through svc's handler on the
+// calling goroutine and returns the status code.
+func ingestDirect(svc *Server, id, body string) int {
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs/"+id+"/batches?wait=true", strings.NewReader(body)))
+	return rec.Code
+}
+
+// openRecovered opens the store in dir and recovers its runs, without an
+// HTTP listener.
+func openRecovered(t *testing.T, dir string) (*Server, *store.Store) {
+	t.Helper()
+	st, err := store.Open(dir, store.WithFsync(store.FsyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(WithStore(st))
+	if err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	return svc, st
+}
+
+// slotFrame returns the snapshot frame at the start of a slot file's
+// contents: header (magic, version, kind, round, blob length), blob, CRC.
+func slotFrame(t *testing.T, b []byte) []byte {
+	t.Helper()
+	if len(b) < 18 {
+		t.Fatalf("slot holds %d bytes", len(b))
+	}
+	return b[:18+int(binary.LittleEndian.Uint32(b[14:]))+4]
+}
+
+// TestTornNewestSlotRecoversPreviousRound tears the newest boundary of a
+// persisted cluster run and of a persisted windowed run at every byte
+// offset, as a crash mid slot write would: the slot keeps its previous
+// contents overwritten by a strict prefix of the new frame. Every
+// recovery must come back at the previous round equal to an
+// uninterrupted twin there, and then continue identically.
+func TestTornNewestSlotRecoversPreviousRound(t *testing.T) {
+	for _, k := range []struct {
+		name, cfg string
+		p         int
+	}{
+		{"cluster", `{"kind":"cluster","p":2,"k":6,"seed":31}`, 2},
+		{"windowed", `{"kind":"windowed","k":4,"window":60,"chunk_len":20,"seed":32}`, 1},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			batch := func(r int) string { return makeBatches(k.p, 30, uint64(r)*1000+1) }
+			dir := t.TempDir()
+			svc, st := openRecovered(t, dir)
+			t.Cleanup(svc.Close) // reaps the worker the hard stop orphans
+			id := createRunOn(t, svc, k.cfg)
+			// Boundary `rounds` is torn over the slot that held boundary
+			// rounds-n, one ring cycle earlier; boundary rounds-1 sits
+			// intact in another slot.
+			n := len(slotFiles(t, filepath.Join(dir, "runs", id)))
+			rounds := n + 1
+			slot := filepath.Join(dir, "runs", id, fmt.Sprintf("slot-%d", rounds%n))
+			var old []byte
+			for r := 0; r < rounds; r++ {
+				if r == rounds-n {
+					old = readFile(t, slot)
+				}
+				if code := ingestDirect(svc, id, batch(r)); code != http.StatusOK {
+					t.Fatalf("round %d: %d", r, code)
+				}
+			}
+			frame := slotFrame(t, readFile(t, slot))
+			st.Abandon()
+
+			twin := New()
+			t.Cleanup(twin.Close)
+			createRunOn(t, twin, k.cfg)
+			for r := 0; r < rounds-1; r++ {
+				ingestDirect(twin, id, batch(r))
+			}
+			wantPrev := viewOf(t, twin, id)
+			next := batch(100)
+			ingestDirect(twin, id, next)
+			wantNext := viewOf(t, twin, id)
+
+			for off := 0; off < len(frame); off++ {
+				img := append([]byte(nil), old...)
+				if off > len(img) {
+					img = append(img, make([]byte, off-len(img))...)
+				}
+				copy(img, frame[:off])
+				if err := os.WriteFile(slot, img, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rsvc, rst := openRecovered(t, dir)
+				if got := viewOf(t, rsvc, id); !reflect.DeepEqual(got, wantPrev) {
+					t.Fatalf("torn at byte %d: recovered %+v, want the twin at round %d %+v", off, got, rounds-1, wantPrev)
+				}
+				if code := ingestDirect(rsvc, id, next); code != http.StatusOK {
+					t.Fatalf("torn at byte %d: ingest after recovery: %d", off, code)
+				}
+				if got := viewOf(t, rsvc, id); !reflect.DeepEqual(got, wantNext) {
+					t.Fatalf("torn at byte %d: continued run %+v, want %+v", off, got, wantNext)
+				}
+				rsvc.Close()
+				rst.Close()
+			}
+		})
+	}
+}
+
+// TestFailedSlotWriteRollsBack injects a failed boundary write into every
+// run kind: the ingest answers 500, the published round count does not
+// move, the sampler is rolled back to the last durable boundary (so the
+// next ingest matches a twin that never saw the failed batch), and the
+// disk state recovers to the same run.
+func TestFailedSlotWriteRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	svc, st := openRecovered(t, dir)
+	t.Cleanup(svc.Close)
+	twin := New()
+	t.Cleanup(twin.Close)
+	for _, k := range persistedRunKinds {
+		id := createRunOn(t, svc, k.cfg)
+		createRunOn(t, twin, k.cfg)
+		for r := 0; r < 3; r++ {
+			b := makeBatches(k.p, 40, uint64(r)*1000+1)
+			ingestDirect(svc, id, b)
+			ingestDirect(twin, id, b)
+		}
+		r, _ := svc.lookup(id)
+		r.slotHook = func() error { return fmt.Errorf("injected write failure") }
+		if code := ingestDirect(svc, id, makeBatches(k.p, 40, 90_001)); code != http.StatusInternalServerError {
+			t.Fatalf("%s: failed slot write answered %d, want 500", k.name, code)
+		}
+		r.slotHook = nil
+		if got, want := viewOf(t, svc, id), viewOf(t, twin, id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after the failed write %+v, want unchanged %+v", k.name, got, want)
+		}
+		next := makeBatches(k.p, 40, 50_001)
+		ingestDirect(svc, id, next)
+		ingestDirect(twin, id, next)
+		if got, want := viewOf(t, svc, id), viewOf(t, twin, id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: next ingest %+v, want the twin's %+v", k.name, got, want)
+		}
+	}
+	st.Abandon()
+	rsvc, rst := openRecovered(t, dir)
+	defer func() { rsvc.Close(); rst.Close() }()
+	for i := range persistedRunKinds {
+		id := fmt.Sprintf("r%d", i+1)
+		if got, want := viewOf(t, rsvc, id), viewOf(t, twin, id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recovered %+v, want %+v", persistedRunKinds[i].name, got, want)
+		}
+	}
+}
+
+// TestRecoverRefusesRunWithoutValidSlot: a run whose slots all fail their
+// CRC is not reset to round 0 — recovery skips it and leaves every file
+// as it was, and its ID is not handed out again.
+func TestRecoverRefusesRunWithoutValidSlot(t *testing.T) {
+	dir := t.TempDir()
+	svc, st := openRecovered(t, dir)
+	t.Cleanup(svc.Close)
+	id := createRunOn(t, svc, `{"kind":"sequential","k":8,"seed":4}`)
+	ingestDirect(svc, id, makeBatches(1, 20, 1))
+	st.Abandon()
+
+	runDir := filepath.Join(dir, "runs", id)
+	before := map[string][]byte{"config.json": readFile(t, filepath.Join(runDir, "config.json"))}
+	for _, name := range slotFiles(t, runDir) {
+		b := readFile(t, filepath.Join(runDir, name))
+		if len(b) > 0 {
+			b[len(b)/2] ^= 0x40 // inside the frame: fails its CRC
+			if err := os.WriteFile(filepath.Join(runDir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before[name] = b
+	}
+	rsvc, rst := openRecovered(t, dir)
+	defer func() { rsvc.Close(); rst.Close() }()
+	if n := rsvc.RunCount(); n != 0 {
+		t.Fatalf("%d runs recovered from a ring with no valid slot", n)
+	}
+	for name, want := range before {
+		if got := readFile(t, filepath.Join(runDir, name)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s changed after the refused recovery", name)
+		}
+	}
+	if next := createRunOn(t, rsvc, `{"kind":"sequential","k":8}`); next == id {
+		t.Fatalf("refused run's ID %s handed out again", id)
+	}
+}
+
+// TestRunDirStaysAtSlotRing: however many rounds a run ingests, its
+// directory holds only config.json and its slots.
+func TestRunDirStaysAtSlotRing(t *testing.T) {
+	dir := t.TempDir()
+	svc, st := openRecovered(t, dir)
+	defer func() { svc.Close(); st.Close() }()
+	id := createRunOn(t, svc, `{"kind":"cluster","p":2,"k":16,"seed":9}`)
+	if code := ingestDirect(svc, id, `{"synthetic":{"batch_len":200,"rounds":50}}`); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
+	runDir := filepath.Join(dir, "runs", id)
+	entries, err := os.ReadDir(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := slotFiles(t, runDir)
+	if len(slots) < 2 || len(entries) != len(slots)+1 {
+		t.Fatalf("run dir after 50 rounds holds %d entries, want config.json plus the %d slots", len(entries), len(slots))
+	}
+	if _, err := os.Stat(filepath.Join(runDir, "config.json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slotFiles lists the slot file names of a run directory.
+func slotFiles(t *testing.T, runDir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(runDir, "slot-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Base(n)
+	}
+	return names
+}
+
+// createRunOn creates a run through svc's handler and returns its ID.
+func createRunOn(t *testing.T, svc *Server, cfg string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(cfg)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create run: %d %s", rec.Code, rec.Body)
+	}
+	var resp CreateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.ID
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -18,7 +17,6 @@ type ingestJob struct {
 	batches []reservoir.SliceBatch // explicit mode (one round)
 	buf     *batchBuf              // pooled backing storage of batches
 	src     reservoir.Source       // synthetic mode
-	spec    []byte                 // synthetic spec JSON (WAL payload)
 	rounds  int                    // rounds this job runs (1 for explicit)
 
 	// ctx additionally bounds the job (the request context for wait-mode
@@ -122,19 +120,8 @@ func (r *Run) buildSynthetic(spec SyntheticSpec) (*ingestJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The spec is the job's WAL payload: synthetic batches derive
-	// deterministically from (seed, pe, round), so persisting the spec —
-	// not the generated items — replays the identical rounds. Without a
-	// store the bytes are never read; skip the marshal on that hot path.
-	var specJSON []byte
-	if r.log != nil {
-		if specJSON, err = json.Marshal(spec); err != nil {
-			return nil, badRequestf("encoding synthetic spec: %v", err)
-		}
-	}
 	return &ingestJob{
 		src:    src,
-		spec:   specJSON,
 		rounds: rounds,
 		ctx:    context.Background(),
 		done:   make(chan ingestResult, 1),

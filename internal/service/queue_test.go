@@ -274,7 +274,7 @@ func TestQueueDepthValidation(t *testing.T) {
 // rounded up to whole seconds and clamped to [1, 60]. The run is built
 // but never started, so no worker drains the job the test queues.
 func TestRetryAfterDerivation(t *testing.T) {
-	run, err := newRun("r1", RunConfig{Kind: KindCluster, P: 2, K: 4, QueueDepth: 4}, runDefaults{})
+	run, err := newRun("r1", RunConfig{Kind: KindCluster, P: 2, K: 4, QueueDepth: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

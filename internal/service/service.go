@@ -105,16 +105,6 @@ type RunConfig struct {
 	// QueueDepth bounds this run's ingest queue (jobs, not rounds);
 	// 0 uses the server default. A full queue rejects ingest with 429.
 	QueueDepth int `json:"queue_depth,omitempty"`
-	// CheckpointRounds and CheckpointBytes schedule full snapshot
-	// checkpoints when the server runs with a persistence store (-data):
-	// the run's worker snapshots the sampler after a round when at least
-	// CheckpointRounds rounds or CheckpointBytes WAL bytes have
-	// accumulated since the last checkpoint, whichever comes first.
-	// 0 uses the server defaults; a negative value disables that trigger.
-	// Ignored without a store, and for run kinds that cannot snapshot
-	// (windowed runs and gather clusters recover by full WAL replay).
-	CheckpointRounds int   `json:"checkpoint_rounds,omitempty"`
-	CheckpointBytes  int64 `json:"checkpoint_bytes,omitempty"`
 }
 
 // IngestRequest is the JSON body of POST /v1/runs/{id}/batches: either
@@ -138,7 +128,7 @@ type SyntheticSpec struct {
 	// BatchLen then acts as the mean items per PE per round, modulated
 	// by the scenario's arrival process and rank skew. Streams stay
 	// deterministic in (seed, pe, round), so scenario ingest replays
-	// identically from the WAL and under reservoir-verify -match.
+	// identically under reservoir-verify -match.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// BatchLen is the number of items per PE per round.
 	BatchLen int `json:"batch_len"`
@@ -269,14 +259,13 @@ type Run struct {
 	// snap is the atomically published read view (never nil after newRun).
 	snap atomic.Pointer[snapshot]
 
-	// Persistence (nil/zero without a store). log is the run's WAL handle;
-	// only the worker goroutine (and recovery, before the worker starts)
-	// touches it. lastCkRound is the round of the last durable checkpoint;
-	// deleted tells the exiting worker to skip the final checkpoint
-	// because the run's on-disk state is about to be removed.
-	log         *store.RunLog
-	lastCkRound int
-	deleted     atomic.Bool
+	// Persistence (nil without a store). slots is the run's boundary slot
+	// ring; only the worker goroutine (and creation or recovery, before
+	// the worker starts) touches it. broken is set by the worker when a
+	// failed slot write could not be rolled back: the sampler may then be
+	// ahead of disk, so every later round is refused.
+	slots  *store.Slots
+	broken error
 	// logger reports persistence problems from the worker (never nil).
 	logger *slog.Logger
 
@@ -291,19 +280,16 @@ type Run struct {
 	// goroutine. Test-only: lets tests hold the worker busy
 	// deterministically.
 	roundHook func()
+	// slotHook, when non-nil, runs before each boundary slot write on the
+	// worker goroutine; an error fails the write. Test-only: injects
+	// storage failures.
+	slotHook func() error
 
 	// subMu guards the SSE subscriber set, which outlives individual
 	// rounds and is closed exactly once when the run is deleted.
 	subMu  sync.Mutex
 	subs   map[chan []byte]struct{}
 	closed bool
-}
-
-// runDefaults are the server-level fallbacks newRun fills into a RunConfig.
-type runDefaults struct {
-	queueDepth int
-	ckRounds   int
-	ckBytes    int64
 }
 
 // clusterSetup translates a RunConfig into the library-level cluster
@@ -329,22 +315,17 @@ func clusterSetup(cfg RunConfig) (reservoir.Config, []reservoir.Option) {
 	return rcfg, opts
 }
 
-// newRun validates cfg and builds the sampler.
-func newRun(id string, cfg RunConfig, d runDefaults) (*Run, error) {
+// newRun validates cfg and builds the sampler; queueDepth is the server
+// default for a zero cfg.QueueDepth.
+func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 	if cfg.Kind == "" {
 		cfg.Kind = KindCluster
 	}
 	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = d.queueDepth
+		cfg.QueueDepth = queueDepth
 	}
 	if cfg.QueueDepth < 1 || cfg.QueueDepth > maxQueueDepth {
 		return nil, badRequestf("queue_depth must be in [1, %d], got %d", maxQueueDepth, cfg.QueueDepth)
-	}
-	if cfg.CheckpointRounds == 0 {
-		cfg.CheckpointRounds = d.ckRounds
-	}
-	if cfg.CheckpointBytes == 0 {
-		cfg.CheckpointBytes = d.ckBytes
 	}
 	r := &Run{id: id, subs: make(map[chan []byte]struct{}), logger: slog.New(slog.DiscardHandler)}
 	switch cfg.Kind {
@@ -504,12 +485,9 @@ type Server struct {
 	// (never nil; WithMetrics substitutes a shared registry).
 	metrics *metrics.Registry
 
-	// store, when non-nil, persists every run (config + WAL + checkpoints)
-	// under a data directory; ckRounds/ckBytes are the server-default
-	// checkpoint cadence (RunConfig may override per run).
-	store    *store.Store
-	ckRounds int
-	ckBytes  int64
+	// store, when non-nil, persists every run (config plus a ring of
+	// round-boundary slots) under a data directory.
+	store *store.Store
 }
 
 // Option customizes New.
@@ -527,7 +505,7 @@ func WithLogger(log *slog.Logger) Option {
 
 // WithMetrics substitutes reg for the server's own registry, so the
 // process can aggregate service metrics with other subsystems (e.g. the
-// store's WAL instrumentation) on one /metrics endpoint.
+// store's slot instrumentation) on one /metrics endpoint.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Server) {
 		if reg != nil {
@@ -550,37 +528,14 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithStore enables persistence: every run's config, ingest rounds (WAL),
-// and periodic sampler checkpoints are written under the store's data
-// directory, and Recover rebuilds all runs from it after a restart. The
-// caller retains ownership of st and closes it after Server.Close.
+// WithStore enables persistence: every run's config and, after each
+// round, its whole sampler state at that round boundary are written
+// under the store's data directory, and Recover rebuilds all runs from
+// them after a restart. The caller retains ownership of st and closes it
+// after Server.Close.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.store = st }
 }
-
-// WithCheckpointDefaults sets the server-default checkpoint cadence:
-// snapshot a run after at least `rounds` ingest rounds or `bytes` WAL
-// bytes since its last checkpoint, whichever trips first. A zero keeps
-// that trigger's built-in default (64 rounds / 4 MiB); a negative value
-// disables the trigger. RunConfig's checkpoint_rounds/checkpoint_bytes
-// override per run with the same convention.
-func WithCheckpointDefaults(rounds int, bytes int64) Option {
-	return func(s *Server) {
-		if rounds != 0 {
-			s.ckRounds = rounds
-		}
-		if bytes != 0 {
-			s.ckBytes = bytes
-		}
-	}
-}
-
-// Default checkpoint cadence with a store: snapshot after 64 rounds or
-// 4 MiB of WAL, whichever trips first.
-const (
-	defaultCkRounds = 64
-	defaultCkBytes  = 4 << 20
-)
 
 // New returns an empty service. With WithStore, call Recover before
 // serving to rebuild persisted runs.
@@ -588,8 +543,6 @@ func New(opts ...Option) *Server {
 	s := &Server{
 		runs:       make(map[string]*Run),
 		queueDepth: defaultQueueSize,
-		ckRounds:   defaultCkRounds,
-		ckBytes:    defaultCkBytes,
 		logger:     slog.New(slog.DiscardHandler),
 		metrics:    metrics.NewRegistry(),
 	}
@@ -613,7 +566,7 @@ func (s *Server) registerRunMetrics(r *Run) {
 	r.mRejected = s.metrics.NewCounter("reservoir_ingest_rejected_total",
 		"Ingest jobs rejected with 429 (queue full).", runLabel, id)
 	r.mRoundSeconds = s.metrics.NewHistogram("reservoir_round_duration_seconds",
-		"Wall time per completed ingest round (WAL append included).",
+		"Wall time per completed ingest round (boundary slot write included).",
 		metrics.DefBuckets, runLabel, id)
 	s.metrics.CounterFunc("reservoir_ingest_items_total",
 		"Items processed by the run's sampler.", runLabel, []string{id},
@@ -624,11 +577,6 @@ func (s *Server) registerRunMetrics(r *Run) {
 	s.metrics.GaugeFunc("reservoir_pending_rounds",
 		"Rounds enqueued (or in flight) but not yet completed.", runLabel, []string{id},
 		func() float64 { return float64(r.pending.Load()) })
-}
-
-// defaults bundles the server-level RunConfig fallbacks.
-func (s *Server) defaults() runDefaults {
-	return runDefaults{queueDepth: s.queueDepth, ckRounds: s.ckRounds, ckBytes: s.ckBytes}
 }
 
 // Close ends all SSE streams, stops every ingest worker at the next round
@@ -667,33 +615,22 @@ func (s *Server) createRun(cfg RunConfig) (*Run, error) {
 	nextID := s.nextID
 	s.mu.Unlock()
 
-	run, err := newRun(id, cfg, s.defaults())
+	run, err := newRun(id, cfg, s.queueDepth)
 	if err != nil {
 		return nil, err
 	}
 	run.logger = s.logger.With("run", id)
-	if s.store != nil {
-		// Persist the ID allocation first (IDs are never reused, even
-		// across restarts), then the run's on-disk state. The normalized
-		// config is what recovery rebuilds the sampler from.
-		if err := s.store.SetNextID(nextID); err != nil {
-			return nil, &apiError{code: http.StatusInternalServerError, msg: fmt.Sprintf("persistence failure: %v", err)}
-		}
-		cfgJSON, err := json.Marshal(run.cfg)
-		if err != nil {
-			return nil, &apiError{code: http.StatusInternalServerError, msg: fmt.Sprintf("persistence failure: %v", err)}
-		}
-		run.log, err = s.store.CreateRun(id, cfgJSON)
-		if err != nil {
-			return nil, &apiError{code: http.StatusInternalServerError, msg: fmt.Sprintf("persistence failure: %v", err)}
-		}
-	}
-
 	// discard undoes the on-disk state if the run cannot be registered.
 	discard := func() {
-		if run.log != nil {
-			run.log.Close()
+		if run.slots != nil {
+			run.slots.Close()
 			s.store.DeleteRun(id)
+		}
+	}
+	if s.store != nil {
+		if err := s.persistNewRun(run, nextID); err != nil {
+			discard()
+			return nil, &apiError{code: http.StatusInternalServerError, msg: fmt.Sprintf("persistence failure: %v", err)}
 		}
 	}
 	s.mu.Lock()
@@ -723,6 +660,28 @@ func (s *Server) createRun(cfg RunConfig) (*Run, error) {
 	return run, nil
 }
 
+// persistNewRun persists the ID allocation first (IDs are never reused,
+// even across restarts), then the run's directory with its normalized
+// config — what recovery rebuilds the sampler from — and boundary 0.
+func (s *Server) persistNewRun(run *Run, nextID int64) error {
+	if err := s.store.SetNextID(nextID); err != nil {
+		return err
+	}
+	cfgJSON, err := json.Marshal(run.cfg)
+	if err != nil {
+		return err
+	}
+	if run.slots, err = s.store.CreateSlots(run.id, cfgJSON); err != nil {
+		return err
+	}
+	run.slots.SyncPerCycle()
+	snap, err := run.boundary()
+	if err != nil {
+		return err
+	}
+	return run.slots.Write(snap)
+}
+
 // lookup returns the run with the given ID.
 func (s *Server) lookup(id string) (*Run, bool) {
 	s.mu.RLock()
@@ -734,8 +693,8 @@ func (s *Server) lookup(id string) (*Run, bool) {
 // deleteRun removes a run, stops its worker (failing any queued jobs), and
 // ends its metric streams. It does not wait for the worker: an in-flight
 // round finishes in the background at its own pace. With a store, the
-// run's on-disk state (config, WAL, checkpoints) is removed as soon as the
-// worker has exited and released its log.
+// run's on-disk state (config and slots) is removed as soon as the worker
+// has exited and released its slot ring.
 func (s *Server) deleteRun(id string) bool {
 	s.mu.Lock()
 	r, ok := s.runs[id]
@@ -747,7 +706,7 @@ func (s *Server) deleteRun(id string) bool {
 	// that Wait (the WaitGroup contract), and Close always waits for every
 	// registered removal — a run the API confirmed deleted must not
 	// resurrect from leftover files on the next recovery.
-	async := ok && s.store != nil && r.log != nil && !s.closed
+	async := ok && r.slots != nil && !s.closed
 	if async {
 		s.cleanups.Add(1)
 	}
@@ -755,12 +714,11 @@ func (s *Server) deleteRun(id string) bool {
 	if !ok {
 		return false
 	}
-	r.deleted.Store(true)
 	r.cancel()
 	r.closeSubs()
 	s.metrics.Unregister("run", id)
 	removeDisk := func() {
-		<-r.workerDone // the worker closes the log on exit
+		<-r.workerDone // the worker closes the slot ring on exit
 		if err := s.store.DeleteRun(id); err != nil {
 			s.logger.Error("delete run disk state failed", "run", id, "err", err)
 		}
@@ -771,7 +729,7 @@ func (s *Server) deleteRun(id string) bool {
 			defer s.cleanups.Done()
 			removeDisk()
 		}()
-	case s.store != nil && r.log != nil:
+	case r.slots != nil:
 		// Close is already draining: remove synchronously on this handler
 		// goroutine (the worker exits promptly on the canceled context).
 		removeDisk()

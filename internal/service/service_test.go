@@ -127,6 +127,8 @@ func TestCreateRunDefaultsAndValidation(t *testing.T) {
 		`{"kind":"windowed","k":4}`,             // window missing
 		`{"kind":"windowed","k":4,"window":10,"chunk_len":4}`,               // not a multiple
 		`{"kind":"windowed","k":4,"window":8,"chunk_len":4,"uniform":true}`, // windowed is weighted only
+		`{"k":4,"checkpoint_rounds":64}`,                                    // removed option: every round is a boundary
+		`{"k":4,"checkpoint_bytes":4096}`,                                   // removed option
 	}
 	for _, cfg := range bad {
 		if code, raw := doJSON(t, "POST", ts.URL+"/v1/runs", cfg, nil); code != http.StatusBadRequest {

@@ -13,12 +13,18 @@ import (
 // round at a time, publishes a fresh snapshot after every round, and on
 // cancellation (run deletion or server shutdown) fails all still-queued
 // jobs so no waiter is left hanging. When the run is persisted, the worker
-// also owns all of its disk state: the write-ahead append before each
-// round, the checkpoint cadence, the final shutdown checkpoint, and the
-// WAL handle's release — persistence never adds a lock to the ingest path.
+// also owns its slot ring: the boundary write after each round and the
+// ring's release on exit — persistence never adds a lock to the ingest
+// path.
 func (r *Run) work() {
 	defer close(r.workerDone)
-	defer r.finishPersistence()
+	defer func() {
+		if r.slots != nil {
+			if err := r.slots.Close(); err != nil {
+				r.logger.Error("closing slots failed", "err", err)
+			}
+		}
+	}()
 	for {
 		select {
 		case <-r.ctx.Done():
@@ -90,16 +96,13 @@ func (r *Run) process(job *ingestJob) (res ingestResult) {
 				msg:  fmt.Sprintf("ingest stopped after %d of %d rounds: %v", i, job.rounds, err),
 			}}
 		}
+		if r.broken != nil {
+			return ingestResult{st: st, err: &apiError{code: http.StatusInternalServerError, msg: r.broken.Error()}}
+		}
 		if h := r.roundHook; h != nil {
 			h()
 		}
 		roundStart := time.Now()
-		// Write-ahead: the round's input must be durable in the WAL before
-		// it mutates the sampler. A job the queue rejected (429) never gets
-		// here, so backpressure leaves no dangling record.
-		if err := r.persistRound(job); err != nil {
-			return ingestResult{st: st, err: err}
-		}
 		if job.batches != nil {
 			if err := r.explicitRound(job.batches); err != nil {
 				return ingestResult{st: st, err: err}
@@ -107,17 +110,18 @@ func (r *Run) process(job *ingestJob) (res ingestResult) {
 		} else {
 			r.syntheticRound(job.src)
 		}
+		// The boundary is durable before anything observes the round. A
+		// job the queue rejected (429) never gets here, so backpressure
+		// writes no slot.
+		if err := r.persistBoundary(); err != nil {
+			return ingestResult{st: st, err: err}
+		}
 		r.pending.Add(-1)
 		completed++
 		st = r.publishSnapshot()
-		// Periodic checkpoints are amortized spikes, not steady-state
-		// drain cost — keep them out of the Retry-After estimate.
 		roundDur := time.Since(roundStart)
 		r.observeRound(roundDur)
 		r.mRoundSeconds.Observe(roundDur.Seconds())
-		if r.checkpointDue() {
-			r.checkpoint()
-		}
 	}
 	return ingestResult{st: st}
 }

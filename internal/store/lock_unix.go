@@ -10,8 +10,8 @@ import (
 )
 
 // acquireDirLock takes an exclusive advisory lock on <dir>/LOCK so two
-// processes cannot append to the same store concurrently (interleaved WAL
-// frames and dueling manifests would scramble recovery). flock releases
+// processes cannot write the same store concurrently (dueling slot writes
+// and manifests would scramble recovery). flock releases
 // automatically when the process dies, so a crash never leaves a stale
 // lock.
 func acquireDirLock(dir string) (*os.File, error) {

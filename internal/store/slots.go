@@ -10,19 +10,20 @@ import (
 	"time"
 )
 
-// Slots is a fixed ring of boundary slot files: the persistence of a
-// cluster node, whose state at a round boundary is a few KB and whose
-// recovery only ever restores a boundary (a lone node cannot replay a
-// round — rounds are cluster-wide collectives). The boundary of round r
-// overwrites slot r mod n in place with one write and one fsync; the
-// other n-1 slots still hold the previous boundaries, so a torn overwrite
-// (which fails its CRC) costs only the round being written. Slot contents
-// use the snapshot framing (CRC'd and round-stamped); a shorter boundary
-// written over a longer one leaves stale trailing bytes, which readers
-// ignore by decoding only the framed prefix.
+// Slots is a fixed ring of boundary slot files: the persistence of every
+// run, service run and cluster node alike. Between two rounds a sampler's
+// whole state is its reservoir, threshold and RNG — a few KB — so a round
+// boundary is all recovery ever needs: nothing is logged ahead of a round
+// and nothing is replayed. The boundary of round r overwrites slot
+// r mod n in place with one write, fsynced as Write describes; the other
+// n-1 slots still hold the previous boundaries, so a torn overwrite
+// (which fails its CRC) costs only the round being written.
+// Slot contents use the snapshot framing (CRC'd and round-stamped); a
+// shorter boundary written over a longer one leaves stale trailing bytes,
+// which readers ignore by decoding only the framed prefix.
 //
-// A Slots is used from one goroutine (the node's collective loop); its
-// mutex only coordinates with Store.Close.
+// A Slots is used from one goroutine (a service run's worker or a node's
+// collective loop); its mutex only coordinates with Store.Close.
 type Slots struct {
 	st *Store
 	id string
@@ -31,6 +32,11 @@ type Slots struct {
 	files  []*os.File // nil once closed
 	rounds []uint64   // round held by each slot
 	valid  []bool     // slot holds a decodable boundary
+	// durable is the slot holding the newest fsynced boundary (-1 before
+	// this process fsynced one). In per-cycle mode it is never
+	// overwritten before another slot is fsynced to take its place.
+	durable  int
+	perCycle bool // FsyncInterval fsyncs once per ring cycle (SyncPerCycle)
 }
 
 func slotName(i int) string { return fmt.Sprintf("slot-%d", i) }
@@ -53,8 +59,8 @@ func (s *Store) CreateSlots(id string, configJSON []byte) (*Slots, error) {
 
 // OpenSlots reopens an existing slot ring run and returns its persisted
 // config. A run directory holding WAL segments or checkpoint files is
-// refused: it was written by the earlier WAL-and-checkpoint node layout,
-// which this build cannot recover.
+// refused: it was written by the earlier WAL-and-checkpoint layout (of a
+// node or a service run), which this build cannot recover.
 func (s *Store) OpenSlots(id string) (configJSON []byte, sl *Slots, err error) {
 	dir := s.runDir(id)
 	entries, err := os.ReadDir(dir)
@@ -63,7 +69,7 @@ func (s *Store) OpenSlots(id string) (configJSON []byte, sl *Slots, err error) {
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), "wal-") || strings.HasPrefix(e.Name(), "snap-") {
-			return nil, nil, fmt.Errorf("store: run %s holds %s from the WAL-and-checkpoint node layout, not boundary slots; this build cannot recover it (move %s aside to start the node fresh)",
+			return nil, nil, fmt.Errorf("store: run %s holds %s from the WAL-and-checkpoint layout, not boundary slots; this build cannot recover it (move %s aside to start the run fresh)",
 				id, e.Name(), dir)
 		}
 	}
@@ -82,7 +88,7 @@ func (s *Store) OpenSlots(id string) (configJSON []byte, sl *Slots, err error) {
 // indexes the boundary each one holds.
 func (s *Store) openSlots(id, dir string) (*Slots, error) {
 	n := s.slotCount
-	sl := &Slots{st: s, id: id, files: make([]*os.File, n), rounds: make([]uint64, n), valid: make([]bool, n)}
+	sl := &Slots{st: s, id: id, files: make([]*os.File, n), rounds: make([]uint64, n), valid: make([]bool, n), durable: -1}
 	for i := range sl.files {
 		f, err := os.OpenFile(filepath.Join(dir, slotName(i)), os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
@@ -95,7 +101,7 @@ func (s *Store) openSlots(id, dir string) (*Slots, error) {
 		}
 	}
 	s.mu.Lock()
-	s.slots = append(s.slots, sl)
+	s.slots[sl] = struct{}{}
 	s.mu.Unlock()
 	return sl, nil
 }
@@ -119,8 +125,10 @@ func (sl *Slots) readSlot(i int) (*Snapshot, error) {
 }
 
 // Write persists snap as the boundary of snap.Round: one in-place write
-// of slot Round mod n and one fsync, whatever the store's fsync policy —
-// the boundary is durable when Write returns.
+// of slot Round mod n and, unless the store's policy is FsyncOff, one
+// fsync — the boundary is durable when Write returns. A ring switched to
+// SyncPerCycle fsyncs less under FsyncInterval (see there). A process
+// crash loses no completed write under any policy.
 func (sl *Slots) Write(snap *Snapshot) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -128,19 +136,63 @@ func (sl *Slots) Write(snap *Snapshot) error {
 		return fmt.Errorf("store: run %s slots are closed", sl.id)
 	}
 	i := int(snap.Round % uint64(len(sl.files)))
-	sl.valid[i] = false // until the fsync lands, the slot may be torn
-	f := sl.files[i]
-	if _, err := f.WriteAt(EncodeSnapshot(snap), 0); err != nil {
+	cycle := sl.perCycle && sl.st.policy == FsyncInterval
+	if cycle && i == sl.durable {
+		if j := sl.newestOther(i); j >= 0 {
+			if err := sl.sync(j); err != nil {
+				return err
+			}
+		}
+	}
+	sl.valid[i] = false // until the write lands, the slot may be torn
+	if _, err := sl.files[i].WriteAt(EncodeSnapshot(snap), 0); err != nil {
 		return sl.st.noteErr(fmt.Errorf("store: run %s write %s: %w", sl.id, slotName(i), err))
 	}
-	start := time.Now()
-	if err := f.Sync(); err != nil {
-		return sl.st.noteErr(fmt.Errorf("store: run %s sync %s: %w", sl.id, slotName(i), err))
+	if sl.st.policy != FsyncOff && (!cycle || sl.durable < 0 || sl.durable == i) {
+		if err := sl.sync(i); err != nil {
+			return err
+		}
 	}
-	sl.st.slotFsyncSeconds.Observe(time.Since(start).Seconds())
 	sl.rounds[i], sl.valid[i] = snap.Round, true
 	sl.st.checkpoints.Add(1)
 	return nil
+}
+
+// SyncPerCycle relaxes FsyncInterval for this ring from one fsync per
+// write to one per ring cycle: the first write is fsynced, and before a
+// write would overwrite the newest fsynced boundary, the newest boundary
+// in another slot is fsynced to take its place. A power failure then
+// loses at most the n-1 newest boundaries, never the whole ring.
+// FsyncAlways and FsyncOff are unaffected. Service runs use it, so a
+// round does not wait for the disk; cluster nodes, whose resync protocol
+// expects every reported boundary to survive, keep one fsync per write.
+func (sl *Slots) SyncPerCycle() {
+	sl.mu.Lock()
+	sl.perCycle = true
+	sl.mu.Unlock()
+}
+
+// sync fsyncs slot i, making it the durable slot. Caller holds sl.mu.
+func (sl *Slots) sync(i int) error {
+	start := time.Now()
+	if err := sl.files[i].Sync(); err != nil {
+		return sl.st.noteErr(fmt.Errorf("store: run %s sync %s: %w", sl.id, slotName(i), err))
+	}
+	sl.st.slotFsyncSeconds.Observe(time.Since(start).Seconds())
+	sl.durable = i
+	return nil
+}
+
+// newestOther returns the slot other than i holding the newest valid
+// boundary, or -1. Caller holds sl.mu.
+func (sl *Slots) newestOther(i int) int {
+	best := -1
+	for j, ok := range sl.valid {
+		if ok && j != i && (best < 0 || sl.rounds[j] > sl.rounds[best]) {
+			best = j
+		}
+	}
+	return best
 }
 
 // Rounds lists the rounds of the slots holding a valid boundary,
@@ -191,10 +243,10 @@ func (sl *Slots) Latest() (*Snapshot, error) {
 	return sl.Read(rounds[len(rounds)-1])
 }
 
-// Close closes the slot files. Every write was already fsynced.
+// Close closes the slot files and drops the ring from the store's
+// registry. Every write was already complete when it returned.
 func (sl *Slots) Close() error {
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
 	var first error
 	for _, f := range sl.files {
 		if f == nil {
@@ -205,5 +257,9 @@ func (sl *Slots) Close() error {
 		}
 	}
 	sl.files = nil
+	sl.mu.Unlock()
+	sl.st.mu.Lock()
+	delete(sl.st.slots, sl)
+	sl.st.mu.Unlock()
 	return first
 }

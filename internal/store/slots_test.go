@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"reservoir/internal/metrics"
 )
 
 // boundaryBlob is a distinguishable blob of n bytes for round r.
@@ -208,9 +211,9 @@ func TestSlotsTornWriteEveryOffset(t *testing.T) {
 	}
 }
 
-// TestOpenSlotsRefusesWALLayout: a node directory written by the
-// WAL-and-checkpoint layout (wal-*/snap-* files, no slots) is refused
-// with an error that names the problem.
+// TestOpenSlotsRefusesWALLayout: a run directory written by the
+// WAL-and-checkpoint layout (wal-*/snap-* files) is refused with an error
+// that names the problem, for nodes and service runs alike.
 func TestOpenSlotsRefusesWALLayout(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, WithFsync(FsyncOff), WithSnapshotRetention(4))
@@ -218,16 +221,77 @@ func TestOpenSlotsRefusesWALLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	l, err := st.CreateRun("node", []byte(`{"p":4}`))
-	if err != nil {
+	// The earlier layout: config.json, a WAL segment and a checkpoint.
+	runDir := filepath.Join(dir, "runs", "node")
+	if err := os.MkdirAll(runDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(&Snapshot{Round: 1, Kind: 9, Blob: []byte{1}}); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string]string{
+		"config.json":                `{"p":4}`,
+		"wal-0000000000000001.log":   "\x01",
+		"snap-0000000000000001.snap": "\x01",
+	} {
+		if err := os.WriteFile(filepath.Join(runDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	l.Close()
 	_, _, err = st.OpenSlots("node")
 	if err == nil || !strings.Contains(err.Error(), "WAL-and-checkpoint") {
 		t.Fatalf("OpenSlots over a WAL layout: error %v, want a layout refusal", err)
+	}
+}
+
+// TestSlotsFsyncPolicies: FsyncAlways and FsyncInterval fsync every
+// boundary; a per-cycle ring under FsyncInterval fsyncs once per ring
+// cycle and never overwrites its newest fsynced boundary before another
+// slot is fsynced, so that boundary is at most n-1 rounds old; FsyncOff
+// never fsyncs.
+func TestSlotsFsyncPolicies(t *testing.T) {
+	const n, rounds = 4, 40
+	for _, tc := range []struct {
+		policy   FsyncPolicy
+		perCycle bool
+		syncs    uint64
+	}{
+		{FsyncAlways, false, rounds},
+		{FsyncAlways, true, rounds},
+		{FsyncInterval, false, rounds},
+		// Boundary 0, then before rounds n, 2n-1, 3n-2, ...
+		{FsyncInterval, true, 1 + (rounds-2)/(n-1)},
+		{FsyncOff, true, 0},
+	} {
+		t.Run(fmt.Sprintf("%s/per-cycle=%v", tc.policy, tc.perCycle), func(t *testing.T) {
+			st, err := Open(t.TempDir(), WithFsync(tc.policy), WithSnapshotRetention(n), WithMetrics(metrics.NewRegistry()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			sl, err := st.CreateSlots("run", []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.perCycle {
+				sl.SyncPerCycle()
+			}
+			for r := uint64(0); r < rounds; r++ {
+				durable, before := sl.durable, uint64(0)
+				if durable >= 0 {
+					before = sl.rounds[durable]
+				}
+				writeRounds(t, sl, r, r+1, func(uint64) int { return 50 })
+				if tc.policy == FsyncOff {
+					continue
+				}
+				if durable >= 0 && sl.durable == durable && sl.rounds[durable] != before && tc.perCycle {
+					t.Fatalf("round %d overwrote the durable slot without fsyncing another first", r)
+				}
+				if d := sl.durable; d < 0 || !sl.valid[d] || sl.rounds[d]+n-1 < r {
+					t.Fatalf("after round %d the newest fsynced boundary is slot %d, more than %d rounds old", r, d, n-1)
+				}
+			}
+			if got := st.slotFsyncSeconds.Count(); got != tc.syncs {
+				t.Fatalf("%d fsyncs over %d rounds, want %d", got, rounds, tc.syncs)
+			}
+		})
 	}
 }

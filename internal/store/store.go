@@ -8,22 +8,24 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"reservoir/internal/metrics"
 )
 
-// FsyncPolicy controls when WAL appends reach stable storage.
+// FsyncPolicy controls whether boundary slot writes reach stable storage
+// before they are acknowledged.
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (the default) batches fsyncs on a background timer: a
-	// crash loses at most the last interval of accepted rounds to a power
-	// failure (an OS-level crash of just the process loses nothing).
+	// FsyncInterval (the default) fsyncs every slot write, except on a
+	// ring switched to Slots.SyncPerCycle (a service run), which it
+	// fsyncs once per ring cycle: a power failure loses at most that
+	// ring's n-1 newest boundaries.
 	FsyncInterval FsyncPolicy = iota
-	// FsyncAlways fsyncs after every appended record.
+	// FsyncAlways fsyncs every slot write.
 	FsyncAlways
-	// FsyncOff never fsyncs; durability rests on the OS page cache.
+	// FsyncOff never fsyncs; durability rests on the OS page cache (a
+	// process crash loses nothing, a power failure may).
 	FsyncOff
 )
 
@@ -62,48 +64,38 @@ type manifest struct {
 }
 
 // manifestVersion 2: the sharded scan became the only scan, so a
-// version-1 store's WALs would replay onto a different sampling stream.
+// version-1 store's runs would resume on a different sampling stream.
 const manifestVersion = 2
 
-// Status is the store health summary surfaced by GET /healthz.
+// Status is the store health summary surfaced by GET /healthz: Runs is the
+// number of open slot rings, Checkpoints the slot writes since Open.
 type Status struct {
 	Dir         string `json:"dir"`
 	Fsync       string `json:"fsync"`
 	Runs        int    `json:"runs"`
-	WALAppends  int64  `json:"wal_appends"`
-	WALBytes    int64  `json:"wal_bytes"`
 	Checkpoints int64  `json:"checkpoints"`
 	LastError   string `json:"last_error,omitempty"`
 }
 
 // Store is one persistence directory: MANIFEST.json plus one subdirectory
-// per run under runs/, each holding config.json and either WAL segments
-// and snapshot files (service runs) or boundary slots (a cluster node).
+// per run under runs/, each holding config.json and a ring of boundary
+// slots (a service run, or a cluster node's state).
 type Store struct {
 	dir       string
 	policy    FsyncPolicy
-	interval  time.Duration
 	slotCount int // boundary slots per slot ring (>= 2)
 
-	mu    sync.Mutex // guards manifest writes and the log and slot registries
+	mu    sync.Mutex // guards manifest writes and the slot registry
 	man   manifest
-	logs  map[string]*RunLog
-	slots []*Slots
+	slots map[*Slots]struct{}
 
-	walAppends    atomic.Int64
-	walBytesTotal atomic.Int64
-	checkpoints   atomic.Int64
-	lastErr       atomic.Pointer[string]
+	checkpoints atomic.Int64
+	lastErr     atomic.Pointer[string]
 
 	// Optional /metrics instrumentation (nil when WithMetrics was not
 	// given; *metrics.Histogram methods are nil-receiver no-ops).
-	appendSeconds    *metrics.Histogram
-	fsyncSeconds     *metrics.Histogram
 	slotFsyncSeconds *metrics.Histogram
 
-	stopSync chan struct{}
-	syncDone chan struct{}
-	stopOnce sync.Once
 	lockFile *os.File // exclusive flock on the data dir (nil off-unix)
 }
 
@@ -115,65 +107,43 @@ func WithFsync(p FsyncPolicy) Option {
 	return func(s *Store) { s.policy = p }
 }
 
-// WithFsyncInterval sets the background fsync cadence of FsyncInterval
-// (default 100ms).
-func WithFsyncInterval(d time.Duration) Option {
-	return func(s *Store) {
-		if d > 0 {
-			s.interval = d
-		}
-	}
-}
+// defaultSlotCount is the ring size of a store opened without
+// WithSnapshotRetention (a service store). A per-cycle ring of n slots
+// under FsyncInterval costs one fsync per n-1 rounds and loses at most
+// n-1 rounds to a power failure.
+const defaultSlotCount = 8
 
-// WithSnapshotRetention sizes a cluster node's boundary slot ring: the n
-// newest round boundaries stay restorable (n is raised to at least 2).
-// Node recovery uses this history so a restarted node can roll back to
-// whichever round boundary the survivors agree on, not just its own
-// newest. Service runs keep only their newest checkpoint.
+// WithSnapshotRetention sizes every slot ring: the n newest round
+// boundaries stay restorable (n is raised to at least 2; the default is
+// defaultSlotCount). Node recovery uses this history so a restarted node
+// can roll back to whichever round boundary the survivors agree on, not
+// just its own newest; a service run only ever restores its newest
+// boundary.
 func WithSnapshotRetention(n int) Option {
 	return func(s *Store) { s.slotCount = max(n, 2) }
 }
 
 // WithMetrics registers the store's persistence instrumentation on reg:
-// WAL append, WAL fsync and slot fsync latency histograms, plus counter
-// views over the append/byte/checkpoint totals the store already tracks
-// (read at scrape time — no extra hot-path accounting).
+// the slot fsync latency histogram and a counter view over the slot
+// writes the store already tracks (read at scrape time — no extra
+// hot-path accounting).
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Store) {
 		if reg == nil {
 			return
 		}
-		s.appendSeconds = reg.NewHistogram("reservoir_store_wal_append_seconds",
-			"WAL append latency (write plus fsync under the always policy).",
-			metrics.DefBuckets, nil)
-		s.fsyncSeconds = reg.NewHistogram("reservoir_store_wal_fsync_seconds",
-			"WAL fsync latency (per append under always, per flush under interval).",
-			metrics.DefBuckets, nil)
-		reg.CounterFunc("reservoir_store_wal_appends_total",
-			"Round records appended to WAL segments.",
-			nil, nil, func() float64 { return float64(s.walAppends.Load()) })
-		reg.CounterFunc("reservoir_store_wal_bytes_total",
-			"Bytes appended to WAL segments.",
-			nil, nil, func() float64 { return float64(s.walBytesTotal.Load()) })
 		s.slotFsyncSeconds = reg.NewHistogram("reservoir_store_slot_fsync_seconds",
-			"Boundary slot fsync latency (one per node round boundary, under every fsync policy).",
+			"Boundary slot fsync latency (every boundary under always; every node boundary and one per service ring cycle under interval; none under off).",
 			metrics.DefBuckets, nil)
 		reg.CounterFunc("reservoir_store_checkpoints_total",
-			"Sampler checkpoints persisted (service WAL rotations and node boundary slot writes).",
+			"Round boundaries persisted: one boundary slot write per service run round or node round.",
 			nil, nil, func() float64 { return float64(s.checkpoints.Load()) })
 	}
 }
 
 // Open creates or reopens a store rooted at dir.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{
-		dir:       dir,
-		interval:  100 * time.Millisecond,
-		slotCount: 2,
-		logs:      make(map[string]*RunLog),
-		stopSync:  make(chan struct{}),
-		syncDone:  make(chan struct{}),
-	}
+	s := &Store{dir: dir, slotCount: defaultSlotCount, slots: make(map[*Slots]struct{})}
 	for _, o := range opts {
 		o(s)
 	}
@@ -204,11 +174,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 	} else {
 		return fail(fmt.Errorf("store: %w", err))
-	}
-	if s.policy == FsyncInterval {
-		go s.syncLoop()
-	} else {
-		close(s.syncDone)
 	}
 	return s, nil
 }
@@ -249,25 +214,6 @@ func (s *Store) SetNextID(n int64) error {
 	return s.writeManifest()
 }
 
-// CreateRun initializes on-disk state for a new run: its directory, the
-// config.json (written atomically), and an empty WAL segment starting at
-// round 0. The returned RunLog is registered for interval fsyncs.
-func (s *Store) CreateRun(id string, configJSON []byte) (*RunLog, error) {
-	dir, err := s.createRunDir(id, configJSON)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, s.noteErr(fmt.Errorf("store: create run %s wal: %w", id, err))
-	}
-	syncDir(dir)
-	syncDir(s.runsDir())
-	l := newRunLog(s, id, dir, f, 0, 0)
-	s.register(l)
-	return l, nil
-}
-
 // createRunDir makes a run's directory and writes its config.json
 // atomically.
 func (s *Store) createRunDir(id string, configJSON []byte) (string, error) {
@@ -279,123 +225,6 @@ func (s *Store) createRunDir(id string, configJSON []byte) (string, error) {
 		return "", s.noteErr(fmt.Errorf("store: write run %s config: %w", id, err))
 	}
 	return dir, nil
-}
-
-// RunState is what recovery needs before replay: the run's config and the
-// newest valid snapshot (nil if the run was never checkpointed). The WAL
-// records past the snapshot are streamed separately with ReplayRecords so
-// recovery memory stays bounded even for runs that never checkpoint.
-type RunState struct {
-	Config   []byte
-	Snapshot *Snapshot
-	// Warning notes recoverable damage (e.g. a torn tail that was
-	// truncated); the run still recovers to the last consistent round.
-	Warning error
-}
-
-// LoadRun reads a run's persisted state and reopens its WAL for appending.
-// The active segment is the newest one on disk. A torn tail on the active
-// segment (crash mid-append) is truncated away before the segment is
-// reopened, so post-recovery appends land behind a valid record prefix
-// instead of behind garbage that would shadow them on the next recovery.
-//
-// A checkpointed run (its oldest WAL segment starts past round 0) whose
-// snapshots have all become unreadable is NOT loadable: pretending it is
-// would silently reset acknowledged data to round 0 and corrupt the
-// WAL's round numbering for every future recovery. LoadRun returns an
-// error instead, and the caller leaves the files for inspection.
-func (s *Store) LoadRun(id string) (*RunState, *RunLog, error) {
-	dir := s.runDir(id)
-	cfg, err := os.ReadFile(filepath.Join(dir, "config.json"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: run %s: %w", id, err)
-	}
-	st := &RunState{Config: cfg}
-	if dropped, terr := truncateActiveTail(dir); terr != nil {
-		st.Warning = terr
-	} else if dropped > 0 {
-		st.Warning = fmt.Errorf("store: run %s: dropped %d torn/corrupt trailing WAL bytes", id, dropped)
-	}
-	var snapErr error
-	st.Snapshot, snapErr = latestSnapshot(dir)
-	if snapErr != nil && st.Warning == nil {
-		st.Warning = snapErr
-	}
-	starts, err := segmentStarts(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: run %s: %w", id, err)
-	}
-	if st.Snapshot == nil && len(starts) > 0 && starts[0] > 0 {
-		return nil, nil, fmt.Errorf(
-			"store: run %s was checkpointed (WAL starts at round %d) but no snapshot decodes (%v); refusing to reset it to round 0",
-			id, starts[0], snapErr)
-	}
-
-	// Reopen the newest segment for appending.
-	segStart := uint64(0)
-	if len(starts) > 0 {
-		segStart = starts[len(starts)-1]
-	}
-	path := filepath.Join(dir, segName(segStart))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, s.noteErr(fmt.Errorf("store: reopen run %s wal: %w", id, err))
-	}
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	l := newRunLog(s, id, dir, f, segStart, size)
-	s.register(l)
-	return st, l, nil
-}
-
-// errStopReplay aborts a segment scan from inside the per-record callback.
-var errStopReplay = fmt.Errorf("store: stop replay")
-
-// ReplayRecords streams the run's WAL records with Round >= from to fn, in
-// round order, one record in memory at a time, enforcing contiguity:
-// records a snapshot already covers are skipped, and the stream stops at
-// the first gap or corrupt frame (warn reports why; everything before it
-// was delivered). An error returned by fn aborts the replay and is
-// returned as err. Call after restoring the RunState snapshot, with from
-// set to the restored round.
-func (s *Store) ReplayRecords(id string, from uint64, fn func(*RoundRecord) error) (replayed int, warn, err error) {
-	dir := s.runDir(id)
-	starts, err := segmentStarts(dir)
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: run %s: %w", id, err)
-	}
-	expect := from
-	var fnErr error
-	for _, start := range starts {
-		_, serr := replaySegment(filepath.Join(dir, segName(start)), func(rec *RoundRecord) error {
-			if rec.Round < expect {
-				return nil // covered by the snapshot (or a stale overlap)
-			}
-			if rec.Round > expect {
-				warn = fmt.Errorf("store: run %s: missing WAL record for round %d (next is %d)", id, expect, rec.Round)
-				return errStopReplay
-			}
-			if err := fn(rec); err != nil {
-				fnErr = err
-				return errStopReplay
-			}
-			expect++
-			replayed++
-			return nil
-		})
-		if fnErr != nil {
-			return replayed, warn, fnErr
-		}
-		if serr != nil && serr != errStopReplay && warn == nil {
-			warn = fmt.Errorf("store: run %s: %s: %w", id, segName(start), serr)
-		}
-		if warn != nil {
-			break // replay only the consistent prefix
-		}
-	}
-	return replayed, warn, nil
 }
 
 // ListRuns returns the IDs of all persisted runs, sorted.
@@ -414,26 +243,14 @@ func (s *Store) ListRuns() ([]string, error) {
 	return ids, nil
 }
 
-// DeleteRun removes a run's on-disk state entirely. Any registered RunLog
-// for the run must be closed first (the run's worker does this on exit).
+// DeleteRun removes a run's on-disk state entirely. The run's slot ring
+// must be closed first (a service run's worker does this on exit).
 func (s *Store) DeleteRun(id string) error {
 	if err := os.RemoveAll(s.runDir(id)); err != nil {
 		return s.noteErr(fmt.Errorf("store: delete run %s: %w", id, err))
 	}
 	syncDir(s.runsDir())
 	return nil
-}
-
-func (s *Store) register(l *RunLog) {
-	s.mu.Lock()
-	s.logs[l.id] = l
-	s.mu.Unlock()
-}
-
-func (s *Store) unregister(id string) {
-	s.mu.Lock()
-	delete(s.logs, id)
-	s.mu.Unlock()
 }
 
 // noteErr records the most recent storage error for /healthz and returns it.
@@ -446,14 +263,12 @@ func (s *Store) noteErr(err error) error {
 // Status summarizes the store for health reporting.
 func (s *Store) Status() Status {
 	s.mu.Lock()
-	runs := len(s.logs)
+	runs := len(s.slots)
 	s.mu.Unlock()
 	st := Status{
 		Dir:         s.dir,
 		Fsync:       s.policy.String(),
 		Runs:        runs,
-		WALAppends:  s.walAppends.Load(),
-		WALBytes:    s.walBytesTotal.Load(),
 		Checkpoints: s.checkpoints.Load(),
 	}
 	if p := s.lastErr.Load(); p != nil {
@@ -472,52 +287,17 @@ func (s *Store) Abandon() {
 	s.lockFile = nil
 }
 
-// syncLoop is the FsyncInterval background syncer: every interval it
-// fsyncs all logs with unsynced appends.
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSync:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			logs := make([]*RunLog, 0, len(s.logs))
-			for _, l := range s.logs {
-				logs = append(logs, l)
-			}
-			s.mu.Unlock()
-			for _, l := range logs {
-				if err := l.sync(); err != nil {
-					s.noteErr(fmt.Errorf("store: interval sync run %s: %w", l.id, err))
-				}
-			}
-		}
-	}
-}
-
-// Close stops the background syncer and closes every registered log
-// (flushing pending writes). The service closes run logs from their
-// workers first; Close handles whatever remains.
+// Close closes every slot ring still open and releases the directory
+// lock. Every slot write was already complete when it returned, so
+// nothing is flushed here.
 func (s *Store) Close() error {
-	s.stopOnce.Do(func() { close(s.stopSync) })
-	<-s.syncDone
 	s.mu.Lock()
-	logs := make([]*RunLog, 0, len(s.logs))
-	for _, l := range s.logs {
-		logs = append(logs, l)
+	slots := make([]*Slots, 0, len(s.slots))
+	for sl := range s.slots {
+		slots = append(slots, sl)
 	}
-	slots := s.slots
-	s.slots = nil
 	s.mu.Unlock()
 	var first error
-	for _, l := range logs {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, sl := range slots {
 		if err := sl.Close(); err != nil && first == nil {
 			first = err
@@ -525,4 +305,45 @@ func (s *Store) Close() error {
 	}
 	releaseDirLock(s.lockFile)
 	return first
+}
+
+// writeFileAtomic writes data to path via a temp file in dir, fsyncing the
+// file and then the directory, so the target name only ever refers to a
+// complete file.
+func writeFileAtomic(dir, path string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	cleanup := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir fsyncs a directory so renames and creates within it are durable.
+// Best effort: some filesystems reject directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
 }

@@ -8,8 +8,8 @@
 // Every scenario is synthesized counter-based from (seed, pe, round, i):
 // re-requesting any batch reproduces it bit-identically, so scenarios are
 // usable everywhere the uniform synthetic stream is — service ingest, node
-// mode, WAL replay, reservoir-verify -match — and stay replayable under the
-// determinism analyzer. Batches are workload.SynthBatch values, generated
+// mode, chaos resync re-execution, reservoir-verify -match — and stay
+// replayable under the determinism analyzer. Batches are workload.SynthBatch values, generated
 // in O(1) memory regardless of length.
 //
 // The statistical acceptance harness (internal/stats/accept) runs the
@@ -33,8 +33,8 @@ const maxBatchLen = 1 << 20
 
 // Spec is the JSON-serializable description of one scenario. The zero
 // value of every optional field means "use the documented default", so
-// specs stay terse on the wire (service ingest requests, sample dumps,
-// WAL records all carry them verbatim).
+// specs stay terse on the wire (service ingest requests, node round
+// commands and sample dumps all carry them verbatim).
 type Spec struct {
 	// Name labels the scenario in reports and dumps (presets fill it in).
 	Name string `json:"name,omitempty"`

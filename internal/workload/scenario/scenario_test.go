@@ -110,8 +110,8 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-// TestDeterministicResynthesis is the contract the WAL replay, node mode,
-// and verify -match all rely on: two independently compiled sources with
+// TestDeterministicResynthesis is the contract node mode, the chaos
+// resync re-execution and verify -match all rely on: two independently compiled sources with
 // the same (spec, seed) must emit bit-identical streams, and re-requesting
 // a batch must reproduce it.
 func TestDeterministicResynthesis(t *testing.T) {

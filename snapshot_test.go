@@ -1,6 +1,8 @@
 package reservoir
 
 import (
+	"bytes"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -125,13 +127,6 @@ func TestSnapshotBeforeThreshold(t *testing.T) {
 
 func TestSnapshotErrors(t *testing.T) {
 	cfg := Config{K: 10, Weighted: true, Seed: 1}
-	gcl, err := NewCluster(2, cfg, WithAlgorithm(CentralizedGather))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gcl.Snapshot(); err == nil {
-		t.Error("gather cluster snapshot should fail")
-	}
 	if _, err := RestoreCluster(cfg, nil); err == nil {
 		t.Error("empty snapshot accepted")
 	}
@@ -152,5 +147,54 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if _, err := RestoreCluster(cfg, blob, WithAlgorithm(CentralizedGather)); err == nil {
 		t.Error("restore into gather cluster accepted")
+	}
+	gcl, err := NewCluster(2, cfg, WithAlgorithm(CentralizedGather))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcl.ProcessRound(UniformSource{Seed: 3, BatchLen: 100, Lo: 0, Hi: 1})
+	gblob, err := gcl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreCluster(cfg, gblob); err == nil {
+		t.Error("gather snapshot restored into a distributed cluster")
+	}
+}
+
+// TestGatherClusterSnapshotResumesIdentically: a gather cluster restored
+// from a snapshot reports the same round, counters and sample, snapshots
+// to the same bytes, and continues on the same sampling stream.
+func TestGatherClusterSnapshotResumesIdentically(t *testing.T) {
+	cfg := Config{K: 30, Weighted: true, Seed: 8}
+	opt := WithAlgorithm(CentralizedGather)
+	cl, err := NewCluster(3, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := UniformSource{Seed: 6, BatchLen: 200, Lo: 0, Hi: 100}
+	for round := 0; round < 4; round++ {
+		cl.ProcessRound(src)
+	}
+	blob, err := cl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreCluster(cfg, blob, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, blob) {
+		t.Fatalf("restored gather cluster snapshots differently (%v)", err)
+	}
+	if restored.Round() != cl.Round() || restored.Counters() != cl.Counters() {
+		t.Fatalf("restored round/counters %d %+v, want %d %+v", restored.Round(), restored.Counters(), cl.Round(), cl.Counters())
+	}
+	for round := 0; round < 3; round++ {
+		cl.ProcessRound(src)
+		restored.ProcessRound(src)
+	}
+	if got, want := sampleIDs(restored.Sample()), sampleIDs(cl.Sample()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored gather cluster diverged: %v vs %v", got, want)
 	}
 }
