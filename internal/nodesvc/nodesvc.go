@@ -126,10 +126,11 @@ type Options struct {
 	Listener net.Listener
 	// Store enables crash-restart persistence: this node's per-round
 	// boundaries live in its ring of slot files, one in-place write and
-	// fsync per round (each node of the cluster needs its *own* store
-	// directory). Open it with a snapshot retention of at least 4
-	// (store.WithSnapshotRetention), which sizes the ring, so a restarted
-	// node can roll back to the survivors' boundary.
+	// (unless the policy is FsyncOff) one fsync per round (each node of
+	// the cluster needs its *own* store directory). Open it with a
+	// snapshot retention of at least 4 (store.WithSnapshotRetention),
+	// which sizes the ring, so a restarted node can roll back to the
+	// survivors' boundary.
 	Store *store.Store
 	// Log receives lifecycle messages (default: silent). The server adds
 	// component and rank attributes.

@@ -3,8 +3,9 @@ package nodesvc
 // Node-mode persistence: each node owns its own store directory holding
 // one run ("node"): config.json plus a fixed ring of boundary slot files
 // (store.Slots). Every completed round's boundary overwrites one slot in
-// place with one write and one fsync, and crash-restart recovery restores
-// the newest valid slot (or, when the cluster rolls back, an older one).
+// place with one write and (unless -fsync off) one fsync, and
+// crash-restart recovery restores the newest valid slot (or, when the
+// cluster rolls back, an older one).
 // Nothing is logged ahead of a round: a lone node cannot replay a round —
 // rounds are cluster-wide collectives — so recovery is boundary-only and
 // cluster redundancy, not write-ahead logging, is the durability contract
@@ -197,7 +198,8 @@ func boundaryState(snap *store.Snapshot) (*diskState, error) {
 
 // captureBoundary snapshots the node's state as the newest restorable
 // round boundary: into the in-memory ring always, and — with a store —
-// into its slot ring, fsynced before the command replies.
+// into its slot ring, fsynced (unless -fsync off) before the command
+// replies.
 func (s *Server) captureBoundary() error {
 	if s.ft == nil && s.st == nil {
 		return nil // nothing can consume a boundary; skip the per-round marshal

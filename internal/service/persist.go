@@ -5,8 +5,8 @@ package service
 // applies, the run's worker writes the run's whole sampler state at that
 // round boundary into the ring — before the round's read view is
 // published and before the job is acknowledged, so an acknowledged round
-// survives a process crash. Against power failure, -fsync always fsyncs
-// every boundary and interval once per ring cycle (Slots.SyncPerCycle).
+// survives a process crash, and under -fsync always or interval (both
+// fsync every boundary) a power failure.
 // Recovery restores the newest valid slot and replays nothing (DESIGN.md
 // §6).
 
@@ -160,7 +160,6 @@ func (s *Server) recoverRun(id string) error {
 	if err := run.restoreSnapshot(snap); err != nil {
 		return fail(err)
 	}
-	slots.SyncPerCycle()
 	run.slots = slots
 	run.logger = s.logger.With("run", id)
 	// Publish the recovered read view before the worker starts; from then

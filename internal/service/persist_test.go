@@ -289,7 +289,8 @@ func TestQueueFullWritesNoSlot(t *testing.T) {
 		t.Fatalf("%d boundaries written, want 3 (creation plus the 2 applied rounds)", n)
 	}
 
-	// Hard stop and inspect the ring: the newest boundary is round 2.
+	// Hard stop and inspect the two-slot ring: it holds the boundaries of
+	// the two applied rounds, the newest being round 2.
 	ts.Close()
 	st.Abandon()
 	st2, err := store.Open(dir, store.WithFsync(store.FsyncOff))
@@ -302,8 +303,8 @@ func TestQueueFullWritesNoSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer slots.Close()
-	if got := slots.Rounds(); !reflect.DeepEqual(got, []uint64{0, 1, 2}) {
-		t.Fatalf("slot ring holds rounds %v, want [0 1 2]", got)
+	if got := slots.Rounds(); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("slot ring holds rounds %v, want [1 2]", got)
 	}
 }
 
@@ -488,7 +489,10 @@ func TestTornNewestSlotRecoversPreviousRound(t *testing.T) {
 // run kind: the ingest answers 500, the published round count does not
 // move, the sampler is rolled back to the last durable boundary (so the
 // next ingest matches a twin that never saw the failed batch), and the
-// disk state recovers to the same run.
+// disk state recovers to the same run. A cluster run is rolled back by
+// restoring its boundary, as recovery does, so its virtual time, network
+// and timing stats restart from zero: the failed round is never
+// published, and the next round reports only its own cost.
 func TestFailedSlotWriteRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	svc, st := openRecovered(t, dir)
@@ -504,6 +508,7 @@ func TestFailedSlotWriteRollsBack(t *testing.T) {
 			ingestDirect(twin, id, b)
 		}
 		r, _ := svc.lookup(id)
+		before := r.stats()
 		r.slotHook = func() error { return fmt.Errorf("injected write failure") }
 		if code := ingestDirect(svc, id, makeBatches(k.p, 40, 90_001)); code != http.StatusInternalServerError {
 			t.Fatalf("%s: failed slot write answered %d, want 500", k.name, code)
@@ -512,11 +517,28 @@ func TestFailedSlotWriteRollsBack(t *testing.T) {
 		if got, want := viewOf(t, svc, id), viewOf(t, twin, id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: after the failed write %+v, want unchanged %+v", k.name, got, want)
 		}
+		if got := r.stats(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: the failed round changed the published stats: %+v, was %+v", k.name, got, before)
+		}
+		twinRun, _ := twin.lookup(id)
+		twinStats := twinRun.stats()
 		next := makeBatches(k.p, 40, 50_001)
 		ingestDirect(svc, id, next)
 		ingestDirect(twin, id, next)
 		if got, want := viewOf(t, svc, id), viewOf(t, twin, id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: next ingest %+v, want the twin's %+v", k.name, got, want)
+		}
+		if got := r.stats(); got.Network != nil {
+			twinNext := twinRun.stats()
+			if want := twinNext.Network.Messages - twinStats.Network.Messages; got.Network.Messages != want {
+				t.Fatalf("%s: %d messages after the rollback, want the %d of one round", k.name, got.Network.Messages, want)
+			}
+			if got.VirtualTimeNS <= 0 || got.VirtualTimeNS >= twinNext.VirtualTimeNS {
+				t.Fatalf("%s: virtual time %v after the rollback, want one round's, below the twin's %v", k.name, got.VirtualTimeNS, twinNext.VirtualTimeNS)
+			}
+			if got.Timing.TotalNS <= 0 || got.Timing.TotalNS >= twinNext.Timing.TotalNS {
+				t.Fatalf("%s: timing total %v after the rollback, want one round's, below the twin's %v", k.name, got.Timing.TotalNS, twinNext.Timing.TotalNS)
+			}
 		}
 	}
 	st.Abandon()

@@ -674,7 +674,6 @@ func (s *Server) persistNewRun(run *Run, nextID int64) error {
 	if run.slots, err = s.store.CreateSlots(run.id, cfgJSON); err != nil {
 		return err
 	}
-	run.slots.SyncPerCycle()
 	snap, err := run.boundary()
 	if err != nil {
 		return err

@@ -32,11 +32,6 @@ type Slots struct {
 	files  []*os.File // nil once closed
 	rounds []uint64   // round held by each slot
 	valid  []bool     // slot holds a decodable boundary
-	// durable is the slot holding the newest fsynced boundary (-1 before
-	// this process fsynced one). In per-cycle mode it is never
-	// overwritten before another slot is fsynced to take its place.
-	durable  int
-	perCycle bool // FsyncInterval fsyncs once per ring cycle (SyncPerCycle)
 }
 
 func slotName(i int) string { return fmt.Sprintf("slot-%d", i) }
@@ -88,7 +83,7 @@ func (s *Store) OpenSlots(id string) (configJSON []byte, sl *Slots, err error) {
 // indexes the boundary each one holds.
 func (s *Store) openSlots(id, dir string) (*Slots, error) {
 	n := s.slotCount
-	sl := &Slots{st: s, id: id, files: make([]*os.File, n), rounds: make([]uint64, n), valid: make([]bool, n), durable: -1}
+	sl := &Slots{st: s, id: id, files: make([]*os.File, n), rounds: make([]uint64, n), valid: make([]bool, n)}
 	for i := range sl.files {
 		f, err := os.OpenFile(filepath.Join(dir, slotName(i)), os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
@@ -126,9 +121,7 @@ func (sl *Slots) readSlot(i int) (*Snapshot, error) {
 
 // Write persists snap as the boundary of snap.Round: one in-place write
 // of slot Round mod n and, unless the store's policy is FsyncOff, one
-// fsync — the boundary is durable when Write returns. A ring switched to
-// SyncPerCycle fsyncs less under FsyncInterval (see there). A process
-// crash loses no completed write under any policy.
+// fsync — the boundary is durable when Write returns.
 func (sl *Slots) Write(snap *Snapshot) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -136,63 +129,21 @@ func (sl *Slots) Write(snap *Snapshot) error {
 		return fmt.Errorf("store: run %s slots are closed", sl.id)
 	}
 	i := int(snap.Round % uint64(len(sl.files)))
-	cycle := sl.perCycle && sl.st.policy == FsyncInterval
-	if cycle && i == sl.durable {
-		if j := sl.newestOther(i); j >= 0 {
-			if err := sl.sync(j); err != nil {
-				return err
-			}
-		}
-	}
 	sl.valid[i] = false // until the write lands, the slot may be torn
-	if _, err := sl.files[i].WriteAt(EncodeSnapshot(snap), 0); err != nil {
+	f := sl.files[i]
+	if _, err := f.WriteAt(EncodeSnapshot(snap), 0); err != nil {
 		return sl.st.noteErr(fmt.Errorf("store: run %s write %s: %w", sl.id, slotName(i), err))
 	}
-	if sl.st.policy != FsyncOff && (!cycle || sl.durable < 0 || sl.durable == i) {
-		if err := sl.sync(i); err != nil {
-			return err
+	if sl.st.policy != FsyncOff {
+		start := time.Now()
+		if err := f.Sync(); err != nil {
+			return sl.st.noteErr(fmt.Errorf("store: run %s sync %s: %w", sl.id, slotName(i), err))
 		}
+		sl.st.slotFsyncSeconds.Observe(time.Since(start).Seconds())
 	}
 	sl.rounds[i], sl.valid[i] = snap.Round, true
 	sl.st.checkpoints.Add(1)
 	return nil
-}
-
-// SyncPerCycle relaxes FsyncInterval for this ring from one fsync per
-// write to one per ring cycle: the first write is fsynced, and before a
-// write would overwrite the newest fsynced boundary, the newest boundary
-// in another slot is fsynced to take its place. A power failure then
-// loses at most the n-1 newest boundaries, never the whole ring.
-// FsyncAlways and FsyncOff are unaffected. Service runs use it, so a
-// round does not wait for the disk; cluster nodes, whose resync protocol
-// expects every reported boundary to survive, keep one fsync per write.
-func (sl *Slots) SyncPerCycle() {
-	sl.mu.Lock()
-	sl.perCycle = true
-	sl.mu.Unlock()
-}
-
-// sync fsyncs slot i, making it the durable slot. Caller holds sl.mu.
-func (sl *Slots) sync(i int) error {
-	start := time.Now()
-	if err := sl.files[i].Sync(); err != nil {
-		return sl.st.noteErr(fmt.Errorf("store: run %s sync %s: %w", sl.id, slotName(i), err))
-	}
-	sl.st.slotFsyncSeconds.Observe(time.Since(start).Seconds())
-	sl.durable = i
-	return nil
-}
-
-// newestOther returns the slot other than i holding the newest valid
-// boundary, or -1. Caller holds sl.mu.
-func (sl *Slots) newestOther(i int) int {
-	best := -1
-	for j, ok := range sl.valid {
-		if ok && j != i && (best < 0 || sl.rounds[j] > sl.rounds[best]) {
-			best = j
-		}
-	}
-	return best
 }
 
 // Rounds lists the rounds of the slots holding a valid boundary,

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -242,26 +241,19 @@ func TestOpenSlotsRefusesWALLayout(t *testing.T) {
 }
 
 // TestSlotsFsyncPolicies: FsyncAlways and FsyncInterval fsync every
-// boundary; a per-cycle ring under FsyncInterval fsyncs once per ring
-// cycle and never overwrites its newest fsynced boundary before another
-// slot is fsynced, so that boundary is at most n-1 rounds old; FsyncOff
-// never fsyncs.
+// boundary; FsyncOff never fsyncs.
 func TestSlotsFsyncPolicies(t *testing.T) {
-	const n, rounds = 4, 40
+	const rounds = 40
 	for _, tc := range []struct {
-		policy   FsyncPolicy
-		perCycle bool
-		syncs    uint64
+		policy FsyncPolicy
+		syncs  uint64
 	}{
-		{FsyncAlways, false, rounds},
-		{FsyncAlways, true, rounds},
-		{FsyncInterval, false, rounds},
-		// Boundary 0, then before rounds n, 2n-1, 3n-2, ...
-		{FsyncInterval, true, 1 + (rounds-2)/(n-1)},
-		{FsyncOff, true, 0},
+		{FsyncAlways, rounds},
+		{FsyncInterval, rounds},
+		{FsyncOff, 0},
 	} {
-		t.Run(fmt.Sprintf("%s/per-cycle=%v", tc.policy, tc.perCycle), func(t *testing.T) {
-			st, err := Open(t.TempDir(), WithFsync(tc.policy), WithSnapshotRetention(n), WithMetrics(metrics.NewRegistry()))
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			st, err := Open(t.TempDir(), WithFsync(tc.policy), WithMetrics(metrics.NewRegistry()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,25 +262,7 @@ func TestSlotsFsyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.perCycle {
-				sl.SyncPerCycle()
-			}
-			for r := uint64(0); r < rounds; r++ {
-				durable, before := sl.durable, uint64(0)
-				if durable >= 0 {
-					before = sl.rounds[durable]
-				}
-				writeRounds(t, sl, r, r+1, func(uint64) int { return 50 })
-				if tc.policy == FsyncOff {
-					continue
-				}
-				if durable >= 0 && sl.durable == durable && sl.rounds[durable] != before && tc.perCycle {
-					t.Fatalf("round %d overwrote the durable slot without fsyncing another first", r)
-				}
-				if d := sl.durable; d < 0 || !sl.valid[d] || sl.rounds[d]+n-1 < r {
-					t.Fatalf("after round %d the newest fsynced boundary is slot %d, more than %d rounds old", r, d, n-1)
-				}
-			}
+			writeRounds(t, sl, 0, rounds, func(uint64) int { return 50 })
 			if got := st.slotFsyncSeconds.Count(); got != tc.syncs {
 				t.Fatalf("%d fsyncs over %d rounds, want %d", got, rounds, tc.syncs)
 			}

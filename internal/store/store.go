@@ -17,10 +17,9 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (the default) fsyncs every slot write, except on a
-	// ring switched to Slots.SyncPerCycle (a service run), which it
-	// fsyncs once per ring cycle: a power failure loses at most that
-	// ring's n-1 newest boundaries.
+	// FsyncInterval (the default) fsyncs every slot write. It is the
+	// same as FsyncAlways; both names stay because deployed command lines
+	// pass them.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs every slot write.
 	FsyncAlways
@@ -107,18 +106,11 @@ func WithFsync(p FsyncPolicy) Option {
 	return func(s *Store) { s.policy = p }
 }
 
-// defaultSlotCount is the ring size of a store opened without
-// WithSnapshotRetention (a service store). A per-cycle ring of n slots
-// under FsyncInterval costs one fsync per n-1 rounds and loses at most
-// n-1 rounds to a power failure.
-const defaultSlotCount = 8
-
 // WithSnapshotRetention sizes every slot ring: the n newest round
-// boundaries stay restorable (n is raised to at least 2; the default is
-// defaultSlotCount). Node recovery uses this history so a restarted node
-// can roll back to whichever round boundary the survivors agree on, not
-// just its own newest; a service run only ever restores its newest
-// boundary.
+// boundaries stay restorable (n is raised to at least 2, the default).
+// Node recovery uses this history so a restarted node can roll back to
+// whichever round boundary the survivors agree on, not just its own
+// newest; a service run only ever restores its newest boundary.
 func WithSnapshotRetention(n int) Option {
 	return func(s *Store) { s.slotCount = max(n, 2) }
 }
@@ -133,7 +125,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 			return
 		}
 		s.slotFsyncSeconds = reg.NewHistogram("reservoir_store_slot_fsync_seconds",
-			"Boundary slot fsync latency (every boundary under always; every node boundary and one per service ring cycle under interval; none under off).",
+			"Boundary slot fsync latency (one per boundary under always and interval; none under off).",
 			metrics.DefBuckets, nil)
 		reg.CounterFunc("reservoir_store_checkpoints_total",
 			"Round boundaries persisted: one boundary slot write per service run round or node round.",
@@ -143,7 +135,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // Open creates or reopens a store rooted at dir.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{dir: dir, slotCount: defaultSlotCount, slots: make(map[*Slots]struct{})}
+	s := &Store{dir: dir, slotCount: 2, slots: make(map[*Slots]struct{})}
 	for _, o := range opts {
 		o(s)
 	}
