@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"reservoir/internal/coll"
-	"reservoir/internal/core"
 	"reservoir/internal/simnet"
 	"reservoir/internal/transport"
 	"reservoir/internal/workload"
@@ -81,47 +79,33 @@ func statsFromTransport(s transport.Stats) NetworkStats {
 	return NetworkStats{Messages: s.Messages, Words: s.Words, Bytes: s.Bytes}
 }
 
-// The simulator's PE is a transport.Conn: the collectives (and therefore
-// the samplers) run on the interface, and the simulated backend needs no
-// adapter.
-var _ transport.Conn = (*simnet.PE)(nil)
-
-// Cluster runs a distributed reservoir sampler over p simulated PEs.
-// All per-round methods drive every PE concurrently (one goroutine each)
-// and return when the round's collective operations have completed.
+// Cluster runs a distributed reservoir sampler over p simulated PEs: p
+// Nodes on the in-process simulator's transport, so a simulated cluster
+// runs the same round driver as a multi-process one. All per-round
+// methods drive every node concurrently (one goroutine each) and return
+// when the round's collective operations have completed.
 type Cluster struct {
-	sim      *simnet.Cluster
-	samplers []core.Sampler
-	p        int
-	round    int
-	algo     Algorithm
+	sim   *simnet.Cluster
+	nodes []*Node
 }
 
 // NewCluster creates a cluster of p PEs running the configured sampler.
 func NewCluster(p int, cfg Config, opts ...Option) (*Cluster, error) {
-	o := options{algo: Distributed, cost: simnet.CostParams{}}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	validated := cfg
-	if validated.Model == (CostModel{}) {
-		validated.Model = DefaultCostModel()
-	}
 	if o.cost == (simnet.CostParams{}) {
-		o.cost = simnet.CostParams{AlphaNS: validated.Model.AlphaNS, BetaNS: validated.Model.BetaNS}
-	}
-	sim := simnet.NewCluster(p, o.cost)
-	c := &Cluster{sim: sim, samplers: make([]core.Sampler, p), p: p, algo: o.algo}
-	for i := 0; i < p; i++ {
-		comm := coll.New(sim.PE(i))
-		var err error
-		switch o.algo {
-		case CentralizedGather:
-			c.samplers[i], err = core.NewGatherPE(comm, validated)
-		default:
-			c.samplers[i], err = core.NewDistPE(comm, validated)
+		model := cfg.Model
+		if model == (CostModel{}) {
+			model = DefaultCostModel()
 		}
-		if err != nil {
+		o.cost = simnet.CostParams{AlphaNS: model.AlphaNS, BetaNS: model.BetaNS}
+	}
+	c := &Cluster{sim: simnet.NewCluster(p, o.cost), nodes: make([]*Node, p)}
+	for i := range c.nodes {
+		var err error
+		if c.nodes[i], err = NewNode(c.sim.PE(i), cfg, opts...); err != nil {
 			return nil, err
 		}
 	}
@@ -149,42 +133,39 @@ func WithNetworkCost(alphaNS, betaNS float64) Option {
 }
 
 // P returns the number of PEs.
-func (c *Cluster) P() int { return c.p }
+func (c *Cluster) P() int { return len(c.nodes) }
 
 // Algorithm returns the sampler implementation the cluster runs.
-func (c *Cluster) Algorithm() Algorithm { return c.algo }
+func (c *Cluster) Algorithm() Algorithm { return c.nodes[0].Algorithm() }
 
 // Round returns the number of mini-batch rounds processed so far.
-func (c *Cluster) Round() int { return c.round }
+func (c *Cluster) Round() int { return c.nodes[0].Round() }
+
+// parallel runs f on every node concurrently, one goroutine per PE.
+func (c *Cluster) parallel(f func(n *Node)) {
+	c.sim.Parallel(func(pe *simnet.PE) { f(c.nodes[pe.ID()]) })
+}
 
 // ProcessRound feeds every PE its next mini-batch from src and runs the
 // collective threshold update.
 func (c *Cluster) ProcessRound(src Source) {
-	round := c.round
-	c.sim.Parallel(func(pe *simnet.PE) {
-		c.samplers[pe.ID()].ProcessBatch(src.NextBatch(pe.ID(), round))
-	})
-	c.round++
+	c.parallel(func(n *Node) { n.ProcessRound(src) })
 }
 
 // ProcessBatches feeds explicit per-PE batches (len(batches) must equal P).
 func (c *Cluster) ProcessBatches(batches []SliceBatch) error {
-	if len(batches) != c.p {
-		return fmt.Errorf("reservoir: got %d batches for %d PEs", len(batches), c.p)
+	if len(batches) != c.P() {
+		return fmt.Errorf("reservoir: got %d batches for %d PEs", len(batches), c.P())
 	}
-	c.sim.Parallel(func(pe *simnet.PE) {
-		c.samplers[pe.ID()].ProcessBatch(batches[pe.ID()])
-	})
-	c.round++
+	c.parallel(func(n *Node) { n.ProcessBatch(batches[n.Rank()]) })
 	return nil
 }
 
 // Sample gathers and returns the current global sample.
 func (c *Cluster) Sample() []Item {
 	var out []Item
-	c.sim.Parallel(func(pe *simnet.PE) {
-		s := c.samplers[pe.ID()].CollectSample()
-		if pe.ID() == 0 {
+	c.parallel(func(n *Node) {
+		if s := n.CollectSample(); n.Rank() == 0 {
 			out = s
 		}
 	})
@@ -201,15 +182,9 @@ func (c *Cluster) Sample() []Item {
 // serialize it with the rounds themselves.
 func (c *Cluster) SampleSnapshot() []Item {
 	c.drainPending()
-	n := 0
-	locals := make([][]Item, c.p)
-	for i, s := range c.samplers {
-		locals[i] = s.LocalSample()
-		n += len(locals[i])
-	}
-	out := make([]Item, 0, n)
-	for _, l := range locals {
-		out = append(out, l...)
+	out := make([]Item, 0, c.SampleSize())
+	for _, n := range c.nodes {
+		out = append(out, n.LocalSample()...)
 	}
 	return out
 }
@@ -221,21 +196,17 @@ func (c *Cluster) SampleSnapshot() []Item {
 // time and traffic like the round itself would have. All PEs defer in
 // lockstep, so checking PE 0 decides for the cluster.
 func (c *Cluster) drainPending() {
-	pe0, ok := c.samplers[0].(*core.DistPE)
-	if !ok || !pe0.Pending() {
-		return
+	if c.nodes[0].Pending() {
+		c.parallel((*Node).DrainPending)
 	}
-	c.sim.Parallel(func(pe *simnet.PE) {
-		c.samplers[pe.ID()].(*core.DistPE).FinishPending()
-	})
 }
 
 // SampleSize returns the current global sample size.
-func (c *Cluster) SampleSize() int { return c.samplers[0].SampleSize() }
+func (c *Cluster) SampleSize() int { return c.nodes[0].SampleSize() }
 
 // Threshold returns the current global key threshold and whether one has
 // been established.
-func (c *Cluster) Threshold() (float64, bool) { return c.samplers[0].Threshold() }
+func (c *Cluster) Threshold() (float64, bool) { return c.nodes[0].Threshold() }
 
 // VirtualTime returns the largest PE virtual clock in nanoseconds — the
 // simulated elapsed time of all processing so far.
@@ -254,8 +225,8 @@ func (c *Cluster) NetworkStats() NetworkStats {
 // virtual phase times (the cluster-level composition of Figure 6).
 func (c *Cluster) Timing() Timing {
 	var t Timing
-	for _, s := range c.samplers {
-		t = t.Max(s.Timing())
+	for _, n := range c.nodes {
+		t = t.Max(n.Timing())
 	}
 	return t
 }
@@ -263,22 +234,25 @@ func (c *Cluster) Timing() Timing {
 // Counters returns the sum of all PEs' operation counters.
 func (c *Cluster) Counters() Counters {
 	var total Counters
-	for _, s := range c.samplers {
-		total.Add(s.Counters())
+	for _, n := range c.nodes {
+		total.Add(n.Counters())
 	}
 	return total
 }
 
 // PECounters returns one PE's counters (for per-PE load analyses).
-func (c *Cluster) PECounters(pe int) Counters { return c.samplers[pe].Counters() }
+func (c *Cluster) PECounters(pe int) Counters { return c.nodes[pe].Counters() }
 
 // PETiming returns one PE's accumulated per-phase virtual times.
-func (c *Cluster) PETiming(pe int) Timing { return c.samplers[pe].Timing() }
+func (c *Cluster) PETiming(pe int) Timing { return c.nodes[pe].Timing() }
 
 // Cluster snapshot envelope framing (format v2: adds a magic/version
 // header and per-PE operation counters to the v1 headerless layout, so
 // recovered runs report the same lifetime counters as an uninterrupted
-// run).
+// run). After the header come the PE count and the round, then per PE
+// its counters (Counters.AppendLE), its state blob's length and the blob
+// (Node.MarshalState), which starts with its own kind byte, so a snapshot
+// of one algorithm is refused when restored as the other.
 const (
 	clusterSnapMagic   = uint32(0x4C435352) // "RSCL"
 	clusterSnapVersion = byte(2)
@@ -287,18 +261,7 @@ const (
 	// declared counts as corruption before any allocation happens, so the
 	// encoder and decoder limits always agree.
 	maxSnapshotPEs = 4096
-	// countersPerPE is the number of uint64 counter fields serialized per PE.
-	countersPerPE = 6
 )
-
-// peState is the checkpoint surface of both PE kinds (core.DistPE and
-// core.GatherPE). Each PE blob starts with its own kind byte, so a
-// snapshot of one algorithm is refused when restored as the other.
-type peState interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
-	RestoreCounters(core.Counters)
-}
 
 // Snapshot serializes the whole cluster's sampler state (per-PE
 // reservoirs, threshold, PRNG states, operation counters) so a sampling
@@ -308,29 +271,23 @@ type peState interface {
 // Virtual-time measurements are not part of the state and restart from
 // zero after a restore; operation counters round-trip.
 func (c *Cluster) Snapshot() ([]byte, error) {
-	if c.p > maxSnapshotPEs {
-		return nil, fmt.Errorf("reservoir: snapshots support at most %d PEs, cluster has %d", maxSnapshotPEs, c.p)
+	if c.P() > maxSnapshotPEs {
+		return nil, fmt.Errorf("reservoir: snapshots support at most %d PEs, cluster has %d", maxSnapshotPEs, c.P())
 	}
 	// Snapshots are round boundaries: complete a pipelined round first.
 	c.drainPending()
 	le := binary.LittleEndian
 	buf := le.AppendUint32(make([]byte, 0, 21), clusterSnapMagic)
 	buf = append(buf, clusterSnapVersion)
-	buf = le.AppendUint64(buf, uint64(c.p))
-	buf = le.AppendUint64(buf, uint64(c.round))
-	for i := 0; i < c.p; i++ {
-		blob, err := c.samplers[i].(peState).MarshalBinary()
+	buf = le.AppendUint64(buf, uint64(c.P()))
+	buf = le.AppendUint64(buf, uint64(c.Round()))
+	for _, n := range c.nodes {
+		blob, err := n.MarshalState()
 		if err != nil {
 			return nil, err
 		}
-		cnt := c.samplers[i].Counters()
-		for _, v := range [countersPerPE + 1]uint64{
-			uint64(cnt.ItemsProcessed), uint64(cnt.Inserted), uint64(cnt.CandidateWords),
-			uint64(cnt.Selections), uint64(cnt.SelectionRounds), uint64(cnt.GatheredSelections),
-			uint64(len(blob)),
-		} {
-			buf = le.AppendUint64(buf, v)
-		}
+		buf = n.Counters().AppendLE(buf)
+		buf = le.AppendUint64(buf, uint64(len(blob)))
 		buf = append(buf, blob...)
 	}
 	return buf, nil
@@ -373,41 +330,31 @@ func RestoreCluster(cfg Config, snapshot []byte, opts ...Option) (*Cluster, erro
 	// Every PE needs at least its counters and blob-length prefix; check
 	// before building a p-sized cluster so a length-lying header cannot
 	// force a huge allocation.
-	if uint64(len(snapshot)) < p64*(countersPerPE+1)*8 {
+	perPE := uint64(len(Counters{}.AppendLE(nil)) + 8)
+	if uint64(len(snapshot)) < p64*perPE {
 		return nil, fmt.Errorf("reservoir: truncated snapshot (%d bytes for %d PEs)", len(snapshot), p64)
 	}
 	c, err := NewCluster(int(p64), cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
-	c.round = int(round)
-	for i := 0; i < c.p; i++ {
-		var raw [countersPerPE]uint64
-		for j := range raw {
-			if raw[j], err = getU64(); err != nil {
-				return nil, fmt.Errorf("reservoir: PE %d counters: %w", i, err)
-			}
+	for i, n := range c.nodes {
+		var cnt Counters
+		if snapshot, err = cnt.DecodeLE(snapshot); err != nil {
+			return nil, fmt.Errorf("reservoir: PE %d counters: %w", i, err)
 		}
-		n, err := getU64()
+		size, err := getU64()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(len(snapshot)) {
+		if size > uint64(len(snapshot)) {
 			return nil, fmt.Errorf("reservoir: truncated snapshot at PE %d", i)
 		}
-		pe := c.samplers[i].(peState)
-		if err := pe.UnmarshalBinary(snapshot[:n]); err != nil {
+		if err := n.RestoreState(snapshot[:size], int(round)); err != nil {
 			return nil, fmt.Errorf("reservoir: PE %d: %w", i, err)
 		}
-		pe.RestoreCounters(core.Counters{
-			ItemsProcessed:     int64(raw[0]),
-			Inserted:           int64(raw[1]),
-			CandidateWords:     int64(raw[2]),
-			Selections:         int64(raw[3]),
-			SelectionRounds:    int64(raw[4]),
-			GatheredSelections: int64(raw[5]),
-		})
-		snapshot = snapshot[n:]
+		n.RestoreCounters(cnt)
+		snapshot = snapshot[size:]
 	}
 	if len(snapshot) != 0 {
 		return nil, fmt.Errorf("reservoir: %d trailing bytes in snapshot", len(snapshot))

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"reservoir/internal/costmodel"
@@ -246,4 +247,35 @@ func (c *Counters) Add(other Counters) {
 	c.Selections += other.Selections
 	c.SelectionRounds += other.SelectionRounds
 	c.GatheredSelections += other.GatheredSelections
+}
+
+// fields lists c's counters in encoding order.
+func (c *Counters) fields() [6]*int64 {
+	return [...]*int64{
+		&c.ItemsProcessed, &c.Inserted, &c.CandidateWords,
+		&c.Selections, &c.SelectionRounds, &c.GatheredSelections,
+	}
+}
+
+// AppendLE appends c's counters to b as little-endian uint64s in field
+// order — the counters layout of cluster snapshots and node boundary
+// slots.
+func (c Counters) AppendLE(b []byte) []byte {
+	for _, f := range c.fields() {
+		b = binary.LittleEndian.AppendUint64(b, uint64(*f))
+	}
+	return b
+}
+
+// DecodeLE reads an AppendLE encoding from the front of b into c and
+// returns the bytes after it.
+func (c *Counters) DecodeLE(b []byte) ([]byte, error) {
+	fs := c.fields()
+	if len(b) < 8*len(fs) {
+		return nil, fmt.Errorf("core: truncated counters (%d bytes, want %d)", len(b), 8*len(fs))
+	}
+	for i, f := range fs {
+		*f = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return b[8*len(fs):], nil
 }

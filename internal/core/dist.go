@@ -42,6 +42,13 @@ type Sampler interface {
 	Timing() Timing
 	// Counters returns this PE's accumulated operation counts.
 	Counters() Counters
+	// MarshalBinary snapshots this PE's state at a committed round
+	// boundary; the blob starts with a kind byte, so UnmarshalBinary of
+	// the other PE kind refuses it. UnmarshalBinary zeroes the operation
+	// counters; RestoreCounters reinstates persisted ones.
+	MarshalBinary() ([]byte, error)
+	UnmarshalBinary([]byte) error
+	RestoreCounters(Counters)
 }
 
 // DistPE is one PE of the paper's fully distributed reservoir sampler
@@ -118,10 +125,11 @@ func (pe *DistPE) nextKeyID() uint64 {
 }
 
 // ProcessBatch implements Sampler: it runs the round sequence —
-// StartScan, FinishPending, CommitScan — in order. A node driver may
-// instead call the three phases itself and overlap StartScan with
-// FinishPending (see reservoir.Node), which yields the byte-identical
-// stream because the two phases touch disjoint state.
+// StartScan, FinishPending, CommitScan — strictly in order. The round
+// driver (reservoir.Node) instead calls the three phases itself and
+// overlaps StartScan with FinishPending, which yields the byte-identical
+// stream because the two phases touch disjoint state; this sequential
+// order is the reference its tests compare against.
 func (pe *DistPE) ProcessBatch(b workload.Batch) {
 	buf := pe.StartScan(b)
 	pe.FinishPending()

@@ -58,15 +58,10 @@ type diskState struct {
 const diskStateHeader = 8 * 8
 
 func encodeDiskState(ds *diskState) []byte {
-	c := ds.Counters
 	b := make([]byte, 0, diskStateHeader+len(ds.Sampler))
-	for _, v := range [...]uint64{
-		ds.Round, ds.Epoch,
-		uint64(c.ItemsProcessed), uint64(c.Inserted), uint64(c.CandidateWords),
-		uint64(c.Selections), uint64(c.SelectionRounds), uint64(c.GatheredSelections),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
+	b = binary.LittleEndian.AppendUint64(b, ds.Round)
+	b = binary.LittleEndian.AppendUint64(b, ds.Epoch)
+	b = ds.Counters.AppendLE(b)
 	return append(b, ds.Sampler...)
 }
 
@@ -75,20 +70,10 @@ func decodeDiskState(b []byte) (*diskState, error) {
 	if len(b) < diskStateHeader {
 		return nil, fmt.Errorf("nodesvc: short boundary state (%d bytes)", len(b))
 	}
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	return &diskState{
-		Round: u(0),
-		Epoch: u(1),
-		Counters: reservoir.Counters{
-			ItemsProcessed:     int64(u(2)),
-			Inserted:           int64(u(3)),
-			CandidateWords:     int64(u(4)),
-			Selections:         int64(u(5)),
-			SelectionRounds:    int64(u(6)),
-			GatheredSelections: int64(u(7)),
-		},
-		Sampler: b[diskStateHeader:],
-	}, nil
+	ds := &diskState{Round: binary.LittleEndian.Uint64(b), Epoch: binary.LittleEndian.Uint64(b[8:])}
+	var err error
+	ds.Sampler, err = ds.Counters.DecodeLE(b[16:])
+	return ds, err
 }
 
 func (s *Server) configJSON() ([]byte, error) {

@@ -94,6 +94,27 @@ func TestDiskStateRoundTrip(t *testing.T) {
 	if _, err := decodeDiskState(enc[:diskStateHeader-1]); err == nil {
 		t.Fatal("short state decoded")
 	}
+
+	// The on-disk layout itself: round, epoch, then the six counters in
+	// field order, each a little-endian uint64, then the sampler bytes.
+	known := diskState{Round: 0x0102, Epoch: 3, Counters: reservoir.Counters{
+		ItemsProcessed: 4, Inserted: 5, CandidateWords: 6,
+		Selections: 7, SelectionRounds: 8, GatheredSelections: 0x0a09,
+	}, Sampler: []byte{0xee}}
+	want := []byte{
+		0x02, 0x01, 0, 0, 0, 0, 0, 0,
+		3, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 0, 0, 0,
+		5, 0, 0, 0, 0, 0, 0, 0,
+		6, 0, 0, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0,
+		8, 0, 0, 0, 0, 0, 0, 0,
+		0x09, 0x0a, 0, 0, 0, 0, 0, 0,
+		0xee,
+	}
+	if got := encodeDiskState(&known); !bytes.Equal(got, want) {
+		t.Fatalf("encoded boundary state\n got %x\nwant %x", got, want)
+	}
 }
 
 // FuzzDecodeDiskState: arbitrary bytes never panic, and accepted input

@@ -9,19 +9,19 @@ import (
 	"reservoir/internal/transport"
 )
 
-// Node is one PE of a distributed sampling cluster running over a real
-// transport: where Cluster simulates all p PEs inside one process, a Node
-// is a single PE whose peers live in other OS processes, connected through
-// a transport.Conn (in practice internal/transport/tcpnet, wired up by
-// reservoir-serve's node mode; see docs/DEPLOY.md).
+// Node is one PE of a distributed sampling cluster: a single PE whose
+// peers are reached through a transport.Conn. In production the peers
+// live in other OS processes (internal/transport/tcpnet, wired up by
+// reservoir-serve's node mode; see docs/DEPLOY.md); a Cluster is p Nodes
+// on the in-process simulator. Both run this one round driver.
 //
 // All sampling methods are SPMD collectives: every node of the cluster
 // must call the same methods in the same order with equivalent arguments,
 // or the cluster deadlocks. Each node feeds its own local mini-batch per
-// round; the threshold selection runs across the real network. Given the
-// same configuration and per-PE input stream, a Node cluster produces a
-// sample byte-identical to the simulated Cluster (the transport
-// equivalence suite pins this).
+// round; the threshold selection runs across the network. Given the same
+// configuration and per-PE input stream, the sample is byte-identical on
+// every transport (the transport equivalence suite pins this) and to the
+// sequential reference, core.DistPE.ProcessBatch.
 //
 // A Node is not safe for concurrent use; drive it from one goroutine.
 type Node struct {
@@ -104,10 +104,9 @@ func (n *Node) Algorithm() Algorithm { return n.algo }
 // For the distributed sampler the node drives the three round phases
 // itself so that — under Config.Pipeline — the local scan of this round
 // overlaps the still-in-flight selection collectives of the previous
-// one. The overlap is safe and
-// byte-identical to the simulator's sequential phase order because
-// StartScan and FinishPending touch disjoint sampler state (DESIGN.md
-// §2.6).
+// one. The overlap is safe and byte-identical to the sequential phase
+// order of core.DistPE.ProcessBatch because StartScan and FinishPending
+// touch disjoint sampler state (DESIGN.md §2.6).
 func (n *Node) ProcessBatch(b Batch) {
 	if pe, ok := n.sampler.(*core.DistPE); ok {
 		n.processSharded(pe, b)
@@ -259,24 +258,14 @@ func (n *Node) Seen() int64 { return n.sampler.Seen() }
 // thresholds, PRNG) as an opaque blob. Together with the round counter it
 // is everything a crash-restarted node needs to resume bit-identically;
 // internal/nodesvc persists one per round boundary.
-func (n *Node) MarshalState() ([]byte, error) {
-	m, ok := n.sampler.(interface{ MarshalBinary() ([]byte, error) })
-	if !ok {
-		return nil, fmt.Errorf("reservoir: %T does not support state snapshots", n.sampler)
-	}
-	return m.MarshalBinary()
-}
+func (n *Node) MarshalState() ([]byte, error) { return n.sampler.MarshalBinary() }
 
 // RestoreState restores a MarshalState blob taken at the given round
 // boundary on this node (same Config, same rank, same algorithm).
 // Operation counters reset to zero; use RestoreCounters to reinstate
 // persisted ones.
 func (n *Node) RestoreState(blob []byte, round int) error {
-	u, ok := n.sampler.(interface{ UnmarshalBinary([]byte) error })
-	if !ok {
-		return fmt.Errorf("reservoir: %T does not support state snapshots", n.sampler)
-	}
-	if err := u.UnmarshalBinary(blob); err != nil {
+	if err := n.sampler.UnmarshalBinary(blob); err != nil {
 		return err
 	}
 	n.round = round
@@ -284,11 +273,7 @@ func (n *Node) RestoreState(blob []byte, round int) error {
 }
 
 // RestoreCounters reinstates operation counters zeroed by RestoreState.
-func (n *Node) RestoreCounters(c Counters) {
-	if r, ok := n.sampler.(interface{ RestoreCounters(core.Counters) }); ok {
-		r.RestoreCounters(c)
-	}
-}
+func (n *Node) RestoreCounters(c Counters) { n.sampler.RestoreCounters(c) }
 
 // ResetTags rewinds the node's collective tag sequence (see
 // coll.Comm.Reset). Part of the cluster recovery protocol: every node

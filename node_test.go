@@ -1,10 +1,11 @@
 package reservoir
 
-// Tests for the Node overlap driver: under Config.Pipeline a Node runs
-// each round's StartScan on its own goroutine, concurrent with the
-// previous round's FinishPending collectives, double-buffering the
-// candidate set. The sample must stay byte-identical to the simulated
-// Cluster, which runs the same three phases strictly in order — and the
+// Tests for the Node overlap driver, which Cluster also runs: under
+// Config.Pipeline a Node runs each round's StartScan on its own
+// goroutine, concurrent with the previous round's FinishPending
+// collectives, double-buffering the candidate set. The sample must stay
+// byte-identical to the sequential reference, core.DistPE.ProcessBatch,
+// which runs the same three phases strictly in order — and the
 // concurrent driver must be clean under the race detector (CI runs this
 // package with -race).
 
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 
+	"reservoir/internal/coll"
+	"reservoir/internal/core"
 	"reservoir/internal/simnet"
 	"reservoir/internal/transport"
 )
@@ -54,36 +57,56 @@ func runNodes(t *testing.T, p, rounds int, cfg Config, src Source) ([]Item, []Ph
 	return sample, phases, thresh
 }
 
-// TestNodeOverlapMatchesSequentialCluster pins the tentpole determinism
-// contract: the overlapped pipelined driver and the simulator's
-// sequential phase order produce byte-identical samples at shards 1 and
-// 4, weighted and uniform.
+// runSequential drives p core.DistPEs over the simulator with
+// DistPE.ProcessBatch — StartScan, FinishPending, CommitScan strictly in
+// order — and returns rank 0's collected sample.
+func runSequential(t *testing.T, p, rounds int, cfg Config, src Source) []Item {
+	t.Helper()
+	sim := simnet.NewCluster(p, simnet.DefaultCost())
+	pes := make([]*core.DistPE, p)
+	for i := range pes {
+		pe, err := core.NewDistPE(coll.New(sim.PE(i)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pes[i] = pe
+	}
+	for r := 0; r < rounds; r++ {
+		sim.Parallel(func(pe *simnet.PE) {
+			pes[pe.ID()].ProcessBatch(src.NextBatch(pe.ID(), r))
+		})
+	}
+	var sample []Item
+	sim.Parallel(func(pe *simnet.PE) {
+		if s := pes[pe.ID()].CollectSample(); pe.ID() == 0 {
+			sample = s
+		}
+	})
+	return sample
+}
+
+// TestNodeOverlapMatchesSequentialCluster pins the determinism contract
+// of the overlap driver: it and the sequential phase order of
+// DistPE.ProcessBatch produce byte-identical samples at shards 1 and 4,
+// weighted and uniform.
 func TestNodeOverlapMatchesSequentialCluster(t *testing.T) {
 	const p, rounds, batch = 4, 10, 1500
 	for _, shards := range []int{1, 4} {
 		for _, weighted := range []bool{true, false} {
-			cfg := Config{K: 64, Weighted: weighted, Seed: 21, Shards: shards, Pipeline: true}
+			cfg := Config{K: 64, Weighted: weighted, Seed: 21, Shards: shards, Pipeline: true, Model: DefaultCostModel()}
 			src := UniformSource{Seed: 33, BatchLen: batch, Lo: 0, Hi: 100}
 
 			nodeSample, phases, _ := runNodes(t, p, rounds, cfg, src)
+			seqSample := runSequential(t, p, rounds, cfg, src)
 
-			cl, err := NewCluster(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < rounds; r++ {
-				cl.ProcessRound(src)
-			}
-			clSample := cl.Sample()
-
-			if len(nodeSample) != len(clSample) {
-				t.Fatalf("shards=%d weighted=%v: node sample %d items vs cluster %d",
-					shards, weighted, len(nodeSample), len(clSample))
+			if len(nodeSample) != len(seqSample) {
+				t.Fatalf("shards=%d weighted=%v: node sample %d items vs sequential %d",
+					shards, weighted, len(nodeSample), len(seqSample))
 			}
 			for i := range nodeSample {
-				if nodeSample[i] != clSample[i] {
-					t.Fatalf("shards=%d weighted=%v: sample[%d] differs: node %+v vs cluster %+v",
-						shards, weighted, i, nodeSample[i], clSample[i])
+				if nodeSample[i] != seqSample[i] {
+					t.Fatalf("shards=%d weighted=%v: sample[%d] differs: node %+v vs sequential %+v",
+						shards, weighted, i, nodeSample[i], seqSample[i])
 				}
 			}
 			for rank, ph := range phases {
