@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -275,6 +276,9 @@ func decodeSlice[T any](d *bodyDecoder, p *[]T, elem func(*T) error) error {
 // item decodes one item object into *it. Keys that are absent or null
 // leave their field as it was.
 func (d *bodyDecoder) item(it *WireItem) error {
+	if d.canonicalItem(it) {
+		return nil
+	}
 	switch d.peek() {
 	case '{':
 	case 'n':
@@ -320,6 +324,50 @@ func (d *bodyDecoder) item(it *WireItem) error {
 			return err
 		}
 	}
+}
+
+// canonicalItem decodes the item at d.off in one straight pass if it has
+// the compact form encoding/json writes, {"w":<w>,"id":<id>} with no
+// whitespace, w a number without sign or exponent and id an unsigned
+// integer. It reads them with digits, and converts w with decimalFloat and
+// id with uint, as item would. At the first byte outside that form, or if
+// w needs strconv or id is not a uint64, it reports false and leaves *it
+// and d.off as they were, and item decodes the item again from its first
+// byte on the general path, which the fast one must agree with.
+func (d *bodyDecoder) canonicalItem(it *WireItem) bool {
+	data, i := d.data, d.off+len(`{"w":`)
+	if i >= len(data) || string(data[d.off:i]) != `{"w":` || !isDigit(data[i]) {
+		return false
+	}
+	end, mant, taken := digits(data, i, 0)
+	if data[i] == '0' && end-i > 1 {
+		return false
+	}
+	exact, exp := end-i == taken, 0
+	if end < len(data) && data[end] == '.' {
+		frac := end + 1
+		end, mant, taken = digits(data, frac, mant)
+		if end == frac {
+			return false
+		}
+		exact, exp = exact && end-frac == taken, -taken
+	}
+	f, ok := decimalFloat(mant, exp, false)
+	i = end + len(`,"id":`)
+	if !exact || !ok || i >= len(data) || string(data[end:i]) != `,"id":` || !isDigit(data[i]) {
+		return false
+	}
+	end, mant, taken = digits(data, i, 0)
+	id := numLit{raw: data[i:end], mant: mant, exact: end-i == taken, plain: true}
+	if data[i] == '0' && end-i > 1 || end >= len(data) || data[end] != '}' {
+		return false
+	}
+	v, ok := id.uint()
+	if !ok {
+		return false
+	}
+	it.W, it.ID, d.off = f, v, end+1
+	return true
 }
 
 // itemKey reads an item's key and the ':' after it and reports whether it
@@ -605,9 +653,20 @@ func (d *bodyDecoder) number() (numLit, error) {
 
 // digits reads the run of digits at data[i:], appending to mant as many as
 // keep it below 10^19. It returns the offset past the run, the new mant and
-// how many digits it took.
+// how many digits it took. While mant has room for eight more digits and
+// eight bytes remain, it checks and combines them within one 64-bit word.
 func digits(data []byte, i int, mant uint64) (end int, _ uint64, taken int) {
 	start := i
+	for mant < 1e10 && len(data)-i >= 8 {
+		v := binary.LittleEndian.Uint64(data[i:])
+		// A byte is a digit iff neither adding 0x46 nor subtracting 0x30
+		// sets its top bit.
+		if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+			break
+		}
+		mant = mant*1e8 + eightDigits(v-0x3030303030303030)
+		i += 8
+	}
 	for ; i < len(data) && isDigit(data[i]) && mant < 1e18; i++ {
 		mant = mant*10 + uint64(data[i]-'0')
 	}
@@ -618,27 +677,54 @@ func digits(data []byte, i int, mant uint64) (end int, _ uint64, taken int) {
 	return i, mant, taken
 }
 
+// eightDigits returns the value of the eight decimal digits v holds, one
+// per byte, most significant in the lowest byte: pairs, then quads, then
+// the two halves combine by multiplication within the word.
+func eightDigits(v uint64) uint64 {
+	v = v*10 + v>>8 // byte 2j holds the pair 2j, 2j+1
+	const mask = 0x000000FF000000FF
+	return uint64(uint32(((v&mask)*(100+1000000<<32) + (v>>16&mask)*(1+10000<<32)) >> 32))
+}
+
 // float returns the number as a float64, as strconv.ParseFloat would.
 func (n numLit) float() (float64, error) {
 	if n.exact {
-		if f, ok := eiselLemire(n.mant, n.exp, n.neg); ok {
+		if f, ok := decimalFloat(n.mant, n.exp, n.neg); ok {
 			return f, nil
 		}
 	}
 	return strconv.ParseFloat(string(n.raw), 64)
 }
 
-// eiselLemire returns the float64 nearest (-1 if neg) × mant × 10^exp10,
-// or false when it cannot tell which that is cheaply. It is the
-// Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
-// Second", 2021) as strconv runs it before its slow path, on a table of
-// powers of ten limited to the exponents common in item weights.
-func eiselLemire(mant uint64, exp10 int, neg bool) (float64, bool) {
+// exactPow10[e] is 10^e, exact in a float64.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// decimalFloat returns the float64 nearest (-1 if neg) × mant × 10^exp10,
+// or false when it cannot tell which that is cheaply. These are the two
+// steps strconv runs before its slow path: when mant and 10^exp10 are both
+// exact float64s, one multiplication or division, which rounds once;
+// otherwise the Eisel-Lemire algorithm (Lemire, "Number Parsing at a
+// Gigabyte per Second", 2021), here on a table of powers of ten limited to
+// the exponents common in item weights.
+func decimalFloat(mant uint64, exp10 int, neg bool) (float64, bool) {
 	if mant == 0 {
 		if neg {
 			return math.Copysign(0, -1), true
 		}
 		return 0, true
+	}
+	if mant < 1<<53 && -22 <= exp10 && exp10 <= 22 {
+		f := float64(mant)
+		if exp10 < 0 {
+			f /= exactPow10[-exp10]
+		} else {
+			f *= exactPow10[exp10]
+		}
+		if neg {
+			f = -f
+		}
+		return f, true
 	}
 	if exp10 < minPow10 || exp10 > maxPow10 {
 		return 0, false
