@@ -242,3 +242,42 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSeqSnapshotBytesPinned pins the exact snapshot bytes of the two
+// sequential samplers after a fixed stream, past the fill phase and
+// still filling, so a change to the sequential snapshot codec that
+// alters the layout fails here.
+func TestSeqSnapshotBytesPinned(t *testing.T) {
+	cases := []struct {
+		name     string
+		weighted bool
+		n        int
+		sha      string
+	}{
+		{"weighted", true, 500, "7337dbf691dc7be6da9f8eeaf87f6edc65d8ceabbd04f190b844f3c08c4d78b7"},
+		{"weighted-filling", true, 20, "4c5951e045089063565c3a029f12eaf5000d1094900a32c36cc2add19a4adedc"},
+		{"uniform", false, 500, "eb7387c274e1f072e4118bb4fa03987c90ac7bc98e9167de23e61f6ccf647a90"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s interface {
+				Process(Item)
+				MarshalBinary() ([]byte, error)
+			} = NewUniform(32, 7)
+			if tc.weighted {
+				s = NewWeighted(32, 7)
+			}
+			for i := 0; i < tc.n; i++ {
+				s.Process(Item{W: float64(i%17) + 0.25, ID: uint64(i)})
+			}
+			blob, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != tc.sha {
+				t.Errorf("snapshot sha256 = %s, want %s", got, tc.sha)
+			}
+		})
+	}
+}
