@@ -9,6 +9,7 @@ import (
 	"io"
 	"testing"
 
+	"reservoir"
 	"reservoir/internal/bench"
 )
 
@@ -95,5 +96,49 @@ func BenchmarkEndToEndRound(b *testing.B) {
 			P: 16, K: 100, BatchPerPE: 10_000, Algo: bench.Algos()[1],
 			Warmup: 1, Measure: 1, Seed: uint64(i), Model: s.Model,
 		})
+	}
+}
+
+// snapshotBenchCluster is a p=4, k=256 weighted cluster past its fill
+// phase, the state BenchmarkClusterSnapshot and BenchmarkRestoreCluster
+// serialize.
+func snapshotBenchCluster(b *testing.B) (*reservoir.Cluster, reservoir.Config) {
+	cfg := reservoir.Config{K: 256, Weighted: true, Seed: 3}
+	cl, err := reservoir.NewCluster(4, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := reservoir.UniformSource{Seed: 5, BatchLen: 2000, Lo: 0, Hi: 100}
+	for r := 0; r < 4; r++ {
+		cl.ProcessRound(src)
+	}
+	return cl, cfg
+}
+
+// BenchmarkClusterSnapshot measures serializing a whole cluster's
+// sampler state, the per-round boundary cost of durable runs.
+func BenchmarkClusterSnapshot(b *testing.B) {
+	cl, _ := snapshotBenchCluster(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRestoreCluster measures rebuilding a cluster from a snapshot,
+// the recovery and rollback cost.
+func BenchmarkRestoreCluster(b *testing.B) {
+	cl, cfg := snapshotBenchCluster(b)
+	blob, err := cl.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := reservoir.RestoreCluster(cfg, blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
