@@ -1,9 +1,9 @@
 package reservoir
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"reservoir/internal/core"
 	"reservoir/internal/simnet"
 	"reservoir/internal/transport"
 	"reservoir/internal/workload"
@@ -250,9 +250,9 @@ func (c *Cluster) PETiming(pe int) Timing { return c.nodes[pe].Timing() }
 // header and per-PE operation counters to the v1 headerless layout, so
 // recovered runs report the same lifetime counters as an uninterrupted
 // run). After the header come the PE count and the round, then per PE
-// its counters (Counters.AppendLE), its state blob's length and the blob
-// (Node.MarshalState), which starts with its own kind byte, so a snapshot
-// of one algorithm is refused when restored as the other.
+// its counters (Counters.AppendLE) and its length-prefixed state blob
+// (Node.MarshalState). Each blob starts with its PE's kind byte, so a
+// snapshot of one algorithm is refused when restored as the other.
 const (
 	clusterSnapMagic   = uint32(0x4C435352) // "RSCL"
 	clusterSnapVersion = byte(2)
@@ -276,19 +276,17 @@ func (c *Cluster) Snapshot() ([]byte, error) {
 	}
 	// Snapshots are round boundaries: complete a pipelined round first.
 	c.drainPending()
-	le := binary.LittleEndian
-	buf := le.AppendUint32(make([]byte, 0, 21), clusterSnapMagic)
+	buf := transport.AppendU32(make([]byte, 0, 21), clusterSnapMagic)
 	buf = append(buf, clusterSnapVersion)
-	buf = le.AppendUint64(buf, uint64(c.P()))
-	buf = le.AppendUint64(buf, uint64(c.Round()))
+	buf = transport.AppendU64(buf, uint64(c.P()))
+	buf = transport.AppendU64(buf, uint64(c.Round()))
 	for _, n := range c.nodes {
 		blob, err := n.MarshalState()
 		if err != nil {
 			return nil, err
 		}
 		buf = n.Counters().AppendLE(buf)
-		buf = le.AppendUint64(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
+		buf = transport.AppendBlob(buf, blob)
 	}
 	return buf, nil
 }
@@ -298,66 +296,54 @@ func (c *Cluster) Snapshot() ([]byte, error) {
 // length-lying input is rejected with an error before any sizable
 // allocation is made.
 func RestoreCluster(cfg Config, snapshot []byte, opts ...Option) (*Cluster, error) {
-	getU64 := func() (uint64, error) {
-		if len(snapshot) < 8 {
-			return 0, fmt.Errorf("reservoir: truncated snapshot")
-		}
-		v := binary.LittleEndian.Uint64(snapshot)
-		snapshot = snapshot[8:]
-		return v, nil
-	}
-	if len(snapshot) < 5 {
-		return nil, fmt.Errorf("reservoir: truncated snapshot")
-	}
-	if binary.LittleEndian.Uint32(snapshot) != clusterSnapMagic {
+	d := transport.NewDec(snapshot)
+	if d.U32() != clusterSnapMagic {
 		return nil, fmt.Errorf("reservoir: not a cluster snapshot")
 	}
-	if v := snapshot[4]; v != clusterSnapVersion {
+	if v := d.U8(); v != clusterSnapVersion {
 		return nil, fmt.Errorf("reservoir: unsupported cluster snapshot version %d", v)
 	}
-	snapshot = snapshot[5:]
-	p64, err := getU64()
-	if err != nil {
-		return nil, err
+	p, round := d.U64(), d.U64()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("reservoir: snapshot: %w", err)
 	}
-	round, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	if p64 == 0 || p64 > maxSnapshotPEs {
-		return nil, fmt.Errorf("reservoir: corrupt snapshot (p = %d)", p64)
+	if p == 0 || p > maxSnapshotPEs {
+		return nil, fmt.Errorf("reservoir: corrupt snapshot (p = %d)", p)
 	}
 	// Every PE needs at least its counters and blob-length prefix; check
 	// before building a p-sized cluster so a length-lying header cannot
 	// force a huge allocation.
-	perPE := uint64(len(Counters{}.AppendLE(nil)) + 8)
-	if uint64(len(snapshot)) < p64*perPE {
-		return nil, fmt.Errorf("reservoir: truncated snapshot (%d bytes for %d PEs)", len(snapshot), p64)
+	perPE := len(Counters{}.AppendLE(nil)) + 8
+	if p > uint64(d.Remaining()/perPE) {
+		return nil, fmt.Errorf("reservoir: truncated snapshot (%d bytes for %d PEs)", d.Remaining(), p)
 	}
-	c, err := NewCluster(int(p64), cfg, opts...)
+	c, err := NewCluster(int(p), cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
 	for i, n := range c.nodes {
-		var cnt Counters
-		if snapshot, err = cnt.DecodeLE(snapshot); err != nil {
-			return nil, fmt.Errorf("reservoir: PE %d counters: %w", i, err)
+		cnt, blob := core.DecCounters(d), d.Blob()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("reservoir: snapshot PE %d: %w", i, err)
 		}
-		size, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if size > uint64(len(snapshot)) {
-			return nil, fmt.Errorf("reservoir: truncated snapshot at PE %d", i)
-		}
-		if err := n.RestoreState(snapshot[:size], int(round)); err != nil {
+		if err := n.RestoreState(blob, int(round)); err != nil {
 			return nil, fmt.Errorf("reservoir: PE %d: %w", i, err)
 		}
 		n.RestoreCounters(cnt)
-		snapshot = snapshot[size:]
 	}
-	if len(snapshot) != 0 {
-		return nil, fmt.Errorf("reservoir: %d trailing bytes in snapshot", len(snapshot))
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("reservoir: snapshot: %w", err)
+	}
+	// Every PE keeps its own copy of the global threshold, sample size
+	// and item count, and collective code branches on them, so copies
+	// that disagree would stall the next round.
+	first := c.nodes[0]
+	t0, have0 := first.Threshold()
+	for i, n := range c.nodes {
+		t, have := n.Threshold()
+		if t != t0 || have != have0 || n.SampleSize() != first.SampleSize() || n.Seen() != first.Seen() {
+			return nil, fmt.Errorf("reservoir: corrupt snapshot (PE %d disagrees with PE 0 on the global state)", i)
+		}
 	}
 	return c, nil
 }

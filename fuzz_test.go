@@ -13,36 +13,43 @@ import (
 // disagree with the config must error out cleanly.
 var fuzzClusterCfg = Config{K: 16, Weighted: true, Seed: 1}
 
+// fuzzAlgorithms are the algorithms FuzzRestoreCluster restores every
+// input into; a snapshot carries its PEs' kind, so at most one accepts.
+var fuzzAlgorithms = []Algorithm{Distributed, CentralizedGather}
+
 func clusterSnapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
-	for _, setup := range []struct {
-		p, rounds int
-	}{
-		{1, 0}, {2, 1}, {4, 3},
-	} {
-		cl, err := NewCluster(setup.p, fuzzClusterCfg)
-		if err != nil {
-			tb.Fatal(err)
+	for _, algo := range fuzzAlgorithms {
+		for _, setup := range []struct {
+			p, rounds int
+		}{
+			{1, 0}, {2, 1}, {4, 3},
+		} {
+			cl, err := NewCluster(setup.p, fuzzClusterCfg, WithAlgorithm(algo))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			src := UniformSource{Seed: 5, BatchLen: 120, Lo: 0, Hi: 100}
+			for r := 0; r < setup.rounds; r++ {
+				cl.ProcessRound(src)
+			}
+			blob, err := cl.Snapshot()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			seeds = append(seeds, blob)
 		}
-		src := UniformSource{Seed: 5, BatchLen: 120, Lo: 0, Hi: 100}
-		for r := 0; r < setup.rounds; r++ {
-			cl.ProcessRound(src)
-		}
-		blob, err := cl.Snapshot()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		seeds = append(seeds, blob)
 	}
 	return seeds
 }
 
-// FuzzRestoreCluster hammers the cluster snapshot decoder: truncated,
-// bit-flipped, and length-lying inputs must return an error — never panic
-// and never allocate a cluster larger than the input can justify. A
-// snapshot that restores successfully must snapshot again successfully
-// (the restored state is internally consistent).
+// FuzzRestoreCluster hammers the cluster snapshot decoder with both
+// algorithms: truncated, bit-flipped, and length-lying inputs must return
+// an error — never panic and never allocate a cluster larger than the
+// input can justify. A snapshot that restores successfully must snapshot
+// again bit-identically (decode is the inverse of encode on its image),
+// and the restored cluster must run one more round.
 func FuzzRestoreCluster(f *testing.F) {
 	for _, s := range clusterSnapshotSeeds(f) {
 		f.Add(s)
@@ -55,15 +62,20 @@ func FuzzRestoreCluster(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		cl, err := RestoreCluster(fuzzClusterCfg, data)
-		if err != nil {
-			return
+		for _, algo := range fuzzAlgorithms {
+			cl, err := RestoreCluster(fuzzClusterCfg, data, WithAlgorithm(algo))
+			if err != nil {
+				continue
+			}
+			again, err := cl.Snapshot()
+			if err != nil {
+				t.Fatalf("restored %v cluster cannot snapshot: %v", algo, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("%v snapshot does not round-trip (%d vs %d bytes)", algo, len(again), len(data))
+			}
+			cl.ProcessRound(UniformSource{Seed: 2, BatchLen: 10, Lo: 0, Hi: 1})
 		}
-		if _, err := cl.Snapshot(); err != nil {
-			t.Fatalf("restored cluster cannot snapshot: %v", err)
-		}
-		// Restored state must be usable: one more round must not panic.
-		cl.ProcessRound(UniformSource{Seed: 2, BatchLen: 10, Lo: 0, Hi: 1})
 	})
 }
 

@@ -15,10 +15,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"reservoir/internal/costmodel"
+	"reservoir/internal/transport"
 )
 
 // SelStrategy chooses the distributed selection algorithm used to find the
@@ -262,20 +262,16 @@ func (c *Counters) fields() [6]*int64 {
 // slots.
 func (c Counters) AppendLE(b []byte) []byte {
 	for _, f := range c.fields() {
-		b = binary.LittleEndian.AppendUint64(b, uint64(*f))
+		b = transport.AppendU64(b, uint64(*f))
 	}
 	return b
 }
 
-// DecodeLE reads an AppendLE encoding from the front of b into c and
-// returns the bytes after it.
-func (c *Counters) DecodeLE(b []byte) ([]byte, error) {
-	fs := c.fields()
-	if len(b) < 8*len(fs) {
-		return nil, fmt.Errorf("core: truncated counters (%d bytes, want %d)", len(b), 8*len(fs))
+// DecCounters reads an AppendLE encoding from the cursor.
+func DecCounters(d *transport.Dec) Counters {
+	var c Counters
+	for _, f := range c.fields() {
+		*f = int64(d.U64())
 	}
-	for i, f := range fs {
-		*f = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return b[8*len(fs):], nil
+	return c
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
 	"reservoir/internal/btree"
 	"reservoir/internal/rng"
+	"reservoir/internal/transport"
 	"reservoir/internal/workload"
 )
 
@@ -20,6 +19,29 @@ import (
 
 const kindDistPE = byte(3)
 
+// appendPEHeader appends a per-PE snapshot's header: the sampler header,
+// then the rank it was taken on.
+func appendPEHeader(b []byte, kind byte, rank int) []byte {
+	return transport.AppendU32(appendSnapHeader(b, kind), uint32(rank))
+}
+
+// openPESnap reads a per-PE snapshot's header and refuses another
+// rank's snapshot.
+func openPESnap(d *transport.Dec, kind byte, rank int) {
+	openSnap(d, kind)
+	if r := d.U32(); int(r) != rank {
+		d.Fail(fmt.Errorf("snapshot is for PE %d, this is PE %d", r, rank))
+	}
+}
+
+// checkThreshold fails the decode unless a present threshold is
+// positive: the samplers draw their skips from it.
+func checkThreshold(d *transport.Dec, have bool, v float64) {
+	if have && !(v > 0) {
+		d.Fail(fmt.Errorf("corrupt snapshot (threshold %v)", v))
+	}
+}
+
 // MarshalBinary snapshots this PE's sampler state: the reservoir,
 // thresholds and selection stream, then a shard section carrying the
 // fixed scan threshold and the per-shard scan streams. Snapshots are
@@ -29,45 +51,30 @@ func (pe *DistPE) MarshalBinary() ([]byte, error) {
 	if pe.pendingSel {
 		return nil, fmt.Errorf("core: snapshot with an undrained pipelined selection (call FinishPending first)")
 	}
-	rngState, err := pe.src.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
-	}
-	le := binary.LittleEndian
 	n := pe.res.Len()
-	// Header 76 bytes, 32 per reservoir entry, the length-prefixed RNG
-	// state, then 13 bytes of shard header and each shard's prefixed
-	// state (the same size as the selection stream's).
-	b := make([]byte, 0, 76+32*n+8+len(rngState)+13+len(pe.shardSrc)*(8+len(rngState)))
-	b = le.AppendUint32(b, snapshotMagic)
-	b = append(b, snapshotVersion, kindDistPE)
-	b = le.AppendUint32(b, uint32(pe.comm.Rank()))
-	b = append(b, boolByte(pe.haveT))
-	b = le.AppendUint64(b, math.Float64bits(pe.thresh.V))
-	b = le.AppendUint64(b, pe.thresh.ID)
-	b = append(b, boolByte(pe.haveLocalT))
-	b = le.AppendUint64(b, math.Float64bits(pe.localThresh.V))
-	b = le.AppendUint64(b, pe.localThresh.ID)
-	b = le.AppendUint64(b, pe.keySeq)
-	b = le.AppendUint64(b, uint64(pe.size))
-	b = le.AppendUint64(b, uint64(pe.seen))
-	b = le.AppendUint64(b, uint64(n))
+	// Header 76 bytes, 32 per reservoir entry, 13 bytes of shard header,
+	// and 40 per prefixed RNG state.
+	b := make([]byte, 0, 76+32*n+13+40*(1+len(pe.shardSrc)))
+	b = appendPEHeader(b, kindDistPE, pe.comm.Rank())
+	b = appendKey(transport.AppendBool(b, pe.haveT), pe.thresh)
+	b = appendKey(transport.AppendBool(b, pe.haveLocalT), pe.localThresh)
+	for _, v := range [...]uint64{pe.keySeq, uint64(pe.size), uint64(pe.seen), uint64(n)} {
+		b = transport.AppendU64(b, v)
+	}
 	pe.res.ForEach(func(k btree.Key, it workload.Item) bool {
 		b = appendItem(appendKey(b, k), it)
 		return true
 	})
-	b = le.AppendUint64(b, uint64(len(rngState)))
-	b = append(b, rngState...)
-	b = append(b, boolByte(pe.scanHaveT))
-	b = le.AppendUint64(b, math.Float64bits(pe.scanThresh))
-	b = le.AppendUint32(b, uint32(len(pe.shardSrc)))
+	b, err := appendRNG(b, pe.src)
+	if err != nil {
+		return nil, err
+	}
+	b = transport.AppendF64(transport.AppendBool(b, pe.scanHaveT), pe.scanThresh)
+	b = transport.AppendU32(b, uint32(len(pe.shardSrc)))
 	for _, src := range pe.shardSrc {
-		st, err := src.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot shard RNG state: %w", err)
+		if b, err = appendRNG(b, src); err != nil {
+			return nil, err
 		}
-		b = le.AppendUint64(b, uint64(len(st)))
-		b = append(b, st...)
 	}
 	return b, nil
 }
@@ -75,111 +82,53 @@ func (pe *DistPE) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary restores a snapshot produced by MarshalBinary on a
 // freshly constructed DistPE with the same Config and rank.
 func (pe *DistPE) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic uint32
-	var version, kind byte
-	if err := rd(&magic); err != nil || magic != snapshotMagic {
-		return fmt.Errorf("core: not a sampler snapshot")
-	}
-	if err := rd(&version); err != nil || version != snapshotVersion {
-		return fmt.Errorf("core: unsupported snapshot version %d", version)
-	}
-	if err := rd(&kind); err != nil || kind != kindDistPE {
-		return fmt.Errorf("core: snapshot kind mismatch (got %d, want %d)", kind, kindDistPE)
-	}
-	var rank uint32
-	if err := rd(&rank); err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	if int(rank) != pe.comm.Rank() {
-		return fmt.Errorf("core: snapshot is for PE %d, this is PE %d", rank, pe.comm.Rank())
-	}
-	var haveT, haveLocalT byte
-	var threshV, threshID, localV, localID uint64
-	var keySeq, size, seen, resLen uint64
-	if err := firstErr(
-		rd(&haveT), rd(&threshV), rd(&threshID),
-		rd(&haveLocalT), rd(&localV), rd(&localID),
-		rd(&keySeq), rd(&size), rd(&seen), rd(&resLen),
-	); err != nil {
-		return fmt.Errorf("core: truncated snapshot header: %w", err)
-	}
-	// Each reservoir entry is 32 bytes; a length claim the remaining input
-	// cannot back is corruption, rejected before any insertion work.
-	if resLen > uint64(r.Len())/32 {
-		return fmt.Errorf("core: corrupt snapshot (reservoir claims %d entries, %d bytes remain)", resLen, r.Len())
-	}
+	d := transport.NewDec(data)
+	openPESnap(d, kindDistPE, pe.comm.Rank())
+	haveT, thresh := d.Bool(), decKey(d)
+	checkThreshold(d, haveT, thresh.V)
+	haveLocalT, localThresh := d.Bool(), decKey(d)
+	keySeq, size, seen := d.U64(), d.U64(), d.U64()
 	degree := pe.cfg.TreeDegree
 	if degree == 0 {
 		degree = btree.DefaultDegree
 	}
 	res := btree.NewWithDegree[workload.Item](degree)
 	var prev btree.Key
-	for i := uint64(0); i < resLen; i++ {
-		var kv, kid, wv, iid uint64
-		if err := firstErr(rd(&kv), rd(&kid), rd(&wv), rd(&iid)); err != nil {
-			return fmt.Errorf("core: truncated snapshot reservoir: %w", err)
+	for i := range decCount(d, 32) {
+		ki := decKeyedItem(d)
+		if i > 0 && !prev.Less(ki.Key) {
+			d.Fail(errors.New("corrupt snapshot (reservoir keys out of order)"))
+			break
 		}
-		k := btree.Key{V: math.Float64frombits(kv), ID: kid}
-		if i > 0 && !prev.Less(k) {
-			return fmt.Errorf("core: corrupt snapshot (reservoir keys out of order)")
-		}
-		prev = k
-		res.Insert(k, workload.Item{W: math.Float64frombits(wv), ID: iid})
+		prev = ki.Key
+		res.Insert(ki.Key, ki.Item)
 	}
-	var rngLen uint64
-	if err := rd(&rngLen); err != nil || rngLen > uint64(r.Len()) {
-		return fmt.Errorf("core: truncated snapshot RNG state")
+	src := decRNG(d)
+	scanHaveT, scanThresh := d.Bool(), d.F64()
+	checkThreshold(d, scanHaveT, scanThresh)
+	if shards := d.U32(); int(shards) != pe.cfg.Shards {
+		d.Fail(fmt.Errorf("snapshot has %d scan shards, config wants %d", shards, pe.cfg.Shards))
 	}
-	rngState := make([]byte, rngLen)
-	if _, err := r.Read(rngState); err != nil {
-		return fmt.Errorf("core: truncated snapshot RNG state: %w", err)
-	}
-	src := rng.NewXoshiro256(1)
-	if err := src.UnmarshalBinary(rngState); err != nil {
-		return err
-	}
-	var scanHaveT byte
-	var scanThreshBits uint64
-	var shardCount uint32
-	if err := firstErr(rd(&scanHaveT), rd(&scanThreshBits), rd(&shardCount)); err != nil {
-		return fmt.Errorf("core: truncated snapshot shard section: %w", err)
-	}
-	if int(shardCount) != pe.cfg.Shards {
-		return fmt.Errorf("core: snapshot has %d scan shards, config wants %d", shardCount, pe.cfg.Shards)
-	}
-	shardSrc := make([]*rng.Xoshiro256, shardCount)
+	shardSrc := make([]*rng.Xoshiro256, pe.cfg.Shards)
 	for i := range shardSrc {
-		var n uint64
-		if err := rd(&n); err != nil || n > uint64(r.Len()) {
-			return fmt.Errorf("core: truncated snapshot shard RNG state")
-		}
-		st := make([]byte, n)
-		if _, err := r.Read(st); err != nil {
-			return fmt.Errorf("core: truncated snapshot shard RNG state: %w", err)
-		}
-		shardSrc[i] = rng.NewXoshiro256(1)
-		if err := shardSrc[i].UnmarshalBinary(st); err != nil {
-			return err
-		}
+		shardSrc[i] = decRNG(d)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("core: %d trailing bytes in snapshot", r.Len())
+	if err := closeSnap(d); err != nil {
+		return err
 	}
 
 	pe.res = res
-	pe.haveT = haveT != 0
-	pe.thresh = btree.Key{V: math.Float64frombits(threshV), ID: threshID}
-	pe.haveLocalT = haveLocalT != 0
-	pe.localThresh = btree.Key{V: math.Float64frombits(localV), ID: localID}
+	pe.haveT = haveT
+	pe.thresh = thresh
+	pe.haveLocalT = haveLocalT
+	pe.localThresh = localThresh
 	pe.keySeq = keySeq
 	pe.size = int(size)
 	pe.seen = int64(seen)
 	pe.src = src
 	pe.shardSrc = shardSrc
-	pe.scanHaveT = scanHaveT != 0
-	pe.scanThresh = math.Float64frombits(scanThreshBits)
+	pe.scanHaveT = scanHaveT
+	pe.scanThresh = scanThresh
 	pe.pendingSel = false
 	pe.pendingLen = 0
 	pe.timing = Timing{}
@@ -191,10 +140,3 @@ func (pe *DistPE) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary (which zeroes them), so a restored cluster reports the
 // same lifetime counters as the snapshotting one.
 func (pe *DistPE) RestoreCounters(c Counters) { pe.counter = c }
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -78,7 +78,8 @@ func windowedSnapshotSeeds(tb testing.TB) [][]byte {
 // arbitrary bytes: truncated, bit-flipped, and length-lying inputs must
 // return an error — never panic and never allocate beyond what the input
 // length can justify. A successfully decoded snapshot must re-marshal
-// bit-identically (decode is the inverse of encode on its image).
+// bit-identically (decode is the inverse of encode on its image), and
+// the restored sampler must take one more batch without panicking.
 func FuzzUnmarshalSeq(f *testing.F) {
 	for _, s := range append(seqSnapshotSeeds(f), windowedSnapshotSeeds(f)...) {
 		f.Add(s)
@@ -87,42 +88,29 @@ func FuzzUnmarshalSeq(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x20
 		f.Add(flipped)
 	}
+	batch := makeItems(16, func(i int) float64 { return float64(i%5) + 0.5 })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		var w SeqWeighted
-		if err := w.UnmarshalBinary(data); err == nil {
-			out, err := w.MarshalBinary()
+		for _, s := range []interface {
+			MarshalBinary() ([]byte, error)
+			UnmarshalBinary([]byte) error
+			ProcessBatch(workload.Batch)
+			Sample() []workload.Item
+		}{new(SeqWeighted), new(SeqUniform), newFuzzWindowed()} {
+			if err := s.UnmarshalBinary(data); err != nil {
+				continue
+			}
+			out, err := s.MarshalBinary()
 			if err != nil {
-				t.Fatalf("re-marshal of accepted weighted snapshot failed: %v", err)
+				t.Fatalf("re-marshal of accepted %T snapshot failed: %v", s, err)
 			}
 			if !bytes.Equal(out, data) {
-				t.Fatalf("weighted snapshot does not round-trip (%d vs %d bytes)", len(out), len(data))
+				t.Fatalf("%T snapshot does not round-trip (%d vs %d bytes)", s, len(out), len(data))
 			}
-		}
-		var u SeqUniform
-		if err := u.UnmarshalBinary(data); err == nil {
-			out, err := u.MarshalBinary()
-			if err != nil {
-				t.Fatalf("re-marshal of accepted uniform snapshot failed: %v", err)
-			}
-			if !bytes.Equal(out, data) {
-				t.Fatalf("uniform snapshot does not round-trip (%d vs %d bytes)", len(out), len(data))
-			}
-		}
-		win := newFuzzWindowed()
-		if err := win.UnmarshalBinary(data); err == nil {
-			out, err := win.MarshalBinary()
-			if err != nil {
-				t.Fatalf("re-marshal of accepted windowed snapshot failed: %v", err)
-			}
-			if !bytes.Equal(out, data) {
-				t.Fatalf("windowed snapshot does not round-trip (%d vs %d bytes)", len(out), len(data))
-			}
-			// A restored sampler must keep sampling without panicking.
-			win.Process(workload.Item{W: 1, ID: 1})
-			win.Sample()
+			s.ProcessBatch(batch)
+			s.Sample()
 		}
 	})
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"reservoir/internal/rng"
+	"reservoir/internal/transport"
 	"reservoir/internal/workload"
 )
 
@@ -16,9 +17,15 @@ import (
 // process after a restart — including the PRNG state, so a resumed run is
 // bit-identical to an uninterrupted one.
 //
-// Binary layout (little endian): magic, version, kind, k,
-// skip state (float64 or int64), items-seen, weight-seen, heap size,
-// heap (key, weight, id)*, RNG state length, RNG state.
+// Every sampler snapshot (these, the window sampler's and the per-PE
+// ones in distserialize.go and gatherserialize.go) starts with the same
+// header (magic, version, kind), stores each PRNG stream as a u64 length
+// plus its state, and is decoded through the wire codec's bounds-checked
+// cursor (transport.Dec). All words are little endian.
+//
+// Sequential layout: header, k, skip state (float64 or int64 bits),
+// items-seen, weight-seen, heap (u64 length, then (key, weight, id)*),
+// RNG state.
 
 const (
 	snapshotMagic   = uint32(0x5e5a3107)
@@ -27,8 +34,107 @@ const (
 	kindUniform     = byte(2)
 )
 
+// appendSnapHeader appends the header every sampler snapshot starts with.
+func appendSnapHeader(b []byte, kind byte) []byte {
+	b = transport.AppendU32(b, snapshotMagic)
+	return append(b, snapshotVersion, kind)
+}
+
+// openSnap reads the header of a snapshot that must be of the given kind.
+func openSnap(d *transport.Dec, kind byte) {
+	if d.U32() != snapshotMagic {
+		d.Fail(errors.New("not a sampler snapshot"))
+	}
+	if v := d.U8(); v != snapshotVersion {
+		d.Fail(fmt.Errorf("unsupported snapshot version %d", v))
+	}
+	if got := d.U8(); got != kind {
+		d.Fail(fmt.Errorf("snapshot kind mismatch (got %d, want %d)", got, kind))
+	}
+}
+
+// closeSnap returns a snapshot decode's first failure, or an error if
+// bytes remain after the value.
+func closeSnap(d *transport.Dec) error {
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("core: snapshot: %w", err)
+	}
+	return nil
+}
+
+// appendRNG appends a random source's state prefixed by its length. The
+// source must implement encoding.BinaryAppender, as the default
+// xoshiro256** engine does.
+func appendRNG(b []byte, src rng.Source) ([]byte, error) {
+	a, ok := src.(encoding.BinaryAppender)
+	if !ok {
+		return nil, fmt.Errorf("core: random source %T does not support snapshots", src)
+	}
+	at := len(b)
+	b, err := a.AppendBinary(transport.AppendU64(b, 0))
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
+	}
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	return b, nil
+}
+
+// decRNG reads an appendRNG state into a fresh xoshiro256** engine.
+func decRNG(d *transport.Dec) *rng.Xoshiro256 {
+	x := new(rng.Xoshiro256)
+	if err := x.UnmarshalBinary(d.Blob()); err != nil {
+		d.Fail(err)
+	}
+	return x
+}
+
+// decCount reads a u64 element count and checks it against the bytes
+// left, elemBytes per element, so a length-lying header fails before
+// anything is allocated.
+func decCount(d *transport.Dec, elemBytes int) int {
+	n := d.U64()
+	if n > uint64(d.Remaining()/elemBytes) {
+		d.Fail(fmt.Errorf("corrupt snapshot (%d entries claimed, %d bytes remain)", n, d.Remaining()))
+		return 0
+	}
+	return int(n)
+}
+
+// appendHeap appends a sample heap: its length, then each entry's key
+// and item.
+func appendHeap(b []byte, h *maxHeap) []byte {
+	b = transport.AppendU64(b, uint64(h.len()))
+	for i, key := range h.keys {
+		b = appendItem(transport.AppendF64(b, key), h.items[i])
+	}
+	return b
+}
+
+// decHeap reads an appendHeap heap of at most k entries. The keys must
+// be non-negative and in heap order, with a positive maximum: the
+// samplers draw their next skip from the maximum key.
+func decHeap(d *transport.Dec, k int) maxHeap {
+	n := decCount(d, 24)
+	if n > k {
+		d.Fail(fmt.Errorf("corrupt snapshot (heap of %d entries, k=%d)", n, k))
+		return maxHeap{}
+	}
+	h := maxHeap{keys: make([]float64, n), items: make([]workload.Item, n)}
+	for i := range h.keys {
+		h.keys[i], h.items[i] = d.F64(), decItem(d)
+		if !(h.keys[i] >= 0) || i > 0 && h.keys[i] > h.keys[(i-1)/2] {
+			d.Fail(fmt.Errorf("corrupt snapshot (heap key %d is %v, out of order or range)", i, h.keys[i]))
+			return maxHeap{}
+		}
+	}
+	if n > 0 && !(h.keys[0] > 0) {
+		d.Fail(errors.New("corrupt snapshot (heap maximum key is 0)"))
+	}
+	return h
+}
+
 // MarshalBinary snapshots the sampler. The sampler's random source must
-// implement encoding.BinaryMarshaler (the default xoshiro256** engine
+// implement encoding.BinaryAppender (the default xoshiro256** engine
 // does).
 func (s *SeqWeighted) MarshalBinary() ([]byte, error) {
 	return marshalSeq(kindWeighted, s.k, math.Float64bits(s.x), uint64(s.n),
@@ -71,32 +177,13 @@ func (s *SeqUniform) UnmarshalBinary(data []byte) error {
 }
 
 func marshalSeq(kind byte, k int, skipBits, n uint64, wSum float64, h *maxHeap, src rng.Source) ([]byte, error) {
-	m, ok := src.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: random source %T does not support snapshots", src)
+	// Header and fields 46 bytes, 24 per heap entry, the prefixed RNG
+	// state.
+	b := appendSnapHeader(make([]byte, 0, 46+24*h.len()+40), kind)
+	for _, v := range [...]uint64{uint64(k), skipBits, n, math.Float64bits(wSum)} {
+		b = transport.AppendU64(b, v)
 	}
-	rngState, err := m.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
-	}
-	var buf bytes.Buffer
-	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(snapshotMagic)
-	w(byte(snapshotVersion))
-	w(kind)
-	w(uint64(k))
-	w(skipBits)
-	w(n)
-	w(math.Float64bits(wSum))
-	w(uint64(h.len()))
-	for i, key := range h.keys {
-		w(math.Float64bits(key))
-		w(math.Float64bits(h.items[i].W))
-		w(h.items[i].ID)
-	}
-	w(uint64(len(rngState)))
-	buf.Write(rngState)
-	return buf.Bytes(), nil
+	return appendRNG(appendHeap(b, h), src)
 }
 
 type seqState struct {
@@ -108,82 +195,22 @@ type seqState struct {
 	src      rng.Source
 }
 
-func unmarshalSeq(wantKind byte, data []byte) (seqState, error) {
-	var st seqState
-	r := bytes.NewReader(data)
-	var magic uint32
-	var version, kind byte
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := rd(&magic); err != nil || magic != snapshotMagic {
-		return st, fmt.Errorf("core: not a sampler snapshot")
+func unmarshalSeq(kind byte, data []byte) (seqState, error) {
+	d := transport.NewDec(data)
+	openSnap(d, kind)
+	st := seqState{k: int(d.U64()), skipBits: d.U64(), n: d.U64(), wSum: d.F64()}
+	if st.k < 1 {
+		d.Fail(fmt.Errorf("corrupt snapshot (k=%d)", st.k))
 	}
-	if err := rd(&version); err != nil || version != snapshotVersion {
-		return st, fmt.Errorf("core: unsupported snapshot version %d", version)
+	// A uniform snapshot encodes wSum as 0 and a skip count below 2^63;
+	// anything else is corruption (a negative skip would index before the
+	// next batch).
+	if kind == kindUniform && (math.Float64bits(st.wSum) != 0 || int64(st.skipBits) < 0) {
+		d.Fail(fmt.Errorf("corrupt snapshot (uniform sampler with wSum %v, skip %d)", st.wSum, int64(st.skipBits)))
 	}
-	if err := rd(&kind); err != nil || kind != wantKind {
-		return st, fmt.Errorf("core: snapshot kind mismatch (got %d, want %d)", kind, wantKind)
-	}
-	var k, heapLen, rngLen uint64
-	var wSumBits uint64
-	if err := firstErr(rd(&k), rd(&st.skipBits), rd(&st.n), rd(&wSumBits), rd(&heapLen)); err != nil {
-		return st, fmt.Errorf("core: truncated snapshot header: %w", err)
-	}
-	st.k = int(k)
-	st.wSum = math.Float64frombits(wSumBits)
-	if wantKind == kindUniform && wSumBits != 0 {
-		// Uniform snapshots always encode wSum as 0; anything else is
-		// corruption (and would not survive a re-marshal round-trip).
-		return st, fmt.Errorf("core: corrupt snapshot (uniform sampler with wSum bits %#x)", wSumBits)
-	}
-	if st.k < 1 || heapLen > k {
-		return st, fmt.Errorf("core: corrupt snapshot (k=%d, heap=%d)", st.k, heapLen)
-	}
-	// Each heap entry is 24 bytes; reject length-lying headers before
-	// allocating the heap, so corrupt input cannot force a huge allocation.
-	if heapLen > uint64(r.Len())/24 {
-		return st, fmt.Errorf("core: corrupt snapshot (heap claims %d entries, %d bytes remain)", heapLen, r.Len())
-	}
-	st.h.keys = make([]float64, heapLen)
-	st.h.items = make([]workload.Item, heapLen)
-	for i := uint64(0); i < heapLen; i++ {
-		var keyBits, wBits, id uint64
-		if err := firstErr(rd(&keyBits), rd(&wBits), rd(&id)); err != nil {
-			return st, fmt.Errorf("core: truncated snapshot heap: %w", err)
-		}
-		st.h.keys[i] = math.Float64frombits(keyBits)
-		st.h.items[i] = workload.Item{W: math.Float64frombits(wBits), ID: id}
-	}
-	// Validate the heap property rather than trusting the input.
-	for i := 1; i < int(heapLen); i++ {
-		if st.h.keys[i] > st.h.keys[(i-1)/2] {
-			return st, fmt.Errorf("core: corrupt snapshot (heap order violated at %d)", i)
-		}
-	}
-	if err := rd(&rngLen); err != nil || rngLen > uint64(r.Len()) {
-		return st, fmt.Errorf("core: truncated snapshot RNG state")
-	}
-	rngState := make([]byte, rngLen)
-	if _, err := r.Read(rngState); err != nil {
-		return st, fmt.Errorf("core: truncated snapshot RNG state: %w", err)
-	}
-	x := rng.NewXoshiro256(1)
-	if err := x.UnmarshalBinary(rngState); err != nil {
-		return st, err
-	}
-	if r.Len() != 0 {
-		return st, fmt.Errorf("core: %d trailing bytes in snapshot", r.Len())
-	}
-	st.src = x
-	return st, nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	st.h = decHeap(d, st.k)
+	st.src = decRNG(d)
+	return st, closeSnap(d)
 }
 
 // kindWindowed tags WindowedWeighted snapshots.
@@ -191,121 +218,56 @@ const kindWindowed = byte(5)
 
 // MarshalBinary snapshots the sliding-window sampler: its shape (k,
 // chunkLen, chunks), the ring position (head, inChunk), the item count,
-// every ring chunk (a used flag and its heap of (key, weight, id)
-// entries), then the RNG state. The random source must implement
-// encoding.BinaryMarshaler (the default xoshiro256** engine does).
+// every ring chunk (a used flag and its heap), then the RNG state. The
+// random source must implement encoding.BinaryAppender (the default
+// xoshiro256** engine does).
 func (s *WindowedWeighted) MarshalBinary() ([]byte, error) {
-	m, ok := s.src.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: random source %T does not support snapshots", s.src)
-	}
-	rngState, err := m.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot RNG state: %w", err)
-	}
-	le := binary.LittleEndian
-	size := 54 + 8 + len(rngState)
+	size := 54 + 40
 	for i := range s.ring {
 		size += 9 + 24*s.ring[i].h.len()
 	}
-	b := make([]byte, 0, size)
-	b = le.AppendUint32(b, snapshotMagic)
-	b = append(b, snapshotVersion, kindWindowed)
+	b := appendSnapHeader(make([]byte, 0, size), kindWindowed)
 	for _, v := range [...]uint64{uint64(s.k), uint64(s.chunkLen), uint64(s.chunks),
 		uint64(s.head), uint64(s.inChunk), uint64(s.n)} {
-		b = le.AppendUint64(b, v)
+		b = transport.AppendU64(b, v)
 	}
 	for i := range s.ring {
-		c := &s.ring[i]
-		b = append(b, boolByte(c.used))
-		b = le.AppendUint64(b, uint64(c.h.len()))
-		for j, key := range c.h.keys {
-			b = le.AppendUint64(b, math.Float64bits(key))
-			b = appendItem(b, c.h.items[j])
-		}
+		b = appendHeap(transport.AppendBool(b, s.ring[i].used), &s.ring[i].h)
 	}
-	b = le.AppendUint64(b, uint64(len(rngState)))
-	return append(b, rngState...), nil
+	return appendRNG(b, s.src)
 }
 
 // UnmarshalBinary restores a snapshot produced by MarshalBinary into a
 // sampler built by NewWindowedWeighted with the same k, window and
 // chunkLen; a snapshot of a differently shaped sampler is refused.
 func (s *WindowedWeighted) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic uint32
-	var version, kind byte
-	if err := rd(&magic); err != nil || magic != snapshotMagic {
-		return fmt.Errorf("core: not a sampler snapshot")
-	}
-	if err := rd(&version); err != nil || version != snapshotVersion {
-		return fmt.Errorf("core: unsupported snapshot version %d", version)
-	}
-	if err := rd(&kind); err != nil || kind != kindWindowed {
-		return fmt.Errorf("core: snapshot kind mismatch (got %d, want %d)", kind, kindWindowed)
-	}
-	var k, chunkLen, chunks, head, inChunk, n uint64
-	if err := firstErr(rd(&k), rd(&chunkLen), rd(&chunks), rd(&head), rd(&inChunk), rd(&n)); err != nil {
-		return fmt.Errorf("core: truncated snapshot header: %w", err)
-	}
+	d := transport.NewDec(data)
+	openSnap(d, kindWindowed)
+	k, chunkLen, chunks, head, inChunk, n := d.U64(), d.U64(), d.U64(), d.U64(), d.U64(), d.U64()
 	if k != uint64(s.k) || chunkLen != uint64(s.chunkLen) || chunks != uint64(s.chunks) {
-		return fmt.Errorf("core: snapshot of a k=%d chunk_len=%d chunks=%d window sampler, this one is k=%d chunk_len=%d chunks=%d",
-			k, chunkLen, chunks, s.k, s.chunkLen, s.chunks)
+		d.Fail(fmt.Errorf("snapshot of a k=%d chunk_len=%d chunks=%d window sampler, this one is k=%d chunk_len=%d chunks=%d",
+			k, chunkLen, chunks, s.k, s.chunkLen, s.chunks))
 	}
 	if head >= chunks || inChunk > chunkLen {
-		return fmt.Errorf("core: corrupt snapshot (head=%d, in_chunk=%d)", head, inChunk)
+		d.Fail(fmt.Errorf("corrupt snapshot (head=%d, in_chunk=%d)", head, inChunk))
 	}
-	ring := make([]chunkSample, chunks)
+	ring := make([]chunkSample, s.chunks)
 	for i := range ring {
-		var used byte
-		var heapLen uint64
-		if err := firstErr(rd(&used), rd(&heapLen)); err != nil {
-			return fmt.Errorf("core: truncated snapshot chunk %d: %w", i, err)
-		}
-		// Each heap entry is 24 bytes; reject length-lying headers before
-		// allocating the heap.
-		if used > 1 || heapLen > k || (used == 0 && heapLen > 0) || heapLen > uint64(r.Len())/24 {
-			return fmt.Errorf("core: corrupt snapshot chunk %d (used=%d, heap=%d)", i, used, heapLen)
-		}
 		c := &ring[i]
-		c.used = used == 1
-		if heapLen == 0 {
-			continue
-		}
-		c.h.keys = make([]float64, heapLen)
-		c.h.items = make([]workload.Item, heapLen)
-		for j := range c.h.keys {
-			var keyBits, wBits, id uint64
-			if err := firstErr(rd(&keyBits), rd(&wBits), rd(&id)); err != nil {
-				return fmt.Errorf("core: truncated snapshot chunk %d: %w", i, err)
-			}
-			c.h.keys[j] = math.Float64frombits(keyBits)
-			c.h.items[j] = workload.Item{W: math.Float64frombits(wBits), ID: id}
-			if j > 0 && c.h.keys[j] > c.h.keys[(j-1)/2] {
-				return fmt.Errorf("core: corrupt snapshot chunk %d (heap order violated at %d)", i, j)
-			}
+		c.used = d.Bool()
+		c.h = decHeap(d, s.k)
+		if !c.used && c.h.len() > 0 {
+			d.Fail(fmt.Errorf("corrupt snapshot (unused chunk %d holds %d items)", i, c.h.len()))
 		}
 	}
-	var rngLen uint64
-	if err := rd(&rngLen); err != nil || rngLen > uint64(r.Len()) {
-		return fmt.Errorf("core: truncated snapshot RNG state")
-	}
-	rngState := make([]byte, rngLen)
-	if _, err := r.Read(rngState); err != nil {
-		return fmt.Errorf("core: truncated snapshot RNG state: %w", err)
-	}
-	x := rng.NewXoshiro256(1)
-	if err := x.UnmarshalBinary(rngState); err != nil {
+	src := decRNG(d)
+	if err := closeSnap(d); err != nil {
 		return err
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("core: %d trailing bytes in snapshot", r.Len())
 	}
 	s.ring = ring
 	s.head = int(head)
 	s.inChunk = int(inChunk)
 	s.n = int64(n)
-	s.src = x
+	s.src = src
 	return nil
 }

@@ -12,12 +12,13 @@ package nodesvc
 // (DESIGN.md §2.5).
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
 	"reservoir"
+	"reservoir/internal/core"
 	"reservoir/internal/store"
+	"reservoir/internal/transport"
 )
 
 // nodeRunID is the store run ID every node persists under.
@@ -59,21 +60,21 @@ const diskStateHeader = 8 * 8
 
 func encodeDiskState(ds *diskState) []byte {
 	b := make([]byte, 0, diskStateHeader+len(ds.Sampler))
-	b = binary.LittleEndian.AppendUint64(b, ds.Round)
-	b = binary.LittleEndian.AppendUint64(b, ds.Epoch)
+	b = transport.AppendU64(b, ds.Round)
+	b = transport.AppendU64(b, ds.Epoch)
 	b = ds.Counters.AppendLE(b)
 	return append(b, ds.Sampler...)
 }
 
 // decodeDiskState inverts encodeDiskState. The returned Sampler aliases b.
 func decodeDiskState(b []byte) (*diskState, error) {
-	if len(b) < diskStateHeader {
-		return nil, fmt.Errorf("nodesvc: short boundary state (%d bytes)", len(b))
+	d := transport.NewDec(b)
+	ds := &diskState{Round: d.U64(), Epoch: d.U64(), Counters: core.DecCounters(d)}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("nodesvc: boundary state: %w", err)
 	}
-	ds := &diskState{Round: binary.LittleEndian.Uint64(b), Epoch: binary.LittleEndian.Uint64(b[8:])}
-	var err error
-	ds.Sampler, err = ds.Counters.DecodeLE(b[16:])
-	return ds, err
+	ds.Sampler = b[diskStateHeader:]
+	return ds, nil
 }
 
 func (s *Server) configJSON() ([]byte, error) {

@@ -202,10 +202,14 @@ func Exponential(s Source, rate float64) float64 {
 // GeometricSkip returns the number of failures before the first success of
 // a Bernoulli process with success probability p, i.e. a geometric variate
 // on {0, 1, 2, ...} computed as floor(ln(rand()) / ln(1-p)) (Devroye).
-// For p >= 1 it returns 0. It panics if p <= 0.
+// For p >= 1 it returns 0, and for p == 0, which never succeeds, the
+// math.MaxInt32 cap that tiny p reach too. It panics if p < 0.
 func GeometricSkip(s Source, p float64) int {
-	if p <= 0 {
-		panic("rng: GeometricSkip requires p > 0")
+	if p < 0 {
+		panic("rng: GeometricSkip requires p >= 0")
+	}
+	if p == 0 {
+		return math.MaxInt32
 	}
 	if p >= 1 {
 		return 0

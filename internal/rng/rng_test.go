@@ -144,6 +144,11 @@ func TestGeometricSkipEdgeCases(t *testing.T) {
 	if got := GeometricSkip(src, 1.5); got != 0 {
 		t.Errorf("GeometricSkip(p=1.5) = %d, want 0", got)
 	}
+	// A uniform sampler whose largest key is exactly 0 (a U01CO draw of
+	// 0) skips at p = 0: it never succeeds, so the skip is the cap.
+	if got := GeometricSkip(src, 0); got != math.MaxInt32 {
+		t.Errorf("GeometricSkip(p=0) = %d, want %d", got, math.MaxInt32)
+	}
 	// Extremely small p must not overflow int.
 	v := GeometricSkip(src, 1e-300)
 	if v < 0 {

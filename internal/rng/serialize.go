@@ -5,15 +5,17 @@ import (
 	"fmt"
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler: the 4-word xoshiro
+// AppendBinary implements encoding.BinaryAppender: the 4-word xoshiro
 // state, little endian.
-func (x *Xoshiro256) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 32)
-	for i, s := range x.s {
-		binary.LittleEndian.PutUint64(out[i*8:], s)
+func (x *Xoshiro256) AppendBinary(b []byte) ([]byte, error) {
+	for _, s := range x.s {
+		b = binary.LittleEndian.AppendUint64(b, s)
 	}
-	return out, nil
+	return b, nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler (see AppendBinary).
+func (x *Xoshiro256) MarshalBinary() ([]byte, error) { return x.AppendBinary(make([]byte, 0, 32)) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (x *Xoshiro256) UnmarshalBinary(data []byte) error {

@@ -189,6 +189,9 @@ func AppendVarint(buf []byte, x int64) []byte { return binary.AppendVarint(buf, 
 // AppendU64 appends x as 8 little-endian bytes.
 func AppendU64(buf []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(buf, x) }
 
+// AppendU32 appends x as 4 little-endian bytes.
+func AppendU32(buf []byte, x uint32) []byte { return binary.LittleEndian.AppendUint32(buf, x) }
+
 // AppendF64 appends x's IEEE-754 bits as 8 little-endian bytes
 // (bit-exact round-trips, NaN payloads included — the equivalence suite
 // demands byte-identical samples across backends).
@@ -208,6 +211,13 @@ func AppendBool(buf []byte, x bool) []byte {
 // raw bytes). Pair with Dec.Bytes.
 func AppendBytes(buf, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
+}
+
+// AppendBlob appends b prefixed by its length as 8 little-endian bytes
+// (the framing of snapshot blobs). Pair with Dec.Blob.
+func AppendBlob(buf, b []byte) []byte {
+	buf = AppendU64(buf, uint64(len(b)))
 	return append(buf, b...)
 }
 
@@ -243,6 +253,15 @@ func (d *Dec) fail(what string) {
 	if d.err == nil {
 		d.failure = decodeError{what: what, off: d.off}
 		d.err = &d.failure
+	}
+}
+
+// Fail records err as the cursor's failure unless one is already
+// recorded: codecs report their own checks (a bad magic number, an
+// out-of-range field) through the same first-error slot as a short read.
+func (d *Dec) Fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
 }
 
@@ -286,6 +305,17 @@ func (d *Dec) Bool() bool {
 		d.fail("bool")
 		return false
 	}
+}
+
+// U32 reads 4 little-endian bytes.
+func (d *Dec) U32() uint32 {
+	if d.err != nil || d.off+4 > len(d.b) {
+		d.fail("u32")
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
+	d.off += 4
+	return v
 }
 
 // U64 reads 8 little-endian bytes.
@@ -363,6 +393,24 @@ func (d *Dec) Bytes() []byte {
 	copy(out, d.b[d.off:d.off+n])
 	d.off += n
 	return out
+}
+
+// Blob reads a byte string prefixed by its length as 8 little-endian
+// bytes (see AppendBlob). Unlike Bytes the result aliases the input, so
+// use it only on input the caller owns for as long as it keeps the
+// result (snapshots), never on a pooled transport buffer.
+func (d *Dec) Blob() []byte {
+	n := d.U64()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail("blob length")
+		return nil
+	}
+	b := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
 }
 
 // Payload decodes all remaining bytes as one nested wire payload —

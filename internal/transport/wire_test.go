@@ -288,3 +288,34 @@ func TestDecBytes(t *testing.T) {
 		}
 	}
 }
+
+// Snapshot framing: a u32 and a u64-prefixed blob round-trip, the blob
+// aliases its input, a length past the end fails, and Fail keeps the
+// first failure.
+func TestDecSnapshotFraming(t *testing.T) {
+	src := []byte("sampler state")
+	enc := AppendBlob(AppendU32(nil, 0x5e5a3107), src)
+	d := NewDec(enc)
+	if v := d.U32(); v != 0x5e5a3107 {
+		t.Fatalf("U32 = %#x", v)
+	}
+	got := d.Blob()
+	if string(got) != string(src) || d.Close() != nil {
+		t.Fatalf("round trip: got %q err %v", got, d.Close())
+	}
+	enc[len(enc)-1] ^= 0xFF
+	if got[len(got)-1] != enc[len(enc)-1] {
+		t.Fatal("Blob copied instead of aliasing its input")
+	}
+	d = NewDec(AppendU64(nil, 1<<40))
+	if d.Blob(); d.Err() == nil {
+		t.Fatal("length-lying blob decoded")
+	}
+	first := fmt.Errorf("first")
+	d = NewDec(nil)
+	d.Fail(first)
+	d.Fail(fmt.Errorf("second"))
+	if d.U32(); d.Err() != first {
+		t.Fatalf("Err = %v, want the first failure", d.Err())
+	}
+}
