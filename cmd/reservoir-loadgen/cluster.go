@@ -14,12 +14,6 @@ import (
 	"reservoir/internal/service"
 )
 
-// runClusterBench drives a live multi-process cluster (reservoir-serve
-// node mode) through its rank-0 control API: one round per request, wall
-// clock latency per round, and the cluster-wide traffic deltas from the
-// stats endpoint. With -sample-out it additionally fetches the merged
-// sample and writes a dump that reservoir-verify -match can replay on the
-// simulator — the end-to-end determinism check of the multi-process path.
 // clusterClient issues control-API requests, optionally surviving chaos:
 // with -chaos, connection errors and 5xx responses (a node was killed,
 // the cluster is resyncing, rank 0 itself is restarting) are retried
@@ -79,6 +73,12 @@ func (c *clusterClient) stats(refresh bool) nodesvc.Stats {
 	return st
 }
 
+// runClusterBench drives the cluster through its rank-0 control API: one
+// round per request, wall clock latency per round, and the cluster-wide
+// traffic deltas from the stats endpoint. With -sample-out it then
+// fetches the merged sample and writes a dump that reservoir-verify
+// -match can replay on the simulator — the end-to-end determinism check
+// of the multi-process path.
 func runClusterBench(cfg config) {
 	client := &clusterClient{
 		hc:    &http.Client{Timeout: 5 * time.Minute},
@@ -108,20 +108,17 @@ func runClusterBench(cfg config) {
 		"uniform": initial.Uniform, "rounds_per_point": cfg.rounds,
 		"shards": initial.Shards, "pipeline": initial.Pipeline,
 	}
-	if len(cfg.scens) == 1 {
-		rep.Params["scenario"] = cfg.scens[0].Name
+	if cfg.scen != nil {
+		rep.Params["scenario"] = cfg.scen.Name
 	}
 
 	var lastSpec service.SyntheticSpec
 	for _, batch := range cfg.batch {
 		before := client.stats(true)
-		spec := service.SyntheticSpec{BatchLen: batch, Rounds: 1}
-		if len(cfg.scens) == 1 {
-			// Scenario streams derive from (seed, pe, round) like the
-			// primitive sources, so the dump still replays byte-identically
-			// under reservoir-verify -match.
-			spec.Scenario = &cfg.scens[0]
-		}
+		// Scenario streams derive from (seed, pe, round) like the
+		// primitive sources, so the dump still replays byte-identically
+		// under reservoir-verify -match.
+		spec := service.SyntheticSpec{BatchLen: batch, Rounds: 1, Scenario: cfg.scen}
 		lastSpec = spec
 		// defer_stats keeps the pipeline full across HTTP requests: each
 		// round's selection collective stays in flight while the next

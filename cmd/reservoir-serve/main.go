@@ -1,10 +1,10 @@
 // Command reservoir-serve hosts the sampling library as a long-running
 // HTTP service: clients create sampler runs (distributed clusters,
 // sequential samplers, or sliding-window samplers), stream weighted
-// mini-batches into them, and query samples, stats, and a live SSE metrics
-// feed. Ingest is asynchronous by default (202 + bounded per-run queues
-// with 429 backpressure; ?wait=true for synchronous rounds); reads are
-// lock-free snapshot lookups. See docs/API.md for the full API reference
+// mini-batches into them, and query samples and stats. Ingest is
+// asynchronous by default (202 + bounded per-run queues with 429
+// backpressure; ?wait=true for synchronous rounds); reads are lock-free
+// snapshot lookups. See docs/API.md for the full API reference
 // and DESIGN.md §5-§6 for the architecture.
 //
 // Usage:
@@ -227,7 +227,7 @@ func main() {
 	}
 
 	logger.Info("shutting down", "drain", drain.String())
-	svc.Close() // end SSE streams, stop workers at a round boundary
+	svc.Close() // stop workers at a round boundary
 	if st != nil {
 		if err := st.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "reservoir-serve: store close:", err)

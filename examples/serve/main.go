@@ -1,14 +1,13 @@
 // reservoir-serve demo: starts the sampling service on a loopback port,
 // creates two runs (a distributed cluster and the gather baseline),
 // ingests mini-batch rounds from concurrent HTTP clients — synchronous
-// ?wait=true rounds on one run, asynchronous 202-Accepted rounds with a
-// queue drain on the other — while tailing the SSE metrics stream, then
-// queries samples and stats. The HTTP counterpart of the quickstart
-// example; see docs/API.md for the full API.
+// ?wait=true rounds on one run, asynchronous 202-Accepted rounds on the
+// other, whose stats it polls until the queue drains — then queries
+// samples and stats. The HTTP counterpart of the quickstart example; see
+// docs/API.md for the full API.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -39,11 +38,6 @@ func main() {
 	gather := createRun(base, `{"kind":"cluster","p":8,"k":64,"seed":1,"algorithm":"gather"}`)
 	fmt.Printf("created runs %s (ours) and %s (gather)\n", ours, gather)
 
-	// Tail the SSE metrics feed of the first run while ingesting.
-	ctx, cancel := context.WithCancel(context.Background())
-	events := make(chan service.Stats, 64)
-	go tailStream(ctx, base, ours, events)
-
 	// Four concurrent clients per run, three synthetic rounds each:
 	// 12 mini-batch rounds per run, 10k items per PE per round. The
 	// first run takes synchronous rounds (?wait=true blocks until the
@@ -65,31 +59,22 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	// The async run acknowledged 4x3 rounds; poll until its queue drains.
+	// The async run acknowledged 4x3 rounds; poll its stats until its
+	// queue drains, printing each round count seen for the first time.
+	seen := 0
 	for {
 		var st service.Stats
 		getJSON(base+"/v1/runs/"+gather+"/stats", &st)
+		if st.Rounds > seen {
+			seen = st.Rounds
+			fmt.Printf("  [stats %s] round %2d: sample=%d pending=%d msgs=%d\n",
+				st.ID, st.Rounds, st.SampleSize, st.PendingRounds, st.Network.Messages)
+		}
 		if st.Rounds >= 12 && st.PendingRounds == 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-
-	deadline := time.After(2 * time.Second)
-tail:
-	for {
-		select {
-		case ev := <-events:
-			fmt.Printf("  [stream %s] round %2d: sample=%d threshold=%.4g msgs=%d\n",
-				ev.ID, ev.Rounds, ev.SampleSize, ev.Threshold, ev.Network.Messages)
-			if ev.Rounds >= 12 {
-				break tail
-			}
-		case <-deadline:
-			break tail
-		}
-	}
-	cancel()
 
 	for _, id := range []string{ours, gather} {
 		var st service.Stats
@@ -139,34 +124,5 @@ func getJSON(url string, v any) {
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		panic(err)
-	}
-}
-
-// tailStream reads the SSE metrics feed and forwards decoded stats events.
-func tailStream(ctx context.Context, base, id string, out chan<- service.Stats) {
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		base+"/v1/runs/"+id+"/metrics/stream", nil)
-	if err != nil {
-		return
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var st service.Stats
-			if json.Unmarshal([]byte(data), &st) == nil {
-				select {
-				case out <- st:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // SchemaVersion identifies the BENCH_*.json result format shared by
 // reservoir-bench (virtual-time paper experiments) and reservoir-loadgen
-// (wall-clock HTTP service benchmarks). docs/BENCHMARKS.md documents the
-// schema and how to compare files across PRs.
+// (wall-clock multi-process cluster runs). docs/BENCHMARKS.md documents
+// the schema.
 const SchemaVersion = "reservoir-bench/v1"
 
 // Report is the machine-readable envelope every benchmark tool emits: one

@@ -112,10 +112,10 @@ func TestDecodeBodyParetoRoundTrip(t *testing.T) {
 	checkDecodeIngest(t, body)
 }
 
-// loadgenBody is the body reservoir-loadgen's explicit source sends: p
-// batches of n items written with fmt, weights 1+k/10 as %g and ids drawn
-// from an LCG, about half of them 20 digits long.
-func loadgenBody(p, n int) []byte {
+// fmtBody is a client body written with fmt rather than encoding/json: p
+// batches of n items, weights 1+k/10 as %g and ids drawn from an LCG,
+// about half of them 20 digits long.
+func fmtBody(p, n int) []byte {
 	b := []byte(`{"batches":[`)
 	id := uint64(1)
 	for pe := range p {
@@ -135,14 +135,14 @@ func loadgenBody(p, n int) []byte {
 	return append(b, "]}"...)
 }
 
-// TestCanonicalItemTakesClientBodies pins that the items the repository's
-// clients send, encoding/json's and reservoir-loadgen's, all take the fast
-// item step rather than handing over to the general path, and that the
-// bodies decode as encoding/json decodes them.
+// TestCanonicalItemTakesClientBodies pins that client items, whether
+// encoding/json or fmt writes them, all take the fast item step rather
+// than handing over to the general path, and that the bodies decode as
+// encoding/json decodes them.
 func TestCanonicalItemTakesClientBodies(t *testing.T) {
 	for name, body := range map[string][]byte{
-		"pareto":  paretoBody(t, 4, 1000),
-		"loadgen": loadgenBody(4, 1000),
+		"pareto": paretoBody(t, 4, 1000),
+		"fmt":    fmtBody(4, 1000),
 	} {
 		checkDecodeIngest(t, body)
 		d := &bodyDecoder{data: body}
@@ -168,15 +168,15 @@ func TestCanonicalItemTakesClientBodies(t *testing.T) {
 
 // BenchmarkDecodeBody pins the HTTP decode layer of an explicit ingest
 // round: DecodeBody on a 4×1000-item body as encoding/json writes it
-// (Pareto weights, the service_ingest benchmark's) and as
-// reservoir-loadgen writes it. Run with -benchmem.
+// (Pareto weights, the service_ingest benchmark's) and as fmtBody writes
+// it. Run with -benchmem.
 func BenchmarkDecodeBody(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		body []byte
 	}{
 		{"pareto", paretoBody(b, 4, 1000)},
-		{"loadgen", loadgenBody(4, 1000)},
+		{"fmt", fmtBody(4, 1000)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(bc.body)))
@@ -217,7 +217,7 @@ func TestDecodeIngestAllocsFlat(t *testing.T) {
 func TestDecodeIngestTruncated(t *testing.T) {
 	for _, body := range [][]byte{
 		paretoBody(t, 2, 3),
-		loadgenBody(2, 3),
+		fmtBody(2, 3),
 		[]byte(`{"batches":[[{"w":12345678.123456789,"id":1234567812345678}],[{"w":1,"id":9}]]}`),
 	} {
 		for cut := range len(body) + 1 {
@@ -275,7 +275,7 @@ func TestNumberFloatMatchesStrconv(t *testing.T) {
 		check(strconv.FormatFloat(w, 'g', -1, 64))
 		check(strconv.FormatFloat(w, 'f', 15+r.IntN(5), 64))
 		check(strconv.FormatFloat(w*math.Pow10(r.IntN(80)-40), 'g', -1, 64))
-		check(strconv.FormatFloat(1+float64(r.IntN(997))/10, 'g', -1, 64)) // reservoir-loadgen's
+		check(strconv.FormatFloat(1+float64(r.IntN(997))/10, 'g', -1, 64)) // fmtBody's
 		// A decimal point anywhere in 2 to 24 digits: mantissas on both
 		// sides of 2^53 and of 10^19.
 		ds := make([]byte, 2+r.IntN(23))

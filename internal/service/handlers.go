@@ -18,7 +18,6 @@ import (
 //	                                   202 async by default, 200 with ?wait=true
 //	GET    /v1/runs/{id}/sample        current global k-sample (snapshot read)
 //	GET    /v1/runs/{id}/stats         stats snapshot (never blocks ingest)
-//	GET    /v1/runs/{id}/metrics/stream  SSE feed of per-round stats
 //	DELETE /v1/runs/{id}               delete a run
 //	GET    /healthz                    liveness
 //	GET    /metrics                    Prometheus text exposition
@@ -31,7 +30,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runs/{id}/batches", s.handleIngest)
 	mux.HandleFunc("GET /v1/runs/{id}/sample", s.handleSample)
 	mux.HandleFunc("GET /v1/runs/{id}/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/runs/{id}/metrics/stream", s.handleStream)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleDelete)
 	return mux
 }
@@ -45,8 +43,8 @@ type CreateResponse struct {
 
 // IngestAccepted is the 202 response body of asynchronous ingest: the
 // request was validated and enqueued, but not yet processed. Poll
-// GET .../stats (pending_rounds drops to 0 when the queue has drained) or
-// subscribe to the metrics stream to observe completion.
+// GET .../stats to observe completion: pending_rounds drops to 0 when the
+// queue has drained.
 type IngestAccepted struct {
 	ID string `json:"id"`
 	// Rounds is the number of rounds this request enqueued.

@@ -165,11 +165,10 @@ type TimingStats struct {
 	TotalNS     float64 `json:"total_ns"`
 }
 
-// Stats is the GET /v1/runs/{id}/stats response and the SSE event payload
-// of /v1/runs/{id}/metrics/stream. Everything except the queue fields
-// describes the state as of the last completed round (the atomically
-// published snapshot); QueueLen, QueueCap, and PendingRounds are read live
-// from the ingest queue.
+// Stats is the GET /v1/runs/{id}/stats response. Everything except the
+// queue fields describes the state as of the last completed round (the
+// atomically published snapshot); QueueLen, QueueCap, and PendingRounds
+// are read live from the ingest queue.
 type Stats struct {
 	ID             string        `json:"id"`
 	Kind           string        `json:"kind"`
@@ -284,12 +283,6 @@ type Run struct {
 	// worker goroutine; an error fails the write. Test-only: injects
 	// storage failures.
 	slotHook func() error
-
-	// subMu guards the SSE subscriber set, which outlives individual
-	// rounds and is closed exactly once when the run is deleted.
-	subMu  sync.Mutex
-	subs   map[chan []byte]struct{}
-	closed bool
 }
 
 // clusterSetup translates a RunConfig into the library-level cluster
@@ -327,7 +320,7 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 	if cfg.QueueDepth < 1 || cfg.QueueDepth > maxQueueDepth {
 		return nil, badRequestf("queue_depth must be in [1, %d], got %d", maxQueueDepth, cfg.QueueDepth)
 	}
-	r := &Run{id: id, subs: make(map[chan []byte]struct{}), logger: slog.New(slog.DiscardHandler)}
+	r := &Run{id: id, logger: slog.New(slog.DiscardHandler)}
 	switch cfg.Kind {
 	case KindCluster:
 		if cfg.Window != 0 || cfg.ChunkLen != 0 {
@@ -413,57 +406,6 @@ func (r *Run) sample() ([]WireItem, int) {
 	return s.items, s.stats.Rounds
 }
 
-// publish fans a stats snapshot out to all SSE subscribers. Sends are
-// non-blocking: a slow subscriber misses intermediate rounds instead of
-// stalling ingest. With no subscribers it returns before marshaling.
-func (r *Run) publish(st Stats) {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	if len(r.subs) == 0 {
-		return
-	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	for ch := range r.subs {
-		select {
-		case ch <- b:
-		default:
-		}
-	}
-}
-
-// subscribe registers an SSE listener; reports false if the run is deleted.
-func (r *Run) subscribe() (chan []byte, bool) {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	if r.closed {
-		return nil, false
-	}
-	ch := make(chan []byte, 16)
-	r.subs[ch] = struct{}{}
-	return ch, true
-}
-
-func (r *Run) unsubscribe(ch chan []byte) {
-	r.subMu.Lock()
-	delete(r.subs, ch)
-	r.subMu.Unlock()
-}
-
-// closeSubs ends all metric streams; idempotent, called on DELETE and on
-// server Close.
-func (r *Run) closeSubs() {
-	r.subMu.Lock()
-	r.closed = true
-	for ch := range r.subs {
-		close(ch)
-		delete(r.subs, ch)
-	}
-	r.subMu.Unlock()
-}
-
 // Server is the run store plus the HTTP surface.
 type Server struct {
 	mu     sync.RWMutex
@@ -471,8 +413,8 @@ type Server struct {
 	nextID int64
 	closed bool
 
-	// shutdownCtx is canceled by Close; it ends SSE streams and stops
-	// every run's ingest worker at the next round boundary.
+	// shutdownCtx is canceled by Close; it stops every run's ingest
+	// worker at the next round boundary.
 	shutdownCtx context.Context
 	shutdown    context.CancelFunc
 	closeOnce   sync.Once
@@ -579,24 +521,16 @@ func (s *Server) registerRunMetrics(r *Run) {
 		func() float64 { return float64(r.pending.Load()) })
 }
 
-// Close ends all SSE streams, stops every ingest worker at the next round
-// boundary (queued jobs are failed, waiters get 503), rejects further run
-// creation, and waits for the workers to exit, so an enclosing
-// http.Server.Shutdown can drain without being held open by long-lived
-// work.
+// Close stops every ingest worker at the next round boundary (queued
+// jobs are failed, waiters get 503), rejects further run creation, and
+// waits for the workers to exit, so an enclosing http.Server.Shutdown can
+// drain without being held open by long-lived work.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.shutdown()
 		s.mu.Lock()
 		s.closed = true
-		runs := make([]*Run, 0, len(s.runs))
-		for _, r := range s.runs {
-			runs = append(runs, r)
-		}
 		s.mu.Unlock()
-		for _, r := range runs {
-			r.closeSubs()
-		}
 		s.workers.Wait()
 		s.cleanups.Wait()
 	})
@@ -689,11 +623,11 @@ func (s *Server) lookup(id string) (*Run, bool) {
 	return r, ok
 }
 
-// deleteRun removes a run, stops its worker (failing any queued jobs), and
-// ends its metric streams. It does not wait for the worker: an in-flight
-// round finishes in the background at its own pace. With a store, the
-// run's on-disk state (config and slots) is removed as soon as the worker
-// has exited and released its slot ring.
+// deleteRun removes a run and stops its worker, failing any queued jobs.
+// It does not wait for the worker: an in-flight round finishes in the
+// background at its own pace. With a store, the run's on-disk state
+// (config and slots) is removed as soon as the worker has exited and
+// released its slot ring.
 func (s *Server) deleteRun(id string) bool {
 	s.mu.Lock()
 	r, ok := s.runs[id]
@@ -714,7 +648,6 @@ func (s *Server) deleteRun(id string) bool {
 		return false
 	}
 	r.cancel()
-	r.closeSubs()
 	s.metrics.Unregister("run", id)
 	removeDisk := func() {
 		<-r.workerDone // the worker closes the slot ring on exit

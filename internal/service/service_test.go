@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -395,79 +394,6 @@ func TestWindowedRun(t *testing.T) {
 		if it.ID < 100-32-8 {
 			t.Fatalf("sampled item %d is outside the window", it.ID)
 		}
-	}
-}
-
-// readEvent reads one SSE event ("event: ..." + "data: ..." + blank line)
-// and decodes its payload.
-func readEvent(t *testing.T, sc *bufio.Scanner) Stats {
-	t.Helper()
-	var data string
-	for sc.Scan() {
-		line := sc.Text()
-		if d, ok := strings.CutPrefix(line, "data: "); ok {
-			data = d
-		}
-		if line == "" && data != "" {
-			break
-		}
-	}
-	if data == "" {
-		t.Fatalf("no SSE event (scanner err: %v)", sc.Err())
-	}
-	var st Stats
-	if err := json.Unmarshal([]byte(data), &st); err != nil {
-		t.Fatalf("decoding SSE payload %q: %v", data, err)
-	}
-	return st
-}
-
-func TestMetricsStream(t *testing.T) {
-	ts, _ := newTestServer(t)
-	run := createRun(t, ts, `{"kind":"cluster","p":2,"k":8,"seed":6}`)
-	base := ts.URL + "/v1/runs/" + run.ID
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", base+"/metrics/stream", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-
-	// Initial snapshot arrives before any ingest.
-	if st := readEvent(t, sc); st.Rounds != 0 || st.ID != run.ID {
-		t.Fatalf("initial snapshot: %+v", st)
-	}
-
-	var ingestStats Stats
-	doJSON(t, "POST", base+"/batches?wait=true", `{"synthetic":{"batch_len":200,"rounds":2}}`, &ingestStats)
-
-	first := readEvent(t, sc)
-	second := readEvent(t, sc)
-	if first.Rounds != 1 || second.Rounds != 2 {
-		t.Fatalf("streamed rounds %d, %d; want 1, 2", first.Rounds, second.Rounds)
-	}
-	if second.SampleSize != 8 || second.Network == nil || second.Network.Messages == 0 {
-		t.Fatalf("streamed stats: %+v", second)
-	}
-
-	// Deleting the run must end the stream.
-	doJSON(t, "DELETE", base, "", nil)
-	for sc.Scan() {
-	}
-	if err := sc.Err(); err != nil && ctx.Err() != nil {
-		t.Fatalf("stream did not close on delete: %v", err)
-	}
-
-	// A new stream on the deleted run 404s.
-	if code, _ := doJSON(t, "GET", base+"/metrics/stream", "", nil); code != http.StatusNotFound {
-		t.Fatalf("stream on deleted run: %d, want 404", code)
 	}
 }
 

@@ -192,10 +192,10 @@ func (r *Run) syntheticRound(src reservoir.Source) {
 }
 
 // publishSnapshot rebuilds the run's read view — stats plus the current
-// sample — stores it atomically, and feeds the SSE subscribers. The
-// sample is collected communication-free (Cluster.SampleSnapshot / the
-// sequential samplers' Sample), so observing a run does not perturb its
-// virtual clocks or simulated traffic counters.
+// sample — and stores it atomically. The sample is collected
+// communication-free (Cluster.SampleSnapshot / the sequential samplers'
+// Sample), so observing a run does not perturb its virtual clocks or
+// simulated traffic counters.
 func (r *Run) publishSnapshot() Stats {
 	st := r.buildStats()
 	var items []reservoir.Item
@@ -217,7 +217,6 @@ func (r *Run) publishSnapshot() Stats {
 	st.QueueLen = len(r.queue)
 	st.QueueCap = cap(r.queue)
 	st.PendingRounds = r.pending.Load()
-	r.publish(st)
 	return st
 }
 

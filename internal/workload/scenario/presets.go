@@ -5,8 +5,7 @@ package scenario
 // slice (not a map) so enumeration order is deterministic everywhere.
 //
 // Adding a preset here automatically adds it to `reservoir-verify -accept
-// -scenario all`, `reservoir-loadgen -scenario all`, and the weekly CI
-// acceptance matrix.
+// -scenario all` and the weekly CI acceptance matrix.
 var presets = []Spec{
 	{
 		// The paper's own stream with Poisson round sizes: the gentlest
