@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"testing"
@@ -396,5 +399,70 @@ func TestSourceSpecAppliesDefaults(t *testing.T) {
 	got := src.Spec()
 	if got.Law != "uniform" || got.Arrival != "constant" || got.Hi != 100 {
 		t.Fatalf("defaults not applied: %+v", got)
+	}
+}
+
+// pinnedSpecs are the streams TestScenarioStreamsPinned hashes: every
+// preset, plus a Zipf law whose support is not a power of two.
+func pinnedSpecs() []Spec {
+	return append(Presets(), Spec{Name: "zipf_n5000", Law: "zipf", ZipfN: 5000, Alpha: 0.6})
+}
+
+// TestScenarioStreamsPinned pins every scenario stream to sha256 digests of
+// its (W, ID) pairs over rounds 0–2 and PEs 0–3. Node mode, chaos resync and
+// verify -match replay these streams byte for byte, so a change to how a
+// law is drawn must leave every digest alone.
+func TestScenarioStreamsPinned(t *testing.T) {
+	want := map[string]string{
+		"uniform_poisson": "e2cded836c34bf687383a52b2694618af12a602715b8aae74514410a621a62b5",
+		"zipf_hot":        "4811d24b31f8363bba458b6e8dea866d8d32bd50faee1b34c25b5f204646c687",
+		"pareto_burst":    "e223415dd7a7a671f822b942902226c6a9f4bde986a9169a2e45a4a2742e2d82",
+		"lognormal_drift": "0aeea83077079269b5c25f50c1c139b7a69da3fb3105d4087420a012ed948e55",
+		"onoff_skew":      "83eb5964b2a71aa04ea2d35c02a037f18289b28b73398b9cbe09d256a757b19f",
+		"zipf_n5000":      "d82572f019541a3df9079a17602ab75eb5ecfcbae326b1a179949be82869f9ca",
+	}
+	for _, spec := range pinnedSpecs() {
+		src := mustSource(t, spec, 0x5EED, 512)
+		h := sha256.New()
+		var buf [8]byte
+		for round := 0; round < 3; round++ {
+			for pe := 0; pe < 4; pe++ {
+				b := src.NextBatch(pe, round)
+				binary.LittleEndian.PutUint64(buf[:], uint64(b.Len()))
+				h.Write(buf[:])
+				for i := 0; i < b.Len(); i++ {
+					it := b.At(i)
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(it.W))
+					h.Write(buf[:])
+					binary.LittleEndian.PutUint64(buf[:], it.ID)
+					h.Write(buf[:])
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[spec.Name] {
+			t.Errorf("%s stream digest %s, pinned %s", spec.Name, got, want[spec.Name])
+		}
+	}
+}
+
+// BenchmarkScenarioWeights measures weight synthesis per preset: one
+// 5,000-item batch per iteration, filled the way the scans read it.
+func BenchmarkScenarioWeights(b *testing.B) {
+	const items = 5000
+	for _, spec := range Presets() {
+		b.Run(spec.Name, func(b *testing.B) {
+			src, err := spec.Source(1, items)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]float64, items)
+			b.ReportAllocs()
+			round := 0
+			for b.Loop() {
+				workload.FillWeights(src.NextBatch(0, round), dst)
+				round++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
+		})
 	}
 }
