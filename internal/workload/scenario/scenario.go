@@ -20,7 +20,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"reservoir/internal/rng"
 	"reservoir/internal/workload"
@@ -45,7 +44,10 @@ type Spec struct {
 	// Alpha is the tail exponent: Zipf's P[W=r] ∝ r^-Alpha over
 	// {1..ZipfN} (default 1.2), or the Pareto shape (default 1.5).
 	Alpha float64 `json:"alpha,omitempty"`
-	// ZipfN is the Zipf support size (default 4096).
+	// ZipfN is the Zipf support size (default 4096). A compiled source
+	// holds its 8·ZipfN-byte CDF and a guide table of 4·(M+1) bytes, M the
+	// smallest power of two >= ZipfN: 16 KiB at the default, 16 MiB next
+	// to the 32 MiB CDF at the maximum 1<<22.
 	ZipfN int `json:"zipf_n,omitempty"`
 	// Mu/Sigma parameterize the lognormal law exp(Mu + Sigma·Z)
 	// (defaults 0 and 1).
@@ -220,7 +222,7 @@ func (s Spec) Source(seed uint64, meanLen int) (*Source, error) {
 	}
 	src := &Source{spec: s.withDefaults(), seed: seed, meanLen: meanLen}
 	if src.spec.Law == "zipf" {
-		src.zipfCum = zipfCumulative(src.spec.ZipfN, src.spec.Alpha)
+		src.zipf = newZipfTable(src.spec.ZipfN, src.spec.Alpha)
 	}
 	return src, nil
 }
@@ -231,7 +233,7 @@ type Source struct {
 	spec    Spec
 	seed    uint64
 	meanLen int
-	zipfCum []float64 // normalized Zipf CDF (nil unless law == "zipf")
+	zipf    *zipfTable // nil unless law == "zipf"
 }
 
 // Spec returns the compiled spec with defaults applied.
@@ -361,13 +363,8 @@ func (s *Source) lawFn(pe, round int) func(i uint64) float64 {
 		lo, hi := s.spec.Lo, s.spec.Hi
 		return func(i uint64) float64 { return lo + c.U01At(i)*(hi-lo) }
 	case "zipf":
-		cum := s.zipfCum
-		return func(i uint64) float64 {
-			// Inverse-CDF draw: the rank r with cum[r-1] >= u.
-			u := c.U01At(i)
-			r := sort.SearchFloat64s(cum, u)
-			return float64(r + 1)
-		}
+		z := s.zipf
+		return func(i uint64) float64 { return float64(z.rank(c.U01At(i)) + 1) }
 	case "pareto":
 		inv := -1 / s.spec.Alpha
 		return func(i uint64) float64 { return math.Pow(c.U01At(i), inv) }
@@ -386,8 +383,52 @@ func (s *Source) lawFn(pe, round int) func(i uint64) float64 {
 	}
 }
 
+// zipfTable is the inverse CDF of one Zipf law, compiled once per source
+// and shared by every batch. A draw of u maps to the smallest index r with
+// cum[r] >= u, exactly what sort.SearchFloat64s(cum, u) returns; the guide
+// table (Chen and Asau's indexed search) starts the search at most a few
+// entries short of r instead of running a binary search over all of cum.
+type zipfTable struct {
+	cum []float64
+	// guide[j] = sort.SearchFloat64s(cum, j/m) for j in [0, m], so
+	// guide[int(u*m)] never exceeds the answer for u. Entry m covers
+	// u = 1, which U01At can return.
+	guide []int32
+	// m is a power of two >= len(cum), which makes u*m exact.
+	m float64
+}
+
+func newZipfTable(n int, alpha float64) *zipfTable {
+	cum := zipfCumulative(n, alpha)
+	m := 1
+	for m < n {
+		m <<= 1
+	}
+	guide := make([]int32, m+1)
+	// One pass: j/m and the answer both only grow with j.
+	r := 0
+	for j := range guide {
+		u := float64(j) / float64(m)
+		for cum[r] < u {
+			r++
+		}
+		guide[j] = int32(r)
+	}
+	return &zipfTable{cum: cum, guide: guide, m: float64(m)}
+}
+
+// rank returns the smallest r with cum[r] >= u, for u in [0, 1]. The scan
+// ends because cum[len(cum)-1] == 1.
+func (z *zipfTable) rank(u float64) int {
+	r := int(z.guide[int(u*z.m)])
+	for z.cum[r] < u {
+		r++
+	}
+	return r
+}
+
 // zipfCumulative precomputes the normalized CDF of P[R=r] ∝ r^-alpha over
-// r ∈ {1..n}. One table per compiled source, shared by every batch.
+// r ∈ {1..n}.
 func zipfCumulative(n int, alpha float64) []float64 {
 	cum := make([]float64, n)
 	sum := 0.0

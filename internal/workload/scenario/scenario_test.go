@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"sort"
 	"testing"
 
+	"reservoir/internal/rng"
 	"reservoir/internal/stats"
 	"reservoir/internal/workload"
 )
@@ -441,6 +443,40 @@ func TestScenarioStreamsPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[spec.Name] {
 			t.Errorf("%s stream digest %s, pinned %s", spec.Name, got, want[spec.Name])
+		}
+	}
+}
+
+// TestZipfGuideMatchesSearch checks that the guide-table lookup returns the
+// binary search's rank at every u where the two could part: each CDF entry,
+// each guide boundary j/m, their float neighbours, the ends of [0, 1] and
+// the smallest U01At value, plus random draws.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	for _, n := range []int{2, 3, 4096, 5000} {
+		for _, alpha := range []float64{0.5, 1.1, 3} {
+			z := newZipfTable(n, alpha)
+			us := []float64{0, 1.0 / (1 << 53), 1}
+			near := func(x float64) {
+				us = append(us, math.Nextafter(x, 0), x, math.Nextafter(x, 2))
+			}
+			for _, c := range z.cum {
+				near(c)
+			}
+			for j := 0; j < len(z.guide); j++ {
+				near(float64(j) / z.m)
+			}
+			c := rng.Counter{Seed: uint64(n)}
+			for i := uint64(0); i < 100000; i++ {
+				us = append(us, c.U01At(i))
+			}
+			for _, u := range us {
+				if u < 0 || u > 1 {
+					continue
+				}
+				if got, want := z.rank(u), sort.SearchFloat64s(z.cum, u); got != want {
+					t.Fatalf("n=%d alpha=%g u=%v: guide rank %d, binary search %d", n, alpha, u, got, want)
+				}
+			}
 		}
 	}
 }
