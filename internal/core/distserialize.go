@@ -35,9 +35,11 @@ func openPESnap(d *transport.Dec, kind byte, rank int) {
 }
 
 // checkThreshold fails the decode unless a present threshold is
-// positive: the samplers draw their skips from it.
+// non-negative. A threshold of 0 is reachable (a key of 0 in the sample)
+// and admits nothing: skipWeight and rng.GeometricSkip give it an endless
+// skip.
 func checkThreshold(d *transport.Dec, have bool, v float64) {
-	if have && !(v > 0) {
+	if have && !(v >= 0) {
 		d.Fail(fmt.Errorf("corrupt snapshot (threshold %v)", v))
 	}
 }

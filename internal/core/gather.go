@@ -195,7 +195,7 @@ func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	wp := grabWeights(b, n)
 	ws := *wp
 	draws := 1
-	x := rng.Exponential(pe.src, t)
+	x := skipWeight(pe.src, t)
 	for j := 0; j < n; j++ {
 		x -= ws[j]
 		if x <= 0 {
@@ -203,7 +203,7 @@ func (pe *GatherPE) filterWeighted(b workload.Batch) {
 			xlo := math.Exp(-t * it.W)
 			v := -math.Log(rng.Uniform(pe.src, xlo, 1)) / it.W
 			pe.cands = append(pe.cands, keyedItem{Key: btree.Key{V: v, ID: pe.nextKeyID()}, Item: it})
-			x = rng.Exponential(pe.src, t)
+			x = skipWeight(pe.src, t)
 			draws += 2
 		}
 	}

@@ -153,7 +153,7 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 // key drawn from (0, t), repeat (Algorithm 1's inner loop).
 func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, blocked bool, out []cand) ([]cand, int64) {
 	var draws int64
-	x := rng.Exponential(src, t)
+	x := skipWeight(src, t)
 	draws++
 	j := lo
 	if blocked {
@@ -178,7 +178,7 @@ func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64,
 				x -= ws[j]
 				if x <= 0 {
 					out = append(out, cand{int32(j), keyBelow(src, ws[j], t)})
-					x = rng.Exponential(src, t)
+					x = skipWeight(src, t)
 					draws += 2
 				}
 			}
@@ -188,12 +188,24 @@ func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64,
 			x -= ws[j]
 			if x <= 0 {
 				out = append(out, cand{int32(j), keyBelow(src, ws[j], t)})
-				x = rng.Exponential(src, t)
+				x = skipWeight(src, t)
 				draws += 2
 			}
 		}
 	}
 	return out, draws
+}
+
+// skipWeight draws the weight to skip before the next item whose key falls
+// below threshold t: an Exp(t) variate. Keys are never negative, so a
+// threshold of exactly 0 — a full reservoir whose largest key is 0, which a
+// U01 draw of 1 makes — admits nothing: the skip is +Inf and no variate is
+// drawn, so the stream of every positive threshold is unchanged.
+func skipWeight(src rng.Source, t float64) float64 {
+	if t == 0 {
+		return math.Inf(1)
+	}
+	return rng.Exponential(src, t)
 }
 
 // keyBelow draws the key of an item already determined to enter: an

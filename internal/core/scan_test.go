@@ -245,3 +245,18 @@ func TestSnapshotWithoutShardSectionRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestScanZeroThreshold: both weighted skip scans admit nothing against a
+// threshold of 0 and draw one infinite skip, not an Exp(0) panic.
+func TestScanZeroThreshold(t *testing.T) {
+	ws := make([]float64, 100)
+	for i := range ws {
+		ws[i] = float64(i + 1)
+	}
+	for _, blocked := range []bool{false, true} {
+		out, draws := scanShardWeighted(rng.NewXoshiro256(1), ws, 0, len(ws), 0, blocked, nil)
+		if len(out) != 0 || draws != 1 {
+			t.Errorf("blocked=%v: %d candidates after %d draws, want none after 1", blocked, len(out), draws)
+		}
+	}
+}

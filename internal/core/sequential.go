@@ -88,7 +88,7 @@ func (s *SeqWeighted) Process(it workload.Item) {
 	if s.h.len() < s.k {
 		s.h.push(rng.Exponential(s.src, it.W), it)
 		if s.h.len() == s.k {
-			s.x = rng.Exponential(s.src, s.h.keys[0])
+			s.x = skipWeight(s.src, s.h.keys[0])
 		}
 		return
 	}
@@ -100,7 +100,7 @@ func (s *SeqWeighted) Process(it workload.Item) {
 	xlo := math.Exp(-t * it.W)
 	v := -math.Log(rng.Uniform(s.src, xlo, 1)) / it.W
 	s.h.replaceMax(v, it)
-	s.x = rng.Exponential(s.src, s.h.keys[0])
+	s.x = skipWeight(s.src, s.h.keys[0])
 }
 
 // ProcessBatch feeds a whole mini-batch.

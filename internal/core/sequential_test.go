@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 
 	"reservoir/internal/rng"
@@ -220,5 +222,59 @@ func TestMaxHeapProperty(t *testing.T) {
 			}
 		}
 		h.replaceMax(maxKey/2, workload.Item{ID: uint64(1000 + i)})
+	}
+}
+
+// u01OneSource returns a xoshiro256** generator whose next U01 draw is
+// exactly 1, the draw that gives a key of 0. Its next output is all ones,
+// so s[1] = rotr(^0 · 9⁻¹, 7) · 5⁻¹ (inverses mod 2^64).
+func u01OneSource(t *testing.T) *rng.Xoshiro256 {
+	t.Helper()
+	inv := func(a uint64) uint64 {
+		x := a // correct to 3 bits for odd a; each Newton step doubles that
+		for i := 0; i < 5; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	state := make([]byte, 32)
+	binary.LittleEndian.PutUint64(state[8:], bits.RotateLeft64(^uint64(0)*inv(9), -7)*inv(5))
+	var probe, src rng.Xoshiro256
+	if err := probe.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	if u := rng.U01(&probe); u != 1 {
+		t.Fatalf("crafted state draws U01 = %v, want 1", u)
+	}
+	if err := src.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	return &src
+}
+
+// TestSeqWeightedZeroLargestKey: a k = 1 weighted sampler whose only key is
+// 0 has threshold 0, which no later key can beat. Its skip must be
+// infinite, across a snapshot too, instead of an Exp(0) panic.
+func TestSeqWeightedZeroLargestKey(t *testing.T) {
+	s := NewSeqWeighted(1, u01OneSource(t))
+	first := workload.Item{W: 1, ID: 1}
+	s.Process(first)
+	if th, full := s.Threshold(); !full || th != 0 {
+		t.Fatalf("threshold %v (full %v), want 0", th, full)
+	}
+	s.ProcessBatch(makeItems(1000, func(i int) float64 { return float64(i + 1) }))
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back SeqWeighted
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	back.ProcessBatch(makeItems(1000, func(i int) float64 { return 1e9 }))
+	for _, smp := range [][]workload.Item{s.Sample(), back.Sample()} {
+		if len(smp) != 1 || smp[0] != first {
+			t.Fatalf("sample %v, want only %v", smp, first)
+		}
 	}
 }

@@ -111,8 +111,8 @@ func appendHeap(b []byte, h *maxHeap) []byte {
 }
 
 // decHeap reads an appendHeap heap of at most k entries. The keys must
-// be non-negative and in heap order, with a positive maximum: the
-// samplers draw their next skip from the maximum key.
+// be non-negative and in heap order. A maximum of 0 is a reachable state
+// (every key 0), against which skipWeight admits nothing.
 func decHeap(d *transport.Dec, k int) maxHeap {
 	n := decCount(d, 24)
 	if n > k {
@@ -126,9 +126,6 @@ func decHeap(d *transport.Dec, k int) maxHeap {
 			d.Fail(fmt.Errorf("corrupt snapshot (heap key %d is %v, out of order or range)", i, h.keys[i]))
 			return maxHeap{}
 		}
-	}
-	if n > 0 && !(h.keys[0] > 0) {
-		d.Fail(errors.New("corrupt snapshot (heap maximum key is 0)"))
 	}
 	return h
 }
