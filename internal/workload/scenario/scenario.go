@@ -385,9 +385,10 @@ func (s *Source) lawFn(pe, round int) func(i uint64) float64 {
 
 // zipfTable is the inverse CDF of one Zipf law, compiled once per source
 // and shared by every batch. A draw of u maps to the smallest index r with
-// cum[r] >= u, exactly what sort.SearchFloat64s(cum, u) returns; the guide
-// table (Chen and Asau's indexed search) starts the search at most a few
-// entries short of r instead of running a binary search over all of cum.
+// cum[r] >= u, exactly what sort.SearchFloat64s(cum, u) returns. The guide
+// table (Chen and Asau's indexed search) replaces that binary search with
+// one lookup and a forward scan that averages at most one step, since
+// the table has at least as many entries as cum.
 type zipfTable struct {
 	cum []float64
 	// guide[j] = sort.SearchFloat64s(cum, j/m) for j in [0, m], so
@@ -404,15 +405,15 @@ func newZipfTable(n int, alpha float64) *zipfTable {
 	for m < n {
 		m <<= 1
 	}
+	// One pass over cum: r is the answer for every j/m in
+	// (cum[r-1], cum[r]], i.e. every j up to floor(cum[r]·m), which is
+	// exact. cum[n-1] == 1 fills the table through entry m.
 	guide := make([]int32, m+1)
-	// One pass: j/m and the answer both only grow with j.
-	r := 0
-	for j := range guide {
-		u := float64(j) / float64(m)
-		for cum[r] < u {
-			r++
+	j := 0
+	for r, c := range cum {
+		for hi := int(c * float64(m)); j <= hi; j++ {
+			guide[j] = int32(r)
 		}
-		guide[j] = int32(r)
 	}
 	return &zipfTable{cum: cum, guide: guide, m: float64(m)}
 }
