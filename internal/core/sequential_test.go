@@ -239,15 +239,12 @@ func u01OneSource(t *testing.T) *rng.Xoshiro256 {
 	}
 	state := make([]byte, 32)
 	binary.LittleEndian.PutUint64(state[8:], bits.RotateLeft64(^uint64(0)*inv(9), -7)*inv(5))
-	var probe, src rng.Xoshiro256
-	if err := probe.UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
-	}
-	if u := rng.U01(&probe); u != 1 {
-		t.Fatalf("crafted state draws U01 = %v, want 1", u)
-	}
+	var src rng.Xoshiro256
 	if err := src.UnmarshalBinary(state); err != nil {
 		t.Fatal(err)
+	}
+	if probe := src; rng.U01(&probe) != 1 {
+		t.Fatal("crafted state does not draw U01 = 1")
 	}
 	return &src
 }

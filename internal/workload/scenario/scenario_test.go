@@ -404,16 +404,11 @@ func TestSourceSpecAppliesDefaults(t *testing.T) {
 	}
 }
 
-// pinnedSpecs are the streams TestScenarioStreamsPinned hashes: every
-// preset, plus a Zipf law whose support is not a power of two.
-func pinnedSpecs() []Spec {
-	return append(Presets(), Spec{Name: "zipf_n5000", Law: "zipf", ZipfN: 5000, Alpha: 0.6})
-}
-
-// TestScenarioStreamsPinned pins every scenario stream to sha256 digests of
-// its (W, ID) pairs over rounds 0–2 and PEs 0–3. Node mode, chaos resync and
-// verify -match replay these streams byte for byte, so a change to how a
-// law is drawn must leave every digest alone.
+// TestScenarioStreamsPinned pins every preset stream, plus a Zipf law whose
+// support is not a power of two, to sha256 digests of its (W, ID) pairs over
+// rounds 0–2 and PEs 0–3. Node mode, chaos resync and verify -match replay
+// these streams byte for byte, so a change to how a law is drawn must leave
+// every digest alone.
 func TestScenarioStreamsPinned(t *testing.T) {
 	want := map[string]string{
 		"uniform_poisson": "e2cded836c34bf687383a52b2694618af12a602715b8aae74514410a621a62b5",
@@ -423,7 +418,7 @@ func TestScenarioStreamsPinned(t *testing.T) {
 		"onoff_skew":      "83eb5964b2a71aa04ea2d35c02a037f18289b28b73398b9cbe09d256a757b19f",
 		"zipf_n5000":      "d82572f019541a3df9079a17602ab75eb5ecfcbae326b1a179949be82869f9ca",
 	}
-	for _, spec := range pinnedSpecs() {
+	for _, spec := range append(Presets(), Spec{Name: "zipf_n5000", Law: "zipf", ZipfN: 5000, Alpha: 0.6}) {
 		src := mustSource(t, spec, 0x5EED, 512)
 		h := sha256.New()
 		var buf [8]byte
@@ -470,7 +465,7 @@ func TestZipfGuideMatchesSearch(t *testing.T) {
 				us = append(us, c.U01At(i))
 			}
 			for _, u := range us {
-				if u < 0 || u > 1 {
+				if u > 1 {
 					continue
 				}
 				if got, want := z.rank(u), sort.SearchFloat64s(z.cum, u); got != want {
