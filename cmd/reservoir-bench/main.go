@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -61,50 +62,12 @@ func main() {
 	}
 
 	start := time.Now()
-	fmt.Printf("reservoir-bench: scale=%s, %d PEs/node, nodes %v (virtual times; deterministic)\n",
-		scale.Name, scale.PEsPerNode, scale.Nodes)
-
-	rep := bench.NewReport("reservoir-bench", "paper_"+*exp)
-	rep.CreatedAt = start.UTC().Format(time.RFC3339)
-	rep.Params = map[string]any{
-		"scale": scale.Name, "exp": *exp, "pes_per_node": scale.PEsPerNode,
-		"measure_rounds": scale.Measure, "seed": scale.Seed,
-	}
-	run := func(name string, f func()) {
-		t := time.Now()
-		f()
-		fmt.Printf("\n[%s done in %v wall time]\n", name, time.Since(t).Round(time.Millisecond))
-	}
-	weak := func() { rep.AddFigRows(bench.WeakScaling(scale, os.Stdout)) }
-	strong := func() { rep.AddFigRows(bench.StrongScaling(scale, os.Stdout)) }
-	composition := func() { rep.AddCompositionRows(bench.Composition(scale, os.Stdout)) }
-	depth := func() { rep.AddDepthRows(bench.RecursionDepth(scale, os.Stdout)) }
-	insertions := func() { rep.AddInsertionRows(bench.InsertionBound(scale, os.Stdout)) }
-	ablation := func() { rep.AddAblationRows(bench.Ablation(scale, os.Stdout)) }
-	switch *exp {
-	case "weak":
-		run("weak", weak)
-	case "strong":
-		run("strong", strong)
-	case "composition":
-		run("composition", composition)
-	case "depth":
-		run("depth", depth)
-	case "insertions":
-		run("insertions", insertions)
-	case "ablation":
-		run("ablation", ablation)
-	case "all":
-		run("weak", weak)
-		run("strong", strong)
-		run("composition", composition)
-		run("depth", depth)
-		run("insertions", insertions)
-		run("ablation", ablation)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	rep, err := runExperiments(*exp, scale, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	rep.CreatedAt = start.UTC().Format(time.RFC3339)
 	if *jsonPath != "" {
 		if err := rep.WriteFile(*jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
@@ -113,4 +76,46 @@ func main() {
 		fmt.Printf("\nwrote %d results to %s\n", len(rep.Results), *jsonPath)
 	}
 	fmt.Printf("\ntotal wall time: %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// experiments lists every -exp name with the rows it adds to the report,
+// in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(bench.Scale, io.Writer, *bench.Report)
+}{
+	{"weak", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddFigRows(bench.WeakScaling(s, w)) }},
+	{"strong", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddFigRows(bench.StrongScaling(s, w)) }},
+	{"composition", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddCompositionRows(bench.Composition(s, w)) }},
+	{"depth", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddDepthRows(bench.RecursionDepth(s, w)) }},
+	{"insertions", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddInsertionRows(bench.InsertionBound(s, w)) }},
+	{"ablation", func(s bench.Scale, w io.Writer, r *bench.Report) { r.AddAblationRows(bench.Ablation(s, w)) }},
+}
+
+// runExperiments runs experiment exp ("all" for every one) at the given
+// scale, prints its tables to w and returns the report without a
+// creation time. Everything but the wall-time lines printed to w is a
+// deterministic function of exp and scale.
+func runExperiments(exp string, scale bench.Scale, w io.Writer) (*bench.Report, error) {
+	fmt.Fprintf(w, "reservoir-bench: scale=%s, %d PEs/node, nodes %v (virtual times; deterministic)\n",
+		scale.Name, scale.PEsPerNode, scale.Nodes)
+	rep := bench.NewReport("reservoir-bench", "paper_"+exp)
+	rep.Params = map[string]any{
+		"scale": scale.Name, "exp": exp, "pes_per_node": scale.PEsPerNode,
+		"measure_rounds": scale.Measure, "seed": scale.Seed,
+	}
+	ran := false
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		t := time.Now()
+		e.run(scale, w, rep)
+		fmt.Fprintf(w, "\n[%s done in %v wall time]\n", e.name, time.Since(t).Round(time.Millisecond))
+		ran = true
+	}
+	if !ran {
+		return nil, fmt.Errorf("unknown experiment %q", exp)
+	}
+	return rep, nil
 }

@@ -202,25 +202,27 @@ func TestGatherClusterSnapshotResumesIdentically(t *testing.T) {
 }
 
 // TestSnapshotBytesPinned pins the exact snapshot bytes and virtual time
-// of a fixed run for both algorithms, with and without Pipeline, so a
-// change to the round driver or the snapshot codec that alters either
-// fails here.
+// of a fixed run for both algorithms, with and without Pipeline, and the
+// gather baseline's uniform filter too, so a change to the round driver,
+// a scan or the snapshot codec that alters either fails here.
 func TestSnapshotBytesPinned(t *testing.T) {
 	cases := []struct {
 		name     string
 		pipeline bool
+		weighted bool
 		algo     Algorithm
 		sha      string
 		vtime    float64
 	}{
-		{"ours", false, Distributed, "8eff10dde7ecff0a3b15e94a26e9bfaf89a8516e19dc5374cd3b2750be2efc24", 216991.786061499},
-		{"ours-pipeline", true, Distributed, "94bf958860e46d81a9e49d7d73bfdd7ff0e38fa1a55991ab2e840b96f46ac309", 218575.57366663346},
-		{"gather", false, CentralizedGather, "1891d7058cb929b4d54480ba8eeda60c120fbd9748de5b03a0cba1dd34558ffc", 97735},
+		{"ours", false, true, Distributed, "8eff10dde7ecff0a3b15e94a26e9bfaf89a8516e19dc5374cd3b2750be2efc24", 216991.786061499},
+		{"ours-pipeline", true, true, Distributed, "94bf958860e46d81a9e49d7d73bfdd7ff0e38fa1a55991ab2e840b96f46ac309", 218575.57366663346},
+		{"gather", false, true, CentralizedGather, "1891d7058cb929b4d54480ba8eeda60c120fbd9748de5b03a0cba1dd34558ffc", 97735},
+		{"gather-uniform", false, false, CentralizedGather, "e91d1690b86fa80d72641dab40c77dd823a4127ef53c3c87a7df8d2a528919dd", 96435},
 	}
 	src := UniformSource{Seed: 3, BatchLen: 700, Lo: 0, Hi: 100}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{K: 64, Weighted: true, Seed: 9, Shards: 4, Pipeline: tc.pipeline}
+			cfg := Config{K: 64, Weighted: tc.weighted, Seed: 9, Shards: 4, Pipeline: tc.pipeline}
 			cl, err := NewCluster(4, cfg, WithAlgorithm(tc.algo))
 			if err != nil {
 				t.Fatal(err)
