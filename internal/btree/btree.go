@@ -1,9 +1,9 @@
 // Package btree implements the augmented B+ tree that backs the local
 // reservoirs (paper Sec 3.2): a search tree whose leaves store the items in
 // key order and are doubly linked, whose inner nodes track subtree sizes so
-// rank and select queries run in O(log n), and which supports split and
-// join in O(log n) — split is what lets a PE discard all items above the
-// new global threshold after every mini-batch.
+// rank and select queries run in O(log n), and which splits at a rank in
+// O(log n) — split is what lets a PE discard all items above the new
+// global threshold after every mini-batch.
 //
 // Keys are composite (variate, id) pairs: the random variates are
 // continuous, so ties have probability zero, but the id component makes the
@@ -12,8 +12,9 @@
 //
 // The tree is the Seq implementation behind internal/distsel's selection
 // algorithms (rank/select in O(log n)) and the storage of every local
-// reservoir in internal/core; splitjoin.go holds the split/join halves,
-// validate.go the structural invariant checker used by the tests.
+// reservoir in internal/core; splitjoin.go holds the split and the
+// subtree join it is built from, validate.go the structural invariant
+// checker used by the tests.
 package btree
 
 import "math"
@@ -96,9 +97,6 @@ func (t *Tree[V]) Len() int {
 	}
 	return t.root.size()
 }
-
-// Degree returns the tree's maximum node degree.
-func (t *Tree[V]) Degree() int { return t.degree }
 
 // Clear removes all items.
 func (t *Tree[V]) Clear() {
@@ -265,25 +263,6 @@ func (t *Tree[V]) CountLeq(k Key) int {
 	return count + upperBound(l.keys, k)
 }
 
-// CountLess returns the number of stored keys < k.
-func (t *Tree[V]) CountLess(k Key) int {
-	n, h, count := t.root, t.height, 0
-	if n == nil {
-		return 0
-	}
-	for h > 0 {
-		in := n.(*inner[V])
-		c := lowerBound(in.seps, k)
-		for i := 0; i < c; i++ {
-			count += in.children[i].size()
-		}
-		n = in.children[c]
-		h--
-	}
-	l := n.(*leaf[V])
-	return count + lowerBound(l.keys, k)
-}
-
 // Select returns the item with the given 1-based rank (the rank-th smallest
 // key). ok is false if rank is out of range.
 func (t *Tree[V]) Select(rank int) (k Key, v V, ok bool) {
@@ -305,39 +284,6 @@ func (t *Tree[V]) Select(rank int) (k Key, v V, ok bool) {
 	}
 	l := n.(*leaf[V])
 	return l.keys[rank-1], l.vals[rank-1], true
-}
-
-// Get returns the value stored under k.
-func (t *Tree[V]) Get(k Key) (v V, ok bool) {
-	n, h := t.root, t.height
-	if n == nil {
-		return v, false
-	}
-	for h > 0 {
-		in := n.(*inner[V])
-		n = in.children[lowerBound(in.seps, k)]
-		h--
-	}
-	l := n.(*leaf[V])
-	i := lowerBound(l.keys, k)
-	if i < len(l.keys) && l.keys[i] == k {
-		return l.vals[i], true
-	}
-	return v, false
-}
-
-// Min returns the smallest key and its value.
-func (t *Tree[V]) Min() (k Key, v V, ok bool) {
-	if t.root == nil {
-		return Key{}, v, false
-	}
-	n, h := t.root, t.height
-	for h > 0 {
-		n = n.(*inner[V]).children[0]
-		h--
-	}
-	l := n.(*leaf[V])
-	return l.keys[0], l.vals[0], true
 }
 
 // Max returns the largest key and its value.
@@ -371,94 +317,5 @@ func (t *Tree[V]) ForEach(fn func(Key, V) bool) {
 				return
 			}
 		}
-	}
-}
-
-// Keys returns all keys in ascending order (primarily for tests).
-func (t *Tree[V]) Keys() []Key {
-	out := make([]Key, 0, t.Len())
-	t.ForEach(func(k Key, _ V) bool { out = append(out, k); return true })
-	return out
-}
-
-// --- delete -------------------------------------------------------------
-
-// Delete removes the item with key k and reports whether it was present.
-// Emptied nodes are removed, but non-empty nodes are allowed to become
-// underfull (relaxed invariant; see Validate).
-func (t *Tree[V]) Delete(k Key) bool {
-	if t.root == nil {
-		return false
-	}
-	deleted := t.delete(t.root, t.height, k)
-	if deleted {
-		t.collapseRoot()
-		if t.root != nil && t.root.size() == 0 {
-			t.Clear()
-		}
-	}
-	return deleted
-}
-
-func (t *Tree[V]) delete(n node[V], h int, k Key) bool {
-	if h == 0 {
-		l := n.(*leaf[V])
-		i := lowerBound(l.keys, k)
-		if i >= len(l.keys) || l.keys[i] != k {
-			return false
-		}
-		copy(l.keys[i:], l.keys[i+1:])
-		l.keys = l.keys[:len(l.keys)-1]
-		copy(l.vals[i:], l.vals[i+1:])
-		clearTailVals(l.vals, len(l.vals)-1)
-		l.vals = l.vals[:len(l.vals)-1]
-		return true
-	}
-	in := n.(*inner[V])
-	c := lowerBound(in.seps, k)
-	if !t.delete(in.children[c], h-1, k) {
-		return false
-	}
-	in.sz--
-	if in.children[c].size() == 0 {
-		t.removeChild(in, c, h-1)
-	}
-	return true
-}
-
-// removeChild unlinks the (empty) child at index c from in.
-func (t *Tree[V]) removeChild(in *inner[V], c, childHeight int) {
-	if childHeight == 0 {
-		l := in.children[c].(*leaf[V])
-		if l.prev != nil {
-			l.prev.next = l.next
-		}
-		if l.next != nil {
-			l.next.prev = l.prev
-		}
-	}
-	copy(in.children[c:], in.children[c+1:])
-	in.children[len(in.children)-1] = nil
-	in.children = in.children[:len(in.children)-1]
-	// Remove the separator adjacent to the removed child.
-	if len(in.seps) > 0 {
-		s := c
-		if s >= len(in.seps) {
-			s = len(in.seps) - 1
-		}
-		copy(in.seps[s:], in.seps[s+1:])
-		in.seps = in.seps[:len(in.seps)-1]
-	}
-}
-
-// collapseRoot removes degenerate single-child roots.
-func (t *Tree[V]) collapseRoot() {
-	for t.height > 0 {
-		in := t.root.(*inner[V])
-		if len(in.children) != 1 {
-			return
-		}
-		t.root = in.children[0]
-		t.height--
 	}
 }

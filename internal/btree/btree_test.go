@@ -23,16 +23,6 @@ func (m *model) insert(k Key, v int) {
 	m.vals[i] = v
 }
 
-func (m *model) delete(k Key) bool {
-	i := sort.Search(len(m.keys), func(i int) bool { return !m.keys[i].Less(k) })
-	if i >= len(m.keys) || m.keys[i] != k {
-		return false
-	}
-	m.keys = append(m.keys[:i], m.keys[i+1:]...)
-	m.vals = append(m.vals[:i], m.vals[i+1:]...)
-	return true
-}
-
 func (m *model) countLeq(k Key) int {
 	return sort.Search(len(m.keys), func(i int) bool { return k.Less(m.keys[i]) })
 }
@@ -57,6 +47,27 @@ func randKey(r *rand.Rand) Key {
 	return Key{V: r.Float64(), ID: r.Uint64()}
 }
 
+// keysOf returns the tree's keys in ascending order.
+func keysOf(tr *Tree[int]) []Key {
+	out := make([]Key, 0, tr.Len())
+	tr.ForEach(func(k Key, _ int) bool { out = append(out, k); return true })
+	return out
+}
+
+// join appends o's items, whose keys all exceed t's, to t through
+// joinNodes, the subtree join SplitAtRank reassembles its fragments with,
+// and empties o.
+func join(t, o *Tree[int]) {
+	switch {
+	case o.root == nil:
+	case t.root == nil:
+		t.root, t.height = o.root, o.height
+	default:
+		t.root, t.height = t.joinNodes(t.root, t.height, o.root, o.height)
+	}
+	o.Clear()
+}
+
 func checkAgainstModel(t *testing.T, tr *Tree[int], m *model, strict bool) {
 	t.Helper()
 	if err := tr.Validate(strict); err != nil {
@@ -65,7 +76,7 @@ func checkAgainstModel(t *testing.T, tr *Tree[int], m *model, strict bool) {
 	if tr.Len() != len(m.keys) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(m.keys))
 	}
-	got := tr.Keys()
+	got := keysOf(tr)
 	for i, k := range got {
 		if k != m.keys[i] {
 			t.Fatalf("key %d = %v, want %v", i, k, m.keys[i])
@@ -138,10 +149,6 @@ func TestCountAndSelectAgainstModel(t *testing.T) {
 		if got, want := tr.CountLeq(k), m.countLeq(k); got != want {
 			t.Fatalf("CountLeq(%v) = %d, want %d", k, got, want)
 		}
-		wantLess := sort.Search(len(m.keys), func(i int) bool { return !m.keys[i].Less(k) })
-		if got := tr.CountLess(k); got != wantLess {
-			t.Fatalf("CountLess(%v) = %d, want %d", k, got, wantLess)
-		}
 	}
 	for rank := 1; rank <= len(m.keys); rank += 13 {
 		k, v, ok := tr.Select(rank)
@@ -157,11 +164,8 @@ func TestCountAndSelectAgainstModel(t *testing.T) {
 	}
 }
 
-func TestMinMaxGet(t *testing.T) {
+func TestMax(t *testing.T) {
 	tr := New[int]()
-	if _, _, ok := tr.Min(); ok {
-		t.Error("Min on empty tree should fail")
-	}
 	if _, _, ok := tr.Max(); ok {
 		t.Error("Max on empty tree should fail")
 	}
@@ -172,53 +176,9 @@ func TestMinMaxGet(t *testing.T) {
 		tr.Insert(k, i)
 		m.insert(k, i)
 	}
-	if k, _, _ := tr.Min(); k != m.keys[0] {
-		t.Errorf("Min = %v, want %v", k, m.keys[0])
-	}
-	if k, _, _ := tr.Max(); k != m.keys[len(m.keys)-1] {
-		t.Errorf("Max = %v, want %v", k, m.keys[len(m.keys)-1])
-	}
-	for i := 0; i < 100; i++ {
-		j := r.Intn(len(m.keys))
-		v, ok := tr.Get(m.keys[j])
-		if !ok || v != m.vals[j] {
-			t.Fatalf("Get(%v) = (%d,%v), want (%d,true)", m.keys[j], v, ok, m.vals[j])
-		}
-	}
-	if _, ok := tr.Get(Key{V: -1}); ok {
-		t.Error("Get of absent key should fail")
-	}
-}
-
-func TestDeleteRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	tr := NewWithDegree[int](5)
-	m := &model{}
-	keys := make([]Key, 0, 1500)
-	for i := 0; i < 1500; i++ {
-		k := randKey(r)
-		tr.Insert(k, i)
-		m.insert(k, i)
-		keys = append(keys, k)
-	}
-	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for i, k := range keys {
-		if !tr.Delete(k) {
-			t.Fatalf("Delete(%v) reported absent", k)
-		}
-		m.delete(k)
-		if tr.Delete(k) {
-			t.Fatalf("double Delete(%v) succeeded", k)
-		}
-		if i%97 == 0 {
-			checkAgainstModel(t, tr, m, false)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("tree not empty after deleting everything: %d", tr.Len())
-	}
-	if err := tr.Validate(true); err != nil {
-		t.Fatal(err)
+	last := len(m.keys) - 1
+	if k, v, _ := tr.Max(); k != m.keys[last] || v != m.vals[last] {
+		t.Errorf("Max = (%v,%d), want (%v,%d)", k, v, m.keys[last], m.vals[last])
 	}
 }
 
@@ -264,7 +224,7 @@ func TestSplitByKey(t *testing.T) {
 	if k, _, _ := tr.Max(); k != pivot {
 		t.Errorf("left max = %v, want pivot %v", k, pivot)
 	}
-	if k, _, _ := right.Min(); !pivot.Less(k) {
+	if k, _, _ := right.Select(1); !pivot.Less(k) {
 		t.Errorf("right min %v not greater than pivot %v", k, pivot)
 	}
 }
@@ -287,24 +247,12 @@ func TestJoinAgainstModel(t *testing.T) {
 			right.Insert(k, nl+i)
 			m.insert(k, nl+i)
 		}
-		left.Join(right)
+		join(left, right)
 		if right.Len() != 0 {
 			t.Fatalf("joined-from tree not empty")
 		}
 		checkAgainstModel(t, left, m, false)
 	}
-}
-
-func TestJoinPanicsOnOverlap(t *testing.T) {
-	left, right := New[int](), New[int]()
-	left.Insert(Key{V: 5}, 0)
-	right.Insert(Key{V: 3}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for overlapping Join")
-		}
-	}()
-	left.Join(right)
 }
 
 func TestSplitThenJoinRoundTrip(t *testing.T) {
@@ -320,7 +268,7 @@ func TestSplitThenJoinRoundTrip(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		cut := r.Intn(tr.Len() + 1)
 		right := tr.SplitAtRank(cut)
-		tr.Join(right)
+		join(tr, right)
 		checkAgainstModel(t, tr, m, false)
 	}
 }
@@ -409,8 +357,7 @@ func TestDuplicateValuesDistinctIDs(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		tr.Insert(Key{V: 1, ID: uint64(i)}, i)
 	}
-	keys := tr.Keys()
-	for i, k := range keys {
+	for i, k := range keysOf(tr) {
 		if k.ID != uint64(i) {
 			t.Fatalf("position %d has ID %d", i, k.ID)
 		}
@@ -447,6 +394,6 @@ func BenchmarkSplitJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		right := tr.SplitAtRank(50000)
-		tr.Join(right)
+		join(tr, right)
 	}
 }

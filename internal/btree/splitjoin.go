@@ -1,38 +1,18 @@
 package btree
 
-// Split and join (paper Sec 3.2, citing [16, Chapter 7.3.2]): Join
-// concatenates two trees whose key ranges do not overlap, and SplitAtRank
-// cuts a tree at a rank boundary. Both run in time logarithmic in the tree
-// sizes. The reservoir uses SplitAtRank after every selection to discard
-// all items whose keys exceed the new global threshold.
+// Split (paper Sec 3.2, citing [16, Chapter 7.3.2]): SplitAtRank cuts a
+// tree at a rank boundary in time logarithmic in the tree size, by
+// cutting the root-to-leaf path and joining the fragments on each side
+// back together with joinNodes. The reservoir uses SplitAtRank after every
+// selection to discard all items whose keys exceed the new global
+// threshold.
 //
-// Nodes on the cut path may be left underfull (they are repaired lazily by
-// later splits/merges); Validate's relaxed mode checks exactly the
-// invariants that are maintained.
+// Nodes on the cut path may be left underfull; Validate's relaxed mode
+// checks exactly the invariants that are maintained.
 
 type frag[V any] struct {
 	n node[V]
 	h int
-}
-
-// Join appends all items of o (whose keys must all be strictly greater than
-// every key in t) to t, emptying o. It panics if the key ranges overlap.
-func (t *Tree[V]) Join(o *Tree[V]) {
-	if o == nil || o.root == nil {
-		return
-	}
-	if t.root == nil {
-		t.root, t.height = o.root, o.height
-		o.Clear()
-		return
-	}
-	tmax, _, _ := t.Max()
-	omin, _, _ := o.Min()
-	if !tmax.Less(omin) {
-		panic("btree: Join with overlapping key ranges")
-	}
-	t.root, t.height = t.joinNodes(t.root, t.height, o.root, o.height)
-	o.Clear()
 }
 
 // joinNodes joins two detached subtrees; every key in l is strictly less

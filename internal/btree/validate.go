@@ -12,8 +12,8 @@ import "fmt"
 //
 // With strict set, Validate additionally checks the B+ tree fill degrees
 // that hold after pure insertion workloads: every node except the root is
-// at least half full. Split/Join may leave nodes underfull, so callers
-// that use those operations should validate in relaxed mode.
+// at least half full. A split may leave nodes underfull, so callers that
+// split should validate in relaxed mode.
 func (t *Tree[V]) Validate(strict bool) error {
 	if t.root == nil {
 		if t.height != 0 {

@@ -2,8 +2,8 @@
 // paper's machine model (Sec 3, "Collective Communication") on top of the
 // point-to-point transport.Conn interface:
 //
-//   - Broadcast, Reduce, AllReduce, Barrier in O(βℓ + α log p) time,
-//   - Gather (and AllGather) in O(βpℓ + α log p) time,
+//   - Broadcast, Reduce, AllReduce in O(βℓ + α log p) time,
+//   - Gather in O(βpℓ + α log p) time,
 //
 // using binomial trees and, for AllReduce on power-of-two sub-clusters, a
 // butterfly (hypercube) exchange. All operations are SPMD: every PE of the
@@ -20,11 +20,7 @@
 // entirely on top of this package.
 package coll
 
-import (
-	"sort"
-
-	"reservoir/internal/transport"
-)
+import "reservoir/internal/transport"
 
 // Comm is a communicator: one PE's handle for participating in collectives
 // over the whole cluster. Communicators on different PEs stay in lockstep
@@ -194,13 +190,6 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 	return acc
 }
 
-// Barrier synchronizes all PEs (and their virtual clocks) without carrying
-// data. (The token is an int, so it crosses wire transports on a builtin
-// wire codec.)
-func Barrier(c *Comm) {
-	AllReduce(c, 0, func(a, _ int) int { return a }, 1)
-}
-
 // Chunk carries one PE's contribution through the gather tree. It is
 // exported so each instantiation that crosses a wire transport (e.g.
 // chunks of sample items) can be given a wire codec via
@@ -257,37 +246,7 @@ func Gather[T any](c *Comm, root int, items []T, wordsPerItem int) [][]T {
 	return out
 }
 
-// AllGather collects every PE's slice and returns the full rank-indexed
-// table on every PE (Gather to root 0 followed by a Broadcast).
-func AllGather[T any](c *Comm, items []T, wordsPerItem int) [][]T {
-	parts := Gather(c, 0, items, wordsPerItem)
-	total := 0
-	if c.Rank() == 0 {
-		for _, part := range parts {
-			total += len(part)
-		}
-	}
-	total = Broadcast(c, 0, total, 1)
-	return Broadcast(c, 0, parts, total*wordsPerItem+c.p)
-}
-
 // --- common reduction ops ------------------------------------------------
-
-// MinFloat64 returns the smaller of two float64s.
-func MinFloat64(a, b float64) float64 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-// MaxFloat64 returns the larger of two float64s.
-func MaxFloat64(a, b float64) float64 {
-	if b > a {
-		return b
-	}
-	return a
-}
 
 // SumInt adds two ints.
 func SumInt(a, b int) int { return a + b }
@@ -326,10 +285,4 @@ func MergeSmallest[T any](d int, less func(a, b T) bool) Op[[]T] {
 		}
 		return out
 	}
-}
-
-// SortSlice sorts s ascending according to less (tiny helper shared by the
-// selection code and tests; avoids repeating sort.Slice closures).
-func SortSlice[T any](s []T, less func(a, b T) bool) {
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"reservoir/internal/btree"
 	"reservoir/internal/coll"
 	"reservoir/internal/costmodel"
@@ -39,8 +37,10 @@ type GatherPE struct {
 	model costmodel.Model
 	src   *rng.Xoshiro256
 
-	// cands collects this batch's surviving candidates.
+	// cands collects this batch's surviving candidates; scan is the skip
+	// scan's buffer they are built from.
 	cands []keyedItem
+	scan  []cand
 	// root state (only PE 0): the current sample.
 	rootRes []keyedItem
 
@@ -186,59 +186,39 @@ func (pe *GatherPE) filterAll(b workload.Batch) {
 	clock.Work(float64(len(pe.cands)) * pe.model.PackNS * keyedItemWords)
 }
 
-// filterWeighted runs the exponential-jumps skip scan, appending surviving
-// items to the candidate array.
+// filterWeighted runs the exponential-jumps skip scan over the whole
+// batch, appending surviving items to the candidate array.
 func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	n := b.Len()
-	t := pe.thresh.V
-	clock := pe.comm.Conn
 	wp := grabWeights(b, n)
-	ws := *wp
-	draws := 1
-	x := skipWeight(pe.src, t)
-	for j := 0; j < n; j++ {
-		x -= ws[j]
-		if x <= 0 {
-			it := b.At(j)
-			xlo := math.Exp(-t * it.W)
-			v := -math.Log(rng.Uniform(pe.src, xlo, 1)) / it.W
-			pe.cands = append(pe.cands, keyedItem{Key: btree.Key{V: v, ID: pe.nextKeyID()}, Item: it})
-			x = skipWeight(pe.src, t)
-			draws += 2
-		}
-	}
+	var draws int64
+	pe.scan, draws = scanShardWeighted(pe.src, *wp, 0, n, pe.thresh.V, false, pe.scan[:0])
 	releaseWeights(wp)
-	clock.Work(float64(n)*pe.model.ScanPerItemNS(n, pe.cfg.BlockedSkip) + float64(draws)*pe.model.RNGNS)
+	pe.appendScanned(b)
+	// The filter never runs the blocked skip, yet it is charged at
+	// Config.BlockedSkip's per-item rate, as the gather figure rows were.
+	pe.comm.Conn.Work(float64(n)*pe.model.ScanPerItemNS(n, pe.cfg.BlockedSkip) + float64(draws)*pe.model.RNGNS)
 }
 
 // filterUniform runs the geometric jumps of Sec 4.3.
 func (pe *GatherPE) filterUniform(b workload.Batch) {
-	n := b.Len()
-	t := pe.thresh.V
-	clock := pe.comm.Conn
-	draws := 1
-	j := rng.GeometricSkip(pe.src, t)
-	for j < n {
-		it := b.At(j)
-		v := rng.U01CO(pe.src) * t
-		pe.cands = append(pe.cands, keyedItem{Key: btree.Key{V: v, ID: pe.nextKeyID()}, Item: it})
-		j += 1 + rng.GeometricSkip(pe.src, t)
-		draws += 2
-	}
-	clock.Work(float64(draws) * pe.model.RNGNS)
+	var draws int64
+	pe.scan, draws = scanShardUniform(pe.src, 0, b.Len(), pe.thresh.V, pe.scan[:0])
+	pe.appendScanned(b)
+	pe.comm.Conn.Work(float64(draws) * pe.model.RNGNS)
 }
 
-// CollectSample implements Sampler: the sample already lives at the root.
-func (pe *GatherPE) CollectSample() []workload.Item {
-	if pe.comm.Rank() != 0 {
-		return nil
+// appendScanned turns the scan's hits into keyed candidates, in index
+// order.
+func (pe *GatherPE) appendScanned(b workload.Batch) {
+	for _, c := range pe.scan {
+		pe.cands = append(pe.cands, keyedItem{Key: btree.Key{V: c.v, ID: pe.nextKeyID()}, Item: b.At(int(c.idx))})
 	}
-	out := make([]workload.Item, len(pe.rootRes))
-	for i, ki := range pe.rootRes {
-		out[i] = ki.Item
-	}
-	return out
 }
+
+// CollectSample implements Sampler: the sample already lives at the
+// root, so it is LocalSample.
+func (pe *GatherPE) CollectSample() []workload.Item { return pe.LocalSample() }
 
 // LocalSample implements Sampler: the whole sample lives at the root, so
 // the root returns everything and the other PEs return nothing. No

@@ -124,27 +124,6 @@ func init() {
 		func(buf []byte, v []coll.Chunk[keyedItem]) []byte { return appendChunks(buf, v, appendKeyedItem) },
 		func(d *transport.Dec) ([]coll.Chunk[keyedItem], error) { return decChunks(d, 32, decKeyedItem) })
 
-	transport.RegisterMarshaler(transport.WireIDIntChunks,
-		func(buf []byte, v []coll.Chunk[int]) []byte {
-			return appendChunks(buf, v, func(b []byte, x int) []byte { return transport.AppendVarint(b, int64(x)) })
-		},
-		func(d *transport.Dec) ([]coll.Chunk[int], error) {
-			return decChunks(d, 1, func(d *transport.Dec) int { return d.Int() })
-		})
-
-	transport.RegisterMarshaler(transport.WireIDIntTable,
-		func(buf []byte, v [][]int) []byte {
-			return appendSlice(buf, v, func(b []byte, row []int) []byte {
-				return appendSlice(b, row, func(b []byte, x int) []byte { return transport.AppendVarint(b, int64(x)) })
-			})
-		},
-		func(d *transport.Dec) ([][]int, error) {
-			return decSlice(d, 1, func(d *transport.Dec) []int {
-				row, _ := decSlice(d, 1, func(d *transport.Dec) int { return d.Int() })
-				return row
-			})
-		})
-
 	transport.RegisterMarshaler(transport.WireIDThreshMsg,
 		func(buf []byte, v threshMsg) []byte {
 			buf = appendKey(buf, v.T)

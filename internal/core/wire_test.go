@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"reservoir/internal/btree"
@@ -32,8 +33,6 @@ func hotPayloads() []any {
 		[]coll.Chunk[keyedItem]{{Src: 1, Items: []keyedItem{
 			{Key: btree.Key{V: 0.5, ID: 5}, Item: workload.Item{W: 3, ID: 5}},
 		}}},
-		[]coll.Chunk[int]{{Src: 0, Items: []int{5, -1}}, {Src: 1, Items: []int{}}},
-		[][]int{{1, 2}, {}, {-3}},
 		threshMsg{T: btree.Key{V: 0.75, ID: 12}, Have: true, Size: -1},
 	}
 }
@@ -151,6 +150,18 @@ func TestChunkLengthLyingRejected(t *testing.T) {
 	body = transport.AppendU64(body, 0x3FF0000000) // ...backed by 8 bytes
 	if _, err := transport.DecodePayload(body); err == nil {
 		t.Fatal("length-lying key chunk accepted")
+	}
+}
+
+// The retired wire IDs stay unassigned with every sampler codec linked
+// in: 15 and 16 (the per-family stats reductions), 18 and 19 (the
+// AllGather size chunks and rank table).
+func TestRetiredWireIDsRejected(t *testing.T) {
+	for _, id := range []byte{15, 16, 18, 19} {
+		_, err := transport.DecodePayload([]byte{id, 0x01, 0x00})
+		if err == nil || !strings.Contains(err.Error(), "unknown wire codec ID") {
+			t.Errorf("wire ID %d: want an unknown-ID error, got %v", id, err)
+		}
 	}
 }
 

@@ -17,8 +17,6 @@
 //   - RandomDistKth (Sec 3.3.1): for randomly distributed inputs, brackets
 //     the target with two pivots from a √p-sized global sample, then
 //     finishes exactly within the bracket.
-//   - UnsortedKth (Sec 3.3.4): fallback selection over unsorted local
-//     slices with uniformly random pivots.
 //
 // All functions are SPMD-collective: every PE must call them with the same
 // parameters in the same order. Local sequence operations are abstracted by
@@ -89,13 +87,6 @@ type Options struct {
 	// Pivots is the number of pivots d used per round (1 = the paper's
 	// "ours", 8 = "ours-8"). Defaults to 1.
 	Pivots int
-	// BaseCase is the active-size cutoff below which the remaining
-	// candidates are gathered at a root PE and selected exactly.
-	// Defaults to 128 (and at least 2*Pivots).
-	BaseCase int
-	// MaxRounds bounds the sampling recursion; when exceeded, the
-	// algorithm falls back to the exact gather base case. Defaults to 60.
-	MaxRounds int
 	// KnownN, when positive, is the caller-supplied global size of the
 	// full sequence union (sum over PEs of Seq.CountLeq(MaxKey)). The
 	// sampler's selection step already holds this from its size
@@ -106,18 +97,19 @@ type Options struct {
 	RNG rng.Source
 }
 
+const (
+	// baseCase is the active-size cutoff below which the remaining
+	// candidates are gathered at a root PE and selected exactly. With
+	// more than baseCase/2 pivots the cutoff is 2*Pivots instead.
+	baseCase = 128
+	// maxRounds bounds the sampling recursion; when exceeded, the
+	// algorithm falls back to the exact gather base case.
+	maxRounds = 60
+)
+
 func (o Options) withDefaults() Options {
 	if o.Pivots < 1 {
 		o.Pivots = 1
-	}
-	if o.BaseCase < 2*o.Pivots {
-		o.BaseCase = 128
-		if o.BaseCase < 2*o.Pivots {
-			o.BaseCase = 2 * o.Pivots
-		}
-	}
-	if o.MaxRounds < 1 {
-		o.MaxRounds = 60
 	}
 	if o.RNG == nil {
 		panic("distsel: Options.RNG is required")
@@ -184,7 +176,7 @@ func selectRange(c *coll.Comm, s Seq, kLo, kHi int, lo, hi btree.Key, offset int
 		if tHi > n {
 			tHi = n
 		}
-		if n <= opt.BaseCase || rounds >= opt.MaxRounds {
+		if n <= max(baseCase, 2*d) || rounds >= maxRounds {
 			r := gatherSelect(c, s, loCount, cnt, tLo)
 			r.Rank += offset
 			r.Rounds = rounds
@@ -362,7 +354,7 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 	if k < 1 || k > n {
 		panic(fmt.Sprintf("distsel: rank %d outside 1..%d", k, n))
 	}
-	if n <= opt.BaseCase {
+	if n <= max(baseCase, 2*opt.Pivots) {
 		return gatherSelect(c, s, 0, cnt, k)
 	}
 	m := int(math.Ceil(math.Sqrt(float64(c.P())))) * 4
@@ -414,86 +406,4 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 	r := selectRange(c, s, k, k, lo, hi, g[0], opt)
 	r.Rounds++
 	return r
-}
-
-// UnsortedKth selects the k-th smallest of the PEs' unsorted local key
-// slices (paper Sec 3.3.4, simplified): uniformly random global pivots,
-// three-way partitioning, recursion on the surviving side. sharedSeed must
-// be identical on all PEs; it drives the common pivot-rank choices.
-// The keys slice is reordered in place.
-func UnsortedKth(c *coll.Comm, keys []btree.Key, k int, sharedSeed uint64, opt Options) Result {
-	opt = opt.withDefaults()
-	active := keys
-	offset := 0
-	rounds := 0
-	for {
-		n := coll.AllReduce(c, len(active), coll.SumInt, 1)
-		t := k - offset
-		if t < 1 || t > n {
-			panic(fmt.Sprintf("distsel: unsorted target %d outside 1..%d", t, n))
-		}
-		if n <= opt.BaseCase || rounds >= opt.MaxRounds {
-			sort.Slice(active, func(i, j int) bool { return active[i].Less(active[j]) })
-			r := gatherSelect(c, KeySlice(active), 0, len(active), t)
-			r.Rank += offset
-			r.Rounds = rounds
-			return r
-		}
-		rounds++
-		// All PEs agree on a uniformly random global rank, then locate its
-		// owner via the gathered per-PE counts.
-		sizes := make([]int, 1)
-		sizes[0] = len(active)
-		table := coll.AllGather(c, sizes, 1)
-		rank := int(rng.Mix64(sharedSeed+uint64(rounds))%uint64(n)) + 1
-		owner, local := 0, rank
-		for pe := 0; pe < c.P(); pe++ {
-			if local <= table[pe][0] {
-				owner = pe
-				break
-			}
-			local -= table[pe][0]
-		}
-		var pivot btree.Key
-		if c.Rank() == owner {
-			pivot = active[local-1]
-		}
-		pivot = coll.Broadcast(c, owner, pivot, keyWords)
-		// Three-way partition.
-		less, equal := 0, 0
-		li, ri := 0, len(active)
-		for i := 0; i < ri; {
-			switch kk := active[i]; {
-			case kk.Less(pivot):
-				active[li], active[i] = active[i], active[li]
-				li++
-				i++
-				less++
-			case kk == pivot:
-				equal++
-				i++
-			default:
-				ri--
-				active[i], active[ri] = active[ri], active[i]
-			}
-		}
-		g := coll.AllReduce(c, []int{less, equal}, coll.SumInts, 2)
-		switch {
-		case t <= g[0]:
-			active = active[:li]
-		case t <= g[0]+g[1]:
-			return Result{Key: pivot, Rank: offset + g[0] + g[1], Rounds: rounds}
-		default:
-			offset += g[0] + g[1]
-			active = active[li:]
-			// Drop the equal-to-pivot band from the active slice.
-			filtered := active[:0]
-			for _, kk := range active {
-				if kk != pivot {
-					filtered = append(filtered, kk)
-				}
-			}
-			active = filtered
-		}
-	}
 }

@@ -207,31 +207,6 @@ func TestRandomDistKth(t *testing.T) {
 	}
 }
 
-func TestUnsortedKth(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for _, p := range []int{1, 3, 8} {
-		n := 4000
-		local, global := buildInput(r, p, n, false)
-		for _, k := range []int{1, 33, n / 2, n} {
-			// Shuffle local copies: UnsortedKth must not need sorted input.
-			shuffled := make([][]btree.Key, p)
-			for pe := range shuffled {
-				shuffled[pe] = append([]btree.Key(nil), local[pe]...)
-				r.Shuffle(len(shuffled[pe]), func(i, j int) {
-					shuffled[pe][i], shuffled[pe][j] = shuffled[pe][j], shuffled[pe][i]
-				})
-			}
-			res := runSelection(t, p, func(c *coll.Comm, pe int) Result {
-				opt := Options{RNG: rng.NewXoshiro256(uint64(31 + pe))}
-				return UnsortedKth(c, shuffled[pe], k, 999, opt)
-			})
-			if res.Key != global[k-1] {
-				t.Fatalf("p=%d k=%d: got %v, want %v", p, k, res.Key, global[k-1])
-			}
-		}
-	}
-}
-
 func TestSelectionWithEmptyPEs(t *testing.T) {
 	// Some PEs hold no items at all.
 	r := rand.New(rand.NewSource(9))

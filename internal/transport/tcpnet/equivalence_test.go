@@ -82,8 +82,8 @@ func collectiveScript(p int) func(c *coll.Comm) []string {
 		add("reduce_sum", coll.Reduce(c, 0, c.Rank()+1, coll.SumInt, 1))
 		add("reduce_concat", coll.Reduce(c, p/2, []int{c.Rank()},
 			func(a, b []int) []int { return append(append([]int(nil), a...), b...) }, 1))
-		add("allreduce_min", coll.AllReduce(c, 100-float64(c.Rank()), coll.MinFloat64, 1))
-		add("allreduce_max", coll.AllReduce(c, float64(c.Rank()*c.Rank()), coll.MaxFloat64, 1))
+		add("allreduce_min", coll.AllReduce(c, 100-float64(c.Rank()), func(a, b float64) float64 { return min(a, b) }, 1))
+		add("allreduce_max", coll.AllReduce(c, float64(c.Rank()*c.Rank()), func(a, b float64) float64 { return max(a, b) }, 1))
 		add("allreduce_vec", coll.AllReduce(c, []int{c.Rank(), 1, -c.Rank()}, coll.SumInts, 3))
 
 		// Merge the d smallest keys, the selection algorithm's hot op.
@@ -92,8 +92,6 @@ func collectiveScript(p int) func(c *coll.Comm) []string {
 			{V: float64(c.Rank()*3) + 0.75, ID: uint64(c.Rank() + 100)},
 		}
 		add("allreduce_merge", coll.AllReduce(c, keys, coll.MergeSmallest(3, btree.Key.Less), 6))
-
-		coll.Barrier(c)
 
 		// Variable-length gather, including an empty contribution.
 		var items []workload.Item
@@ -104,7 +102,6 @@ func collectiveScript(p int) func(c *coll.Comm) []string {
 			items = nil
 		}
 		add("gather", coll.Gather(c, 0, items, 2))
-		add("allgather", coll.AllGather(c, []int{c.Rank() * 2}, 1))
 		return out
 	}
 }

@@ -43,8 +43,9 @@ const maxNestedPayloads = 4
 // Static wire-ID assignments. IDs live here, not in the registering
 // packages, so the full mapping is auditable in one place and two
 // packages can never collide silently. ID 0 is reserved (never
-// assigned); IDs 15 and 16 (the retired per-family stats reductions)
-// stay unassigned like it, so an old body carrying them fails to decode.
+// assigned); IDs 15 and 16 (the retired per-family stats reductions) and
+// 18 and 19 (the retired AllGather's size chunks and rank table) stay
+// unassigned like it, so an old body carrying them fails to decode.
 const (
 	// Registered by this package (builtins).
 	WireIDInt      uint8 = 1 // int: zigzag varint
@@ -60,8 +61,6 @@ const (
 	WireIDKeyChunks       uint8 = 12 // []coll.Chunk[btree.Key]
 	WireIDKeyedItemChunks uint8 = 13 // []coll.Chunk[core.keyedItem]
 	WireIDThreshMsg       uint8 = 14 // core threshold broadcast
-	WireIDIntChunks       uint8 = 18 // []coll.Chunk[int] (AllGather of sizes)
-	WireIDIntTable        uint8 = 19 // [][]int (AllGather broadcast of the rank table)
 	WireIDClusterStats    uint8 = 20 // reservoir.clusterStats (merged stats reduction)
 	WireIDCommand         uint8 = 21 // nodesvc.command (per-round control broadcast)
 	WireIDResyncMsg       uint8 = 22 // nodesvc.resyncMsg (recovery control plane)
