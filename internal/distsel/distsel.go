@@ -361,12 +361,9 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 	q := float64(m) / float64(n)
 	cands := sampleLocal(s, 0, cnt, q, opt.RNG)
 	parts := coll.Gather(c, 0, cands, keyWords)
-	// Root picks bracketing pivots around the sample position of rank k.
-	type bracket struct {
-		Lo, Hi       btree.Key
-		UseLo, UseHi bool
-	}
-	var br bracket
+	// Root picks bracketing pivots around the sample position of rank k;
+	// a side it cannot bracket stays at MinKey or MaxKey.
+	br := []btree.Key{btree.MinKey, btree.MaxKey}
 	if c.Rank() == 0 {
 		var all []btree.Key
 		for _, p := range parts {
@@ -379,21 +376,17 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 			loIdx := int(pos - delta)
 			hiIdx := int(pos + delta)
 			if loIdx >= 1 {
-				br.Lo, br.UseLo = all[loIdx-1], true
+				br[0] = all[loIdx-1]
 			}
 			if hiIdx <= len(all) {
-				br.Hi, br.UseHi = all[hiIdx-1], true
+				br[1] = all[hiIdx-1]
 			}
 		}
 	}
+	// The charge keeps one word beyond the two keys, so virtual time is
+	// unchanged from when the bracket carried explicit set flags.
 	br = coll.Broadcast(c, 0, br, 2*keyWords+1)
-	lo, hi := btree.MinKey, btree.MaxKey
-	if br.UseLo {
-		lo = br.Lo
-	}
-	if br.UseHi {
-		hi = br.Hi
-	}
+	lo, hi := br[0], br[1]
 	counts := []int{s.CountLeq(lo), s.CountLeq(hi)}
 	g := coll.AllReduce(c, counts, coll.SumInts, 2)
 	if k <= g[0] || k > g[1] {

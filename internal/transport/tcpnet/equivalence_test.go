@@ -25,47 +25,14 @@ import (
 // runOverSimnet executes body SPMD over a fresh simulated cluster.
 func runOverSimnet(t *testing.T, p int, body func(c *coll.Comm)) {
 	t.Helper()
-	cl := simnet.NewCluster(p, simnet.DefaultCost())
-	cl.Parallel(func(pe *simnet.PE) { body(coll.New(pe)) })
-	if n := cl.PendingMessages(); n != 0 {
-		t.Fatalf("simnet: %d leaked messages", n)
-	}
+	runOverSimnetConns(t, p, func(conn transport.Conn, _ int) { body(coll.New(conn)) })
 }
 
 // runOverTCP executes body SPMD over a loopback TCP mesh, one goroutine
 // per node, and propagates the first panic as a test failure.
 func runOverTCP(t *testing.T, p int, body func(c *coll.Comm)) {
 	t.Helper()
-	ts, err := tcpnet.Loopback(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, tr := range ts {
-			tr.Close()
-		}
-	}()
-	panics := make([]any, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() { panics[rank] = recover() }()
-			body(coll.New(ts[rank]))
-		}(i)
-	}
-	wg.Wait()
-	for rank, r := range panics {
-		if r != nil {
-			t.Fatalf("tcpnet: rank %d panicked: %v", rank, r)
-		}
-	}
-	for rank, tr := range ts {
-		if n := tr.Pending(); n != 0 {
-			t.Fatalf("tcpnet: rank %d has %d leaked messages", rank, n)
-		}
-	}
+	runOverTCPConns(t, p, func(conn transport.Conn, _ int) { body(coll.New(conn)) })
 }
 
 // collectiveScript runs one instance of every collective and records the
@@ -187,6 +154,7 @@ func TestSamplingEquivalenceAcrossTransports(t *testing.T) {
 		{"distributed-multipivot", "ours", core.Config{K: 64, Weighted: true, Seed: 11, Strategy: core.SelMultiPivot, Pivots: 4}, 5, 4, 500},
 		{"gather-baseline", "gather", core.Config{K: 64, Weighted: true, Seed: 23}, 4, 6, 800},
 		{"distributed-sharded4", "ours", core.Config{K: 64, Weighted: true, Seed: 37, Shards: 4}, 4, 6, 800},
+		{"distributed-randomdist", "ours", core.Config{K: 64, Weighted: true, Seed: 53, Strategy: core.SelRandomDist}, 4, 6, 800},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -317,33 +285,46 @@ func runOverSimnetConns(t *testing.T, p int, body func(conn transport.Conn, rank
 	}
 }
 
-// runOverTCPConns is runOverTCP with the raw transport.Conn.
+// runOverTCPConns is runOverTCP with the raw transport.Conn. The first
+// rank to panic closes every transport, so ranks blocked on it in Recv
+// unwind at once instead of hanging until the test binary times out;
+// their closed-transport panics are not reported.
 func runOverTCPConns(t *testing.T, p int, body func(conn transport.Conn, rank int)) {
 	t.Helper()
 	ts, err := tcpnet.Loopback(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	closeAll := func() {
 		for _, tr := range ts {
 			tr.Close()
 		}
-	}()
-	panics := make([]any, p)
-	var wg sync.WaitGroup
+	}
+	defer closeAll()
+	var (
+		once      sync.Once
+		first     any
+		firstRank int
+		wg        sync.WaitGroup
+	)
 	for i := 0; i < p; i++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer func() { panics[rank] = recover() }()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() {
+						first, firstRank = r, rank
+						closeAll()
+					})
+				}
+			}()
 			body(ts[rank], rank)
 		}(i)
 	}
 	wg.Wait()
-	for rank, r := range panics {
-		if r != nil {
-			t.Fatalf("tcpnet: rank %d panicked: %v", rank, r)
-		}
+	if first != nil {
+		t.Fatalf("tcpnet: rank %d panicked: %v", firstRank, first)
 	}
 	for rank, tr := range ts {
 		if n := tr.Pending(); n != 0 {
