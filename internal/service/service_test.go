@@ -305,6 +305,29 @@ func TestSyntheticSources(t *testing.T) {
 	}
 }
 
+// A scenario whose weights underflow to 0 is a bad request, not a
+// crashed worker: the run and the server keep serving afterwards.
+func TestZeroWeightScenarioRejected(t *testing.T) {
+	ts, _ := newTestServer(t)
+	run := createRun(t, ts, `{"kind":"cluster","p":2,"k":8,"seed":3}`)
+	base := ts.URL + "/v1/runs/" + run.ID
+	body := `{"synthetic":{"batch_len":10,"rounds":2,"scenario":{"law":"lognormal","mu":-800}}}`
+	if code, raw := doJSON(t, "POST", base+"/batches?wait=true", body, nil); code != http.StatusBadRequest {
+		t.Fatalf("zero-weight scenario: got %d (%s), want 400", code, raw)
+	}
+	var st Stats
+	body = `{"synthetic":{"batch_len":50,"rounds":2,"scenario":{"law":"lognormal","mu":-5}}}`
+	if code, raw := doJSON(t, "POST", base+"/batches?wait=true", body, &st); code != http.StatusOK {
+		t.Fatalf("valid scenario after the rejected one: got %d (%s), want 200", code, raw)
+	}
+	if st.Rounds != 2 || st.SampleSize != 8 {
+		t.Fatalf("stats after the rejected scenario: %+v", st)
+	}
+	if code, raw := doJSON(t, "GET", ts.URL+"/healthz", "", nil); code != http.StatusOK {
+		t.Fatalf("healthz: got %d (%s)", code, raw)
+	}
+}
+
 func TestUniformAndGatherRuns(t *testing.T) {
 	ts, _ := newTestServer(t)
 

@@ -140,7 +140,8 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate checks the spec (after applying defaults) and returns a
-// descriptive error for anything the engine cannot synthesize.
+// descriptive error for anything the engine cannot synthesize, including
+// a spec whose smallest possible weight underflows to 0.
 func (s Spec) Validate() error {
 	d := s.withDefaults()
 	switch d.Law {
@@ -207,7 +208,38 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown drift %q (want none, ramp, or cycle)", s.Drift)
 	}
+	if d.minWeight() <= 0 {
+		return fmt.Errorf("scenario: the smallest weight this spec can draw underflows to 0 (raise mu, lo/hi or hot_boost)")
+	}
 	return nil
+}
+
+// zMax bounds |Z| of the lognormal law's Box-Muller draw: U01At never
+// returns less than 2^-53, so sqrt(-2 ln u1) is at most this.
+var zMax = math.Sqrt(-2 * math.Log(0x1p-53))
+
+// minWeight is a lower bound on every weight the validated, defaulted
+// spec d can synthesize: the law's smallest draw, times the smallest
+// drift scale, times hot_boost when that shrinks a weight. Each factor is
+// computed as weightFn computes it at the extreme draw, and rounding is
+// monotone, so a positive bound means no weight underflows to 0.
+func (d Spec) minWeight() float64 {
+	var w float64
+	switch d.Law {
+	case "uniform":
+		w = d.Lo + 0x1p-53*(d.Hi-d.Lo)
+	case "lognormal":
+		w = math.Exp(d.Mu - d.Sigma*zMax)
+	default: // zipf ranks and Pareto draws are at least 1
+		w = 1
+	}
+	if d.Drift == "cycle" {
+		w *= 1 - math.Abs(d.DriftRate)
+	}
+	if d.HotFrac > 0 && d.HotBoost < 1 {
+		w *= d.HotBoost
+	}
+	return w
 }
 
 // Source compiles the spec into a workload.Source whose batches derive

@@ -96,6 +96,13 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown drift", Spec{Drift: "brownian"}},
 		{"ramp negative rate", Spec{Drift: "ramp", DriftRate: -1}},
 		{"cycle rate too large", Spec{Drift: "cycle", DriftRate: 1.5}},
+		// Specs whose smallest weight underflows to 0.
+		{"lognormal mu underflows", Spec{Law: "lognormal", Mu: -800}},
+		{"lognormal just past the bound", Spec{Law: "lognormal", Mu: -737}},
+		{"lognormal wide sigma underflows", Spec{Law: "lognormal", Sigma: 90}},
+		{"uniform tiny hi", Spec{Law: "uniform", Hi: 1e-310}},
+		{"tiny hot_boost", Spec{HotFrac: 0.1, HotBoost: 1e-320}},
+		{"tiny hi times tiny hot_boost", Spec{Hi: 1e-200, HotFrac: 0.5, HotBoost: 1e-110}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +126,21 @@ func TestValidateErrors(t *testing.T) {
 // resync re-execution and verify -match all rely on: two independently compiled sources with
 // the same (spec, seed) must emit bit-identical streams, and re-requesting
 // a batch must reproduce it.
+// Specs just inside the zero-weight bound stay valid: the bound rejects
+// only what can underflow.
+func TestValidateAcceptsSmallPositiveWeights(t *testing.T) {
+	for _, spec := range []Spec{
+		{Law: "lognormal", Mu: -736},
+		{Law: "uniform", Hi: 1e-300},
+		{Hi: 1e-200, HotFrac: 0.5, HotBoost: 1e-100},
+		{Drift: "cycle", DriftRate: -0.999},
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", spec, err)
+		}
+	}
+}
+
 func TestDeterministicResynthesis(t *testing.T) {
 	for _, spec := range Presets() {
 		t.Run(spec.Name, func(t *testing.T) {
