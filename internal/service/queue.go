@@ -161,6 +161,10 @@ func (s SyntheticSpec) BuildSource(cfg RunConfig) (reservoir.Source, error) {
 		if !cfg.Uniform && lo < 0 {
 			return nil, badRequestf("uniform source on a weighted run needs lo >= 0, got %g", lo)
 		}
+		// U01 draws are at least 2^-53, so this is the smallest weight.
+		if !cfg.Uniform && lo+0x1p-53*(hi-lo) <= 0 {
+			return nil, badRequestf("uniform source on a weighted run needs weights above 0; hi %g underflows", hi)
+		}
 		return reservoir.UniformSource{Seed: seed, BatchLen: s.BatchLen, Lo: lo, Hi: hi}, nil
 	case "skewed":
 		base, sd := s.BaseMean, s.SD

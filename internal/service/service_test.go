@@ -218,6 +218,7 @@ func TestIngestValidation(t *testing.T) {
 		`{"synthetic":{"batch_len":10,"source":"quantum"}}`,                  // unknown source
 		`{"synthetic":{"batch_len":10,"lo":-5,"hi":5}}`,                      // negative weights on a weighted run
 		`{"synthetic":{"batch_len":10,"lo":200,"hi":100}}`,                   // hi <= lo
+		`{"synthetic":{"batch_len":10,"lo":0,"hi":5e-324}}`,                  // weights underflow to 0
 		`{"batches":[[{"w":1,"id":1,"extra":2}],[{"w":1,"id":2}]]}`,          // unknown field
 		`{"batches":[[{"w":1,"id":1.5}],[{"w":1,"id":2}]]}`,                  // fractional id
 		`{"batches":[[{"w":1,"id":-1}],[{"w":1,"id":2}]]}`,                   // negative id
