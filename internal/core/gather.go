@@ -196,7 +196,8 @@ func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	releaseWeights(wp)
 	pe.appendScanned(b)
 	// The filter never runs the blocked skip, yet it is charged at
-	// Config.BlockedSkip's per-item rate, as the gather figure rows were.
+	// Config.BlockedSkip's per-item rate; the gather figure rows rest on
+	// that charge.
 	pe.comm.Conn.Work(float64(n)*pe.model.ScanPerItemNS(n, pe.cfg.BlockedSkip) + float64(draws)*pe.model.RNGNS)
 }
 

@@ -180,6 +180,11 @@ func FuzzDecodeHotPayloads(f *testing.F) {
 		retired = transport.AppendVarint(retired, c)
 	}
 	f.Add(retired)
+	// Bodies as the retired IDs 18 and 19 carried them (the AllGather
+	// size chunks and rank table): one chunk from rank 0, one row, each
+	// holding the size 2.
+	f.Add([]byte{18, 0x01, 0x00, 0x01, 0x04})
+	f.Add([]byte{19, 0x01, 0x01, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := transport.DecodePayload(data)
 		if err != nil || v == nil {

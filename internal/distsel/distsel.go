@@ -383,8 +383,8 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 			}
 		}
 	}
-	// The charge keeps one word beyond the two keys, so virtual time is
-	// unchanged from when the bracket carried explicit set flags.
+	// Charged as two keys plus one word, the size simnet's recorded
+	// virtual times for this broadcast assume.
 	br = coll.Broadcast(c, 0, br, 2*keyWords+1)
 	lo, hi := br[0], br[1]
 	counts := []int{s.CountLeq(lo), s.CountLeq(hi)}
