@@ -219,25 +219,25 @@ func (s Spec) Validate() error {
 var zMax = math.Sqrt(-2 * math.Log(0x1p-53))
 
 // minWeight is a lower bound on every weight the validated, defaulted
-// spec d can synthesize: the law's smallest draw, times the smallest
+// spec s can synthesize: the law's smallest draw, times the smallest
 // drift scale, times hot_boost when that shrinks a weight. Each factor is
 // computed as weightFn computes it at the extreme draw, and rounding is
 // monotone, so a positive bound means no weight underflows to 0.
-func (d Spec) minWeight() float64 {
+func (s Spec) minWeight() float64 {
 	var w float64
-	switch d.Law {
+	switch s.Law {
 	case "uniform":
-		w = d.Lo + 0x1p-53*(d.Hi-d.Lo)
+		w = s.Lo + 0x1p-53*(s.Hi-s.Lo)
 	case "lognormal":
-		w = math.Exp(d.Mu - d.Sigma*zMax)
+		w = math.Exp(s.Mu - s.Sigma*zMax)
 	default: // zipf ranks and Pareto draws are at least 1
 		w = 1
 	}
-	if d.Drift == "cycle" {
-		w *= 1 - math.Abs(d.DriftRate)
+	if s.Drift == "cycle" {
+		w *= 1 - math.Abs(s.DriftRate)
 	}
-	if d.HotFrac > 0 && d.HotBoost < 1 {
-		w *= d.HotBoost
+	if s.HotFrac > 0 && s.HotBoost < 1 {
+		w *= s.HotBoost
 	}
 	return w
 }
