@@ -76,16 +76,23 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
-// persistedRunKinds is the recovery test matrix: a distributed cluster, a
-// gather cluster, a sequential sampler and a windowed sampler.
+// persistedRunKinds is the recovery test matrix: every snapshot tag and
+// every cluster mode the service runs — distributed weighted, uniform,
+// variable-size, random-dist selection, sharded and pipelined, the gather
+// baseline, both sequential samplers and the windowed sampler.
 var persistedRunKinds = []struct {
 	name string
 	cfg  string
 	p    int
 }{
 	{"cluster", `{"kind":"cluster","p":3,"k":48,"seed":11}`, 3},
+	{"uniform-cluster", `{"kind":"cluster","p":3,"k":40,"seed":15,"uniform":true}`, 3},
+	{"variable", `{"kind":"cluster","p":3,"k_min":20,"k_max":60,"seed":16}`, 3},
+	{"random-dist", `{"kind":"cluster","p":3,"k":32,"seed":17,"strategy":"random-dist"}`, 3},
+	{"pipelined", `{"kind":"cluster","p":2,"k":32,"seed":18,"shards":4,"pipeline":true}`, 2},
 	{"gather", `{"kind":"cluster","p":2,"k":32,"seed":12,"algorithm":"gather"}`, 2},
 	{"sequential", `{"kind":"sequential","k":24,"seed":13}`, 1},
+	{"sequential-uniform", `{"kind":"sequential","k":24,"seed":19,"uniform":true}`, 1},
 	{"windowed", `{"kind":"windowed","k":16,"window":1200,"chunk_len":300,"seed":14}`, 1},
 }
 

@@ -195,9 +195,11 @@ func (r *Run) syntheticRound(src reservoir.Source) {
 // sample — and stores it atomically. The sample is collected
 // communication-free (Cluster.SampleSnapshot / the sequential samplers'
 // Sample), so observing a run does not perturb its virtual clocks or
-// simulated traffic counters.
+// simulated traffic counters. The sample is taken first: on a pipelined
+// cluster it completes the round's deferred selection, and the stats must
+// report the threshold and counters of that completed round, as a
+// persisted run's do (its boundary write completes the selection too).
 func (r *Run) publishSnapshot() Stats {
-	st := r.buildStats()
 	var items []reservoir.Item
 	switch {
 	case r.cluster != nil:
@@ -209,6 +211,7 @@ func (r *Run) publishSnapshot() Stats {
 	case r.win != nil:
 		items = r.win.Sample()
 	}
+	st := r.buildStats()
 	out := make([]WireItem, len(items))
 	for i, it := range items {
 		out[i] = WireItem{W: it.W, ID: it.ID}
