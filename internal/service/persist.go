@@ -11,12 +11,10 @@ package service
 // §6).
 
 import (
-	"encoding"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
-	"reservoir"
 	"reservoir/internal/store"
 )
 
@@ -32,25 +30,7 @@ const (
 // the worker goroutine (or run creation, before the worker starts) may
 // call it.
 func (r *Run) boundary() (*store.Snapshot, error) {
-	var (
-		kind byte
-		blob []byte
-		err  error
-	)
-	switch {
-	case r.cluster != nil:
-		kind = snapKindCluster
-		blob, err = r.cluster.Snapshot()
-	case r.seqW != nil:
-		kind = snapKindSeqW
-		blob, err = r.seqW.MarshalBinary()
-	case r.seqU != nil:
-		kind = snapKindSeqU
-		blob, err = r.seqU.MarshalBinary()
-	case r.win != nil:
-		kind = snapKindWindowed
-		blob, err = r.win.MarshalBinary()
-	}
+	kind, blob, err := r.s.marshal()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
@@ -187,41 +167,21 @@ func (s *Server) recoverRun(id string) error {
 // restoreSnapshot loads a boundary into the run's sampler: at recovery
 // into the freshly built one, after a failed slot write into the live one.
 func (r *Run) restoreSnapshot(sn *store.Snapshot) error {
-	var err error
-	switch sn.Kind {
-	case snapKindCluster:
-		if r.cluster == nil {
-			return fmt.Errorf("snapshot kind %d does not match run kind %s", sn.Kind, r.cfg.Kind)
-		}
-		rcfg, opts := clusterSetup(r.cfg)
-		var cl *reservoir.Cluster
-		if cl, err = reservoir.RestoreCluster(rcfg, sn.Blob, opts...); err == nil {
-			r.cluster = cl
-			r.rounds = cl.Round()
-		}
-	case snapKindSeqW, snapKindSeqU, snapKindWindowed:
-		var u encoding.BinaryUnmarshaler
-		switch {
-		case sn.Kind == snapKindSeqW && r.seqW != nil:
-			u = r.seqW
-		case sn.Kind == snapKindSeqU && r.seqU != nil:
-			u = r.seqU
-		case sn.Kind == snapKindWindowed && r.win != nil:
-			u = r.win
-		default:
-			return fmt.Errorf("snapshot kind %d does not match run kind %s", sn.Kind, r.cfg.Kind)
-		}
-		if err = u.UnmarshalBinary(sn.Blob); err == nil {
-			r.rounds = int(sn.Round)
-		}
-	default:
-		return fmt.Errorf("unknown snapshot kind %d", sn.Kind)
-	}
-	if err != nil {
+	if err := r.s.restore(sn); err != nil {
 		return fmt.Errorf("restore snapshot: %w", err)
 	}
-	if uint64(r.rounds) != sn.Round {
-		return fmt.Errorf("snapshot round %d, sampler state says %d", sn.Round, r.rounds)
+	r.rounds = int(sn.Round)
+	return nil
+}
+
+// checkTag refuses a boundary slot whose tag is not want, the tag of the
+// run's own sampler; kind names the run's kind.
+func checkTag(tag, want byte, kind string) error {
+	if tag < snapKindCluster || tag > snapKindWindowed {
+		return fmt.Errorf("unknown snapshot kind %d", tag)
+	}
+	if tag != want {
+		return fmt.Errorf("snapshot kind %d does not match run kind %s", tag, kind)
 	}
 	return nil
 }

@@ -11,13 +11,12 @@ import (
 )
 
 // ingestJob is one queued unit of ingest work: either a single explicit
-// round (batches already validated and converted onto pooled buffers) or a
-// multi-round synthetic spec. Exactly one of batches/src is set.
+// round (batches already validated and converted onto pooled buffers,
+// served through a batchSource) or a multi-round synthetic spec.
 type ingestJob struct {
-	batches []reservoir.SliceBatch // explicit mode (one round)
-	buf     *batchBuf              // pooled backing storage of batches
-	src     reservoir.Source       // synthetic mode
-	rounds  int                    // rounds this job runs (1 for explicit)
+	src    reservoir.Source // the job's batches, explicit or synthetic
+	buf    *batchBuf        // pooled backing storage of explicit batches
+	rounds int              // rounds this job runs (1 for explicit)
 
 	// ctx additionally bounds the job (the request context for wait-mode
 	// clients). The run's own lifecycle context is always checked too.
@@ -97,11 +96,11 @@ func (r *Run) buildExplicit(batches [][]WireItem) (*ingestJob, error) {
 		off += len(b)
 	}
 	return &ingestJob{
-		batches: sb,
-		buf:     buf,
-		rounds:  1,
-		ctx:     context.Background(),
-		done:    make(chan ingestResult, 1),
+		src:    batchSource(sb),
+		buf:    buf,
+		rounds: 1,
+		ctx:    context.Background(),
+		done:   make(chan ingestResult, 1),
 	}, nil
 }
 

@@ -223,19 +223,17 @@ type snapshot struct {
 	items []WireItem
 }
 
-// Run is one hosted sampler instance. Exactly one of the sampler fields is
-// non-nil, fixed at creation. After start, the sampler fields and rounds
-// are owned exclusively by the worker goroutine; all other goroutines
-// observe the run only through the atomic snapshot and the queue.
+// Run is one hosted sampler instance. Its sampler is the adapter newRun
+// picked for cfg.Kind, fixed at creation. After start, the sampler and
+// rounds are owned exclusively by the worker goroutine; all other
+// goroutines observe the run only through the atomic snapshot and the
+// queue.
 type Run struct {
 	id  string
 	cfg RunConfig
 
-	cluster *reservoir.Cluster
-	seqW    *reservoir.SequentialWeighted
-	seqU    *reservoir.SequentialUniform
-	win     *reservoir.WindowedWeighted
-	rounds  int
+	s      sampler
+	rounds int // completed rounds, for every kind
 
 	// Ingest queue. qmu only guards the closed flag handshake between
 	// enqueuers and the worker's final drain; the channel itself carries
@@ -285,29 +283,6 @@ type Run struct {
 	slotHook func() error
 }
 
-// clusterSetup translates a RunConfig into the library-level cluster
-// configuration; recovery reuses it to rebuild a cluster from a snapshot.
-func clusterSetup(cfg RunConfig) (reservoir.Config, []reservoir.Option) {
-	rcfg := reservoir.Config{
-		K:              cfg.K,
-		KMin:           cfg.KMin,
-		KMax:           cfg.KMax,
-		Weighted:       !cfg.Uniform,
-		Strategy:       cfg.Strategy,
-		Pivots:         cfg.Pivots,
-		LocalThreshold: cfg.LocalThreshold,
-		BlockedSkip:    cfg.BlockedSkip,
-		Shards:         cfg.Shards,
-		Pipeline:       cfg.Pipeline,
-		Seed:           cfg.Seed,
-	}
-	opts := []reservoir.Option{reservoir.WithAlgorithm(cfg.Algorithm)}
-	if cfg.AlphaNS > 0 || cfg.BetaNS > 0 {
-		opts = append(opts, reservoir.WithNetworkCost(cfg.AlphaNS, cfg.BetaNS))
-	}
-	return rcfg, opts
-}
-
 // newRun validates cfg and builds the sampler; queueDepth is the server
 // default for a zero cfg.QueueDepth.
 func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
@@ -332,12 +307,11 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 		if cfg.P < 1 || cfg.P > maxPEs {
 			return nil, badRequestf("p must be in [1, %d], got %d", maxPEs, cfg.P)
 		}
-		rcfg, opts := clusterSetup(cfg)
-		cl, err := reservoir.NewCluster(cfg.P, rcfg, opts...)
+		cs, err := newClusterSampler(cfg)
 		if err != nil {
 			return nil, badRequestf("%v", err)
 		}
-		r.cluster = cl
+		r.s = cs
 	case KindSequential, KindWindowed:
 		if cfg.P > 1 {
 			return nil, badRequestf("%s runs have a single stream; p must be 0 or 1", cfg.Kind)
@@ -354,10 +328,20 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 				return nil, badRequestf("window/chunk_len are only valid for windowed runs")
 			}
 			if cfg.Uniform {
-				r.seqU = reservoir.NewUniform(cfg.K, cfg.Seed)
-			} else {
-				r.seqW = reservoir.NewWeighted(cfg.K, cfg.Seed)
+				s := reservoir.NewUniform(cfg.K, cfg.Seed)
+				r.s = &streamSampler{s: s, tag: snapKindSeqU, kind: cfg.Kind, fill: func(st *Stats) {
+					st.ItemsProcessed = s.Seen()
+					st.SampleSize = int(min(int64(cfg.K), st.ItemsProcessed))
+					st.Threshold, st.HaveThreshold = s.Threshold()
+				}}
+				break
 			}
+			s := reservoir.NewWeighted(cfg.K, cfg.Seed)
+			r.s = &streamSampler{s: s, tag: snapKindSeqW, kind: cfg.Kind, fill: func(st *Stats) {
+				st.ItemsProcessed, st.WeightSeen = s.Seen()
+				st.SampleSize = int(min(int64(cfg.K), st.ItemsProcessed))
+				st.Threshold, st.HaveThreshold = s.Threshold()
+			}}
 			break
 		}
 		if cfg.Uniform {
@@ -366,7 +350,10 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 		if cfg.Window < 1 || cfg.ChunkLen < 1 || cfg.Window%cfg.ChunkLen != 0 {
 			return nil, badRequestf("windowed runs need window > 0, chunk_len > 0, and window %% chunk_len == 0")
 		}
-		r.win = reservoir.NewWindowed(cfg.K, cfg.Window, cfg.ChunkLen, cfg.Seed)
+		s := reservoir.NewWindowed(cfg.K, cfg.Window, cfg.ChunkLen, cfg.Seed)
+		r.s = &streamSampler{s: s, tag: snapKindWindowed, kind: cfg.Kind, fill: func(st *Stats) {
+			st.ItemsProcessed, st.SampleSize = s.Seen(), s.SampleSize()
+		}}
 	default:
 		return nil, badRequestf("unknown kind %q (want %q, %q, or %q)",
 			cfg.Kind, KindCluster, KindSequential, KindWindowed)

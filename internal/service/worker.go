@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"reservoir"
 )
 
 // work is the run's ingest worker loop: the sole goroutine that touches
@@ -103,13 +101,8 @@ func (r *Run) process(job *ingestJob) (res ingestResult) {
 			h()
 		}
 		roundStart := time.Now()
-		if job.batches != nil {
-			if err := r.explicitRound(job.batches); err != nil {
-				return ingestResult{st: st, err: err}
-			}
-		} else {
-			r.syntheticRound(job.src)
-		}
+		r.s.round(job.src, r.rounds)
+		r.rounds++
 		// The boundary is durable before anything observes the round. A
 		// job the queue rejected (429) never gets here, so backpressure
 		// writes no slot.
@@ -151,46 +144,6 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// explicitRound runs one explicit-batch round on whichever sampler the
-// run hosts.
-func (r *Run) explicitRound(batches []reservoir.SliceBatch) error {
-	switch {
-	case r.cluster != nil:
-		if err := r.cluster.ProcessBatches(batches); err != nil {
-			return badRequestf("%v", err)
-		}
-		r.rounds = r.cluster.Round()
-	case r.seqW != nil:
-		r.seqW.ProcessBatch(batches[0])
-		r.rounds++
-	case r.seqU != nil:
-		r.seqU.ProcessBatch(batches[0])
-		r.rounds++
-	case r.win != nil:
-		r.win.ProcessBatch(batches[0])
-		r.rounds++
-	}
-	return nil
-}
-
-// syntheticRound runs one server-generated round.
-func (r *Run) syntheticRound(src reservoir.Source) {
-	switch {
-	case r.cluster != nil:
-		r.cluster.ProcessRound(src)
-		r.rounds = r.cluster.Round()
-	case r.seqW != nil:
-		r.seqW.ProcessBatch(src.NextBatch(0, r.rounds))
-		r.rounds++
-	case r.seqU != nil:
-		r.seqU.ProcessBatch(src.NextBatch(0, r.rounds))
-		r.rounds++
-	case r.win != nil:
-		r.win.ProcessBatch(src.NextBatch(0, r.rounds))
-		r.rounds++
-	}
-}
-
 // publishSnapshot rebuilds the run's read view — stats plus the current
 // sample — and stores it atomically. The sample is collected
 // communication-free (Cluster.SampleSnapshot / the sequential samplers'
@@ -200,17 +153,7 @@ func (r *Run) syntheticRound(src reservoir.Source) {
 // report the threshold and counters of that completed round, as a
 // persisted run's do (its boundary write completes the selection too).
 func (r *Run) publishSnapshot() Stats {
-	var items []reservoir.Item
-	switch {
-	case r.cluster != nil:
-		items = r.cluster.SampleSnapshot()
-	case r.seqW != nil:
-		items = r.seqW.Sample()
-	case r.seqU != nil:
-		items = r.seqU.Sample()
-	case r.win != nil:
-		items = r.win.Sample()
-	}
+	items := r.s.sample()
 	st := r.buildStats()
 	out := make([]WireItem, len(items))
 	for i, it := range items {
@@ -227,37 +170,6 @@ func (r *Run) publishSnapshot() Stats {
 // (or newRun, before the worker starts) may call it.
 func (r *Run) buildStats() Stats {
 	st := Stats{ID: r.id, Kind: r.cfg.Kind, P: r.cfg.P, Rounds: r.rounds}
-	switch {
-	case r.cluster != nil:
-		st.SampleSize = r.cluster.SampleSize()
-		st.Threshold, st.HaveThreshold = r.cluster.Threshold()
-		c := r.cluster.Counters()
-		st.ItemsProcessed = c.ItemsProcessed
-		st.Inserted = c.Inserted
-		st.Selections = c.Selections
-		st.SelectionDepth = c.SelectionRounds
-		st.VirtualTimeNS = r.cluster.VirtualTime()
-		n := r.cluster.NetworkStats()
-		st.Network = &NetworkStats{Messages: n.Messages, Words: n.Words, Bytes: n.Bytes}
-		t := r.cluster.Timing()
-		st.Timing = &TimingStats{
-			ScanNS: t.ScanNS, SelectNS: t.SelectNS,
-			ThresholdNS: t.ThresholdNS, GatherNS: t.GatherNS, TotalNS: t.TotalNS(),
-		}
-	case r.seqW != nil:
-		n, wSum := r.seqW.Seen()
-		st.ItemsProcessed = n
-		st.WeightSeen = wSum
-		st.SampleSize = int(min(int64(r.cfg.K), n))
-		st.Threshold, st.HaveThreshold = r.seqW.Threshold()
-	case r.seqU != nil:
-		n := r.seqU.Seen()
-		st.ItemsProcessed = n
-		st.SampleSize = int(min(int64(r.cfg.K), n))
-		st.Threshold, st.HaveThreshold = r.seqU.Threshold()
-	case r.win != nil:
-		st.ItemsProcessed = r.win.Seen()
-		st.SampleSize = r.win.SampleSize()
-	}
+	r.s.stats(&st)
 	return st
 }
