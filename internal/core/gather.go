@@ -195,10 +195,7 @@ func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	pe.scan, draws = scanShardWeighted(pe.src, *wp, 0, n, pe.thresh.V, false, pe.scan[:0])
 	releaseWeights(wp)
 	pe.appendScanned(b)
-	// The filter never runs the blocked skip, yet it is charged at
-	// Config.BlockedSkip's per-item rate; the gather figure rows rest on
-	// that charge.
-	pe.comm.Conn.Work(float64(n)*pe.model.ScanPerItemNS(n, pe.cfg.BlockedSkip) + float64(draws)*pe.model.RNGNS)
+	pe.comm.Conn.Work(float64(n)*pe.model.ScanPerItemNS(n, false) + float64(draws)*pe.model.RNGNS)
 }
 
 // filterUniform runs the geometric jumps of Sec 4.3.
