@@ -173,6 +173,13 @@ type Stats struct {
 	FlushNS   int64 `json:"flush_ns,omitempty"`
 }
 
+// MarshalJSON spells a non-finite threshold as a string
+// (service.MarshalFloats).
+func (s Stats) MarshalJSON() ([]byte, error) { return service.MarshalFloats(&s) }
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (s *Stats) UnmarshalJSON(b []byte) error { return service.UnmarshalFloats(b, s) }
+
 // NetworkStats is the cluster-wide traffic summary (all nodes' outgoing
 // counters, summed by one reduction to rank 0 after each command). The wire
 // shape is shared with the single-process service's stats.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -366,5 +367,24 @@ func TestResyncMsgWireRoundTrip(t *testing.T) {
 				t.Fatalf("truncation to %d of %d bytes decoded", cut, len(enc))
 			}
 		}
+	}
+}
+
+// TestStatsNonFiniteThreshold: a +Inf threshold, which subnormal weights
+// produce, encodes as the string "+Inf" and decodes back; the other
+// fields encode as encoding/json encodes them.
+func TestStatsNonFiniteThreshold(t *testing.T) {
+	in := Stats{Mode: "cluster-node", P: 2, Algorithm: reservoir.CentralizedGather, Threshold: math.Inf(1),
+		HaveThreshold: true, WallNS: 12.5, Network: NetworkStats{Messages: 3}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"threshold":"+Inf","have_threshold":true`)) {
+		t.Fatalf("encoded %s", b)
+	}
+	var out Stats
+	if err := json.Unmarshal(b, &out); err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v (%v) from %s", out, err, b)
 	}
 }

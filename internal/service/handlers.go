@@ -78,14 +78,19 @@ type HealthResponse struct {
 }
 
 // WriteJSON writes v as a JSON response with the given status code
-// (shared with the node-mode control API in internal/nodesvc).
+// (shared with the node-mode control API in internal/nodesvc). v is
+// encoded before the header is written, so a value that cannot be
+// encoded answers 500 with the error envelope, not an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteErrorf(w, http.StatusInternalServerError, "encoding the response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The response is already committed; nothing sensible to do.
-		_ = err
-	}
+	// The response is committed; a failed write has no one to report to.
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // WriteErrorf writes the service's JSON error envelope.
