@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -594,6 +595,76 @@ func TestRecoverRefusesRunWithoutValidSlot(t *testing.T) {
 	}
 	if next := createRunOn(t, rsvc, `{"kind":"sequential","k":8}`); next == id {
 		t.Fatalf("refused run's ID %s handed out again", id)
+	}
+}
+
+// TestRecoverRefusesForeignSlotTag: a run whose newest slot carries
+// another run kind's tag, or a tag no kind has, is skipped by recovery
+// with the refusal logged and every file left as it was.
+func TestRecoverRefusesForeignSlotTag(t *testing.T) {
+	for _, c := range []struct {
+		name, cfg string
+		p         int
+		tag       byte
+		want      string
+	}{
+		{"cluster-seq-tag", `{"kind":"cluster","p":2,"k":8,"seed":41}`, 2, snapKindSeqW, "does not match run kind cluster"},
+		{"sequential-cluster-tag", `{"kind":"sequential","k":8,"seed":42}`, 1, snapKindCluster, "does not match run kind sequential"},
+		{"sequential-windowed-tag", `{"kind":"sequential","k":8,"seed":43,"uniform":true}`, 1, snapKindWindowed, "does not match run kind sequential"},
+		{"windowed-unknown-tag", `{"kind":"windowed","k":4,"window":60,"chunk_len":20,"seed":44}`, 1, 9, "unknown snapshot kind 9"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc, st := openRecovered(t, dir)
+			id := createRunOn(t, svc, c.cfg)
+			if code := ingestDirect(svc, id, makeBatches(c.p, 20, 1)); code != http.StatusOK {
+				t.Fatalf("ingest: %d", code)
+			}
+			svc.Close()
+			st.Close()
+
+			// A newer boundary whose blob is the run's own, under the
+			// foreign tag.
+			st, err := store.Open(dir, store.WithFsync(store.FsyncOff))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, slots, err := st.OpenSlots(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, err := slots.Latest()
+			if err == nil {
+				err = slots.Write(&store.Snapshot{Round: own.Round + 1, Kind: c.tag, Blob: own.Blob})
+			}
+			slots.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDir := filepath.Join(dir, "runs", id)
+			before := map[string][]byte{"config.json": readFile(t, filepath.Join(runDir, "config.json"))}
+			for _, name := range slotFiles(t, runDir) {
+				before[name] = readFile(t, filepath.Join(runDir, name))
+			}
+
+			var logs strings.Builder
+			rsvc := New(WithStore(st), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+			defer func() { rsvc.Close(); st.Close() }()
+			if err := rsvc.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if n := rsvc.RunCount(); n != 0 {
+				t.Fatalf("%d runs recovered from a slot tagged %d", n, c.tag)
+			}
+			if !strings.Contains(logs.String(), c.want) {
+				t.Fatalf("recovery log %q does not say %q", logs.String(), c.want)
+			}
+			for name, want := range before {
+				if got := readFile(t, filepath.Join(runDir, name)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s changed after the refused recovery", name)
+				}
+			}
+		})
 	}
 }
 
