@@ -8,7 +8,9 @@ package service
 // survives a process crash, and under -fsync always or interval (both
 // fsync every boundary) a power failure.
 // Recovery restores the newest valid slot and replays nothing (DESIGN.md
-// §6).
+// §6). A slot holds the sampler's own tag and blob: the run's sampler
+// adapter writes them (marshal) and refuses any other tag (restore), so
+// this file never asks which kind a run is.
 
 import (
 	"encoding/json"
