@@ -175,15 +175,3 @@ func (r *Run) restoreSnapshot(sn *store.Snapshot) error {
 	r.rounds = int(sn.Round)
 	return nil
 }
-
-// checkTag refuses a boundary slot whose tag is not want, the tag of the
-// run's own sampler; kind names the run's kind.
-func checkTag(tag, want byte, kind string) error {
-	if tag < snapKindCluster || tag > snapKindWindowed {
-		return fmt.Errorf("unknown snapshot kind %d", tag)
-	}
-	if tag != want {
-		return fmt.Errorf("snapshot kind %d does not match run kind %s", tag, kind)
-	}
-	return nil
-}
