@@ -79,13 +79,18 @@ func checkDecodeIngest(t *testing.T, body []byte) {
 // FuzzDecodeIngest checks decodeIngest against encoding/json: the same
 // accept or reject, and on accept the same request. Its seed corpus,
 // testdata/fuzz/FuzzDecodeIngest, holds a body for each edge of the
-// grammar and of encoding/json's decoding rules, named after it.
+// grammar and of encoding/json's decoding rules, named after it. A random
+// body almost always leaves the compact path at once, so each input is
+// also decoded as the w and as the id of an otherwise compact body, which
+// drives the compact number readers and their hand-over to encoding/json.
 func FuzzDecodeIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 1<<16 {
 			return
 		}
 		checkDecodeIngest(t, body)
+		checkDecodeIngest(t, fmt.Appendf(nil, `{"batches":[[{"w":%s,"id":7}]]}`, body))
+		checkDecodeIngest(t, fmt.Appendf(nil, `{"batches":[[{"w":1,"id":%s}]]}`, body))
 	})
 }
 
@@ -135,9 +140,9 @@ func fmtBody(p, n int) []byte {
 	return append(b, "]}"...)
 }
 
-// TestCanonicalItemTakesClientBodies pins that client items, whether
-// encoding/json or fmt writes them, all take the fast item step rather
-// than handing over to the general path, and that the bodies decode as
+// TestCanonicalItemTakesClientBodies pins that client bodies, whether
+// encoding/json or fmt writes them, take the compact path whole rather
+// than handing over to encoding/json, and that they decode as
 // encoding/json decodes them.
 func TestCanonicalItemTakesClientBodies(t *testing.T) {
 	for name, body := range map[string][]byte{
@@ -145,23 +150,9 @@ func TestCanonicalItemTakesClientBodies(t *testing.T) {
 		"fmt":    fmtBody(4, 1000),
 	} {
 		checkDecodeIngest(t, body)
-		d := &bodyDecoder{data: body}
-		items, handovers := 0, 0
-		for {
-			j := bytes.Index(body[d.off:], []byte(`{"w":`))
-			if j < 0 {
-				break
-			}
-			d.off += j
-			items++
-			var it WireItem
-			if !d.canonicalItem(&it) {
-				handovers++
-				d.off++
-			}
-		}
-		if items != 4000 || handovers != 0 {
-			t.Errorf("%s: %d of %d items handed over", name, handovers, items)
+		d := new(bodyDecoder)
+		if !d.compactIngest(body) || len(d.ends) != 4 || len(d.items) != 4000 {
+			t.Errorf("%s: compact path parsed %d batches, %d items before handing over", name, len(d.ends), len(d.items))
 		}
 	}
 }
@@ -226,17 +217,15 @@ func TestDecodeIngestTruncated(t *testing.T) {
 	}
 }
 
-// TestNumberFloatMatchesStrconv checks the weight parser bit for bit
-// against strconv.ParseFloat on random float64s in the forms encoding/json
-// and other encoders write, on their neighbours at 17-19 digits, and on
-// short and long decimals. Each string is also decoded by decodeIngest as
-// the w of a canonical item and held bit for bit to encoding/json's decode
-// of it, which covers the fast item step and its hand-over to the general
-// path.
+// TestNumberFloatMatchesStrconv decodes random float64s, in the forms
+// encoding/json and other encoders write, their neighbours at 17-19
+// digits, and short and long decimals, each as the w of a compact item,
+// and holds the weight bit for bit to encoding/json's decode of it. That
+// covers the compact number readers and their hand-over to encoding/json.
 func TestNumberFloatMatchesStrconv(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	ing := new(bodyDecoder)
-	checkItem := func(s string) {
+	check := func(s string) {
 		t.Helper()
 		var req IngestRequest
 		err := ing.decodeIngest([]byte(`{"batches":[[{"w":`+s+`,"id":7}]]}`), &req)
@@ -247,21 +236,6 @@ func TestNumberFloatMatchesStrconv(t *testing.T) {
 			t.Fatalf("w %s: got error %v, encoding/json gives %v", s, err, wantErr)
 		case err == nil && (math.Float64bits(req.Batches[0][0].W) != math.Float64bits(want) || req.Batches[0][0].ID != 7):
 			t.Fatalf("w %s: got %+v, encoding/json gives w %v", s, req.Batches[0][0], want)
-		}
-	}
-	d := new(bodyDecoder)
-	check := func(s string) {
-		t.Helper()
-		checkItem(s)
-		d.data, d.off = []byte(s), 0
-		n, err := d.number()
-		if err != nil || d.off != len(s) {
-			return // not JSON grammar; strconv is not the reference
-		}
-		got, gotErr := n.float()
-		want, wantErr := strconv.ParseFloat(s, 64)
-		if (gotErr == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: got %v (%v), strconv gives %v (%v)", s, got, gotErr, want, wantErr)
 		}
 	}
 	for range 200_000 {

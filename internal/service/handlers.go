@@ -111,10 +111,10 @@ func writeError(w http.ResponseWriter, err error) {
 // DecodeBody reads a request body of at most limit bytes whole into a
 // pooled buffer, then strictly decodes the one JSON value in it into v:
 // unknown fields and a second value after the first are rejected (shared
-// with the node-mode control API in internal/nodesvc). An *IngestRequest is
-// decoded in one pass by decodeIngest, which accepts exactly the grammar
-// and yields exactly the values of encoding/json; every other type is
-// decoded by encoding/json. Errors carry an HTTP status via APIErrorCode:
+// with the node-mode control API in internal/nodesvc). An *IngestRequest
+// goes through decodeIngest, whose compact fast path yields exactly the
+// values of encoding/json; every other body and type is decoded by
+// encoding/json. Errors carry an HTTP status via APIErrorCode:
 // 413 for a body over the limit, 400 otherwise.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	d := bodyDecoderPool.Get().(*bodyDecoder)
