@@ -97,8 +97,6 @@ type Config struct {
 	LocalThreshold bool
 	// BlockedSkip enables the 32-item blocked skip of Sec 5.
 	BlockedSkip bool
-	// TreeDegree overrides the local reservoir B+ tree degree (0 = default).
-	TreeDegree int
 	// Shards is the fixed logical shard count of the distributed
 	// sampler's batch scan (0 means 1). Every batch is cut into Shards
 	// contiguous chunks, each scanned with its own domain-separated RNG

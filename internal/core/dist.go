@@ -100,16 +100,12 @@ func NewDistPE(comm *coll.Comm, cfg Config) (*DistPE, error) {
 	if err != nil {
 		return nil, err
 	}
-	degree := cfg.TreeDegree
-	if degree == 0 {
-		degree = btree.DefaultDegree
-	}
 	pe := &DistPE{
 		cfg:   cfg,
 		comm:  comm,
 		model: cfg.Model,
 		src:   rng.NewXoshiro256(rng.Mix64(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(comm.Rank()+1)))),
-		res:   btree.NewWithDegree[workload.Item](degree),
+		res:   btree.New[workload.Item](),
 	}
 	pe.shardSrc = make([]*rng.Xoshiro256, cfg.Shards)
 	for s := range pe.shardSrc {

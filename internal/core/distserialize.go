@@ -90,11 +90,7 @@ func (pe *DistPE) UnmarshalBinary(data []byte) error {
 	checkThreshold(d, haveT, thresh.V)
 	haveLocalT, localThresh := d.Bool(), decKey(d)
 	keySeq, size, seen := d.U64(), d.U64(), d.U64()
-	degree := pe.cfg.TreeDegree
-	if degree == 0 {
-		degree = btree.DefaultDegree
-	}
-	res := btree.NewWithDegree[workload.Item](degree)
+	res := btree.New[workload.Item]()
 	var prev btree.Key
 	for i := range decCount(d, 32) {
 		ki := decKeyedItem(d)

@@ -173,7 +173,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 func (s *Store) runsDir() string         { return filepath.Join(s.dir, "runs") }
 func (s *Store) runDir(id string) string { return filepath.Join(s.runsDir(), id) }
 func (s *Store) Dir() string             { return s.dir }
-func (s *Store) Policy() FsyncPolicy     { return s.policy }
 
 // writeManifest persists the manifest atomically. Caller holds s.mu (or is
 // Open, before the store is shared).
