@@ -2,6 +2,7 @@ package reservoir
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,6 +41,31 @@ func clusterSnapshotSeeds(tb testing.TB) [][]byte {
 			}
 			seeds = append(seeds, blob)
 		}
+		// subnormal: a 4-PE cluster after 5 rounds of weight 5e-324, whose
+		// keys and so whose threshold are +Inf.
+		cl, err := NewCluster(4, fuzzClusterCfg, WithAlgorithm(algo))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for r := 0; r < 5; r++ {
+			batches := make([]SliceBatch, 4)
+			for pe := range batches {
+				for i := 0; i < 20; i++ {
+					batches[pe] = append(batches[pe], Item{W: 5e-324, ID: uint64(r*1000 + pe*100 + i)})
+				}
+			}
+			if err := cl.ProcessBatches(batches); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if th, ok := cl.Threshold(); !ok || !math.IsInf(th, 1) {
+			tb.Fatalf("%v subnormal seed: threshold %v (set %v), want +Inf", algo, th, ok)
+		}
+		blob, err := cl.Snapshot()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, blob)
 	}
 	return seeds
 }

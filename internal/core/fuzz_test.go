@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,21 +13,25 @@ import (
 )
 
 // seqSnapshotSeeds produces valid snapshots of both sequential samplers in
-// a few states (empty, partially filled, past the threshold), used as the
-// in-code fuzz seed corpus alongside the files under testdata/fuzz.
+// a few states (empty, partially filled, past the threshold, and the
+// extremes below), used as the in-code fuzz seed corpus alongside the
+// files under testdata/fuzz.
 func seqSnapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
-	addW := func(k, n int) {
-		s := NewSeqWeighted(k, rng.NewXoshiro256(7))
-		for i := 0; i < n; i++ {
-			s.Process(workload.Item{W: float64(i%13) + 0.5, ID: uint64(i)})
-		}
+	marshalW := func(s *SeqWeighted) {
 		b, err := s.MarshalBinary()
 		if err != nil {
 			tb.Fatal(err)
 		}
 		seeds = append(seeds, b)
+	}
+	addW := func(k, n int) {
+		s := NewSeqWeighted(k, rng.NewXoshiro256(7))
+		for i := 0; i < n; i++ {
+			s.Process(workload.Item{W: float64(i%13) + 0.5, ID: uint64(i)})
+		}
+		marshalW(s)
 	}
 	addU := func(k, n int) {
 		s := NewSeqUniform(k, rng.NewXoshiro256(9))
@@ -44,6 +49,22 @@ func seqSnapshotSeeds(tb testing.TB) [][]byte {
 	addW(64, 30)
 	addU(8, 0)
 	addU(8, 100)
+
+	// zero-key: a k = 1 weighted sampler whose only key is 0, so its
+	// threshold is 0 and its skip infinite.
+	zero := NewSeqWeighted(1, u01OneSource(tb))
+	zero.Process(workload.Item{W: 1, ID: 1})
+	zero.ProcessBatch(makeItems(1000, func(i int) float64 { return float64(i + 1) }))
+	marshalW(zero)
+
+	// subnormal: 1,000 items of weight 5e-324, whose keys and so whose
+	// threshold are +Inf.
+	sub := NewSeqWeighted(4, rng.NewXoshiro256(1))
+	sub.ProcessBatch(makeItems(1000, func(int) float64 { return 5e-324 }))
+	if th, full := sub.Threshold(); !full || !math.IsInf(th, 1) {
+		tb.Fatalf("subnormal seed: threshold %v (full %v), want +Inf", th, full)
+	}
+	marshalW(sub)
 	return seeds
 }
 

@@ -228,8 +228,8 @@ func TestMaxHeapProperty(t *testing.T) {
 // u01OneSource returns a xoshiro256** generator whose next U01 draw is
 // exactly 1, the draw that gives a key of 0. Its next output is all ones,
 // so s[1] = rotr(^0 · 9⁻¹, 7) · 5⁻¹ (inverses mod 2^64).
-func u01OneSource(t *testing.T) *rng.Xoshiro256 {
-	t.Helper()
+func u01OneSource(tb testing.TB) *rng.Xoshiro256 {
+	tb.Helper()
 	inv := func(a uint64) uint64 {
 		x := a // correct to 3 bits for odd a; each Newton step doubles that
 		for i := 0; i < 5; i++ {
@@ -241,10 +241,10 @@ func u01OneSource(t *testing.T) *rng.Xoshiro256 {
 	binary.LittleEndian.PutUint64(state[8:], bits.RotateLeft64(^uint64(0)*inv(9), -7)*inv(5))
 	var src rng.Xoshiro256
 	if err := src.UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if probe := src; rng.U01(&probe) != 1 {
-		t.Fatal("crafted state does not draw U01 = 1")
+		tb.Fatal("crafted state does not draw U01 = 1")
 	}
 	return &src
 }
