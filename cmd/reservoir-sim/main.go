@@ -94,7 +94,7 @@ func main() {
 	fmt.Printf("insertions       %d total (%.1f per PE per round)\n",
 		c.Inserted, float64(c.Inserted)/float64(*p)/float64(*rounds))
 	if c.Selections > 0 && clAlgo == reservoir.Distributed {
-		fmt.Printf("selections       %d, avg recursion depth %.2f, %d finished in base case\n",
-			c.Selections/int64(*p), float64(c.SelectionRounds)/float64(c.Selections), c.GatheredSelections/int64(*p))
+		fmt.Printf("selections       %d, avg recursion depth %.2f, %d finished by the tail all-reduction\n",
+			c.Selections/int64(*p), float64(c.SelectionRounds)/float64(c.Selections), c.TailSelections/int64(*p))
 	}
 }

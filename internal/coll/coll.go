@@ -148,6 +148,19 @@ func Reduce[T any](c *Comm, root int, val T, op Op[T], words int) T {
 // O(β·words·log p + α log p); for the small fixed-size values used by the
 // sampler this matches the O(βℓ + α log p) bound of the model.
 func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
+	return allReduce(c, val, op, func(T) int { return words })
+}
+
+// AllReduceList is AllReduce for slices whose length changes from message
+// to message, such as a merge keeping the d largest keys of its operands:
+// each message is charged wordsPerItem words per element it carries.
+func AllReduceList[T any](c *Comm, val []T, op Op[[]T], wordsPerItem int) []T {
+	return allReduce(c, val, op, func(v []T) int { return len(v) * wordsPerItem })
+}
+
+// allReduce is AllReduce with the size of each message in words given by
+// words of its payload.
+func allReduce[T any](c *Comm, val T, op Op[T], words func(T) int) T {
 	tag := c.nextTag()
 	p := c.p
 	if p == 1 {
@@ -163,7 +176,7 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 	acc := val
 	// Fold: extras send their value down to id-p2.
 	if id >= p2 {
-		c.Conn.Send(id-p2, tag, acc, words)
+		c.Conn.Send(id-p2, tag, acc, words(acc))
 	} else {
 		if id+p2 < p {
 			ev := c.Conn.Recv(id+p2, tag).(T)
@@ -172,7 +185,7 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 		// Butterfly on [0, p2).
 		for m := 1; m < p2; m <<= 1 {
 			partner := id ^ m
-			c.Conn.Send(partner, tag+1, acc, words)
+			c.Conn.Send(partner, tag+1, acc, words(acc))
 			pv := c.Conn.Recv(partner, tag+1).(T)
 			if partner > id {
 				acc = op(acc, pv)
@@ -181,7 +194,7 @@ func AllReduce[T any](c *Comm, val T, op Op[T], words int) T {
 			}
 		}
 		if id+p2 < p {
-			c.Conn.Send(id+p2, tag+2, acc, words)
+			c.Conn.Send(id+p2, tag+2, acc, words(acc))
 		}
 	}
 	if id >= p2 {

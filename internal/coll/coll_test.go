@@ -132,6 +132,30 @@ func TestAllReduceVector(t *testing.T) {
 	}
 }
 
+func TestAllReduceListChargesCarriedItems(t *testing.T) {
+	// Only PE 1 holds items, so with p = 2 PE 0 sends an empty slice
+	// (0 words, which simnet charges as its 1-word minimum) and PE 1 its
+	// 3 items (3 words); both end with the merge.
+	cl := simnet.NewCluster(2, simnet.DefaultCost())
+	results := make([][]int, 2)
+	cl.Parallel(func(pe *simnet.PE) {
+		c := New(pe)
+		var v []int
+		if c.Rank() == 1 {
+			v = []int{4, 7, 9}
+		}
+		results[c.Rank()] = AllReduceList(c, v, MergeSmallest(2, func(a, b int) bool { return a < b }), 1)
+	})
+	for r, res := range results {
+		if len(res) != 2 || res[0] != 4 || res[1] != 7 {
+			t.Fatalf("PE %d list allreduce = %v, want [4 7]", r, res)
+		}
+	}
+	if st := cl.Stats(); st.Messages != 2 || st.Words != 4 {
+		t.Fatalf("traffic = %d messages, %d words; want 2, 4", st.Messages, st.Words)
+	}
+}
+
 func TestGather(t *testing.T) {
 	for _, p := range clusterSizes {
 		root := p / 2

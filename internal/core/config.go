@@ -230,11 +230,11 @@ type Counters struct {
 	// gather baseline.
 	CandidateWords int64
 	// Selections counts threshold selections; SelectionRounds sums their
-	// recursion depths; GatheredSelections counts selections that finished
-	// in the exact gather base case.
-	Selections         int64
-	SelectionRounds    int64
-	GatheredSelections int64
+	// recursion depths; TailSelections counts selections that the tail
+	// all-reduction finished (internal/distsel).
+	Selections      int64
+	SelectionRounds int64
+	TailSelections  int64
 }
 
 // Add accumulates other into c.
@@ -244,14 +244,14 @@ func (c *Counters) Add(other Counters) {
 	c.CandidateWords += other.CandidateWords
 	c.Selections += other.Selections
 	c.SelectionRounds += other.SelectionRounds
-	c.GatheredSelections += other.GatheredSelections
+	c.TailSelections += other.TailSelections
 }
 
 // fields lists c's counters in encoding order.
 func (c *Counters) fields() [6]*int64 {
 	return [...]*int64{
 		&c.ItemsProcessed, &c.Inserted, &c.CandidateWords,
-		&c.Selections, &c.SelectionRounds, &c.GatheredSelections,
+		&c.Selections, &c.SelectionRounds, &c.TailSelections,
 	}
 }
 

@@ -206,8 +206,8 @@ func (pe *DistPE) selectAndPrune(batchLen int) {
 	}
 	pe.counter.Selections++
 	pe.counter.SelectionRounds += int64(res.Rounds)
-	if res.Gathered {
-		pe.counter.GatheredSelections++
+	if res.Tail {
+		pe.counter.TailSelections++
 	}
 	pe.timing.SelectNS += clock.Clock() - t1
 

@@ -11,12 +11,23 @@
 //     d/(N−k+1) when the target rank is in the upper half), found with one
 //     all-reduction; one more all-reduction counts items per pivot, then
 //     the algorithm accepts a pivot or recurses on the bracketing interval.
+//     As soon as the target lies within baseCase keys of the top of the
+//     active range, the tail all-reduction finishes it instead (below).
 //   - ApproxSelect (amsSelect, Sec 3.3.2): like KthSmallest but accepts any
 //     pivot whose rank falls in [kLo, kHi], giving expected-constant
 //     recursion depth when kHi−kLo = Ω(k/d).
 //   - RandomDistKth (Sec 3.3.1): for randomly distributed inputs, brackets
 //     the target with two pivots from a √p-sized global sample, then
 //     finishes exactly within the bracket.
+//
+// Every variant ends in one exact finisher, the tail all-reduction: the
+// key of rank t among n active keys is the smallest of the n−t+1 largest,
+// so each PE contributes its n−t+1 largest active keys and one
+// all-reduction keeping the n−t+1 largest returns it on every PE, with no
+// random draw. Selection is exact, so finishing this way selects the same
+// key the pivot recursion would have (paper Sec 3.3). In the sampler's
+// steady state the union holds k plus a few new keys, so the tail finishes
+// most selections in one collective and zero sampling rounds.
 //
 // All functions are SPMD-collective: every PE must call them with the same
 // parameters in the same order. Local sequence operations are abstracted by
@@ -98,12 +109,14 @@ type Options struct {
 }
 
 const (
-	// baseCase is the active-size cutoff below which the remaining
-	// candidates are gathered at a root PE and selected exactly. With
-	// more than baseCase/2 pivots the cutoff is 2*Pivots instead.
+	// baseCase bounds the work of the tail all-reduction. A selection
+	// finishes with it once the active range holds at most baseCase keys
+	// (2*Pivots with more than baseCase/2 pivots), or, for exact
+	// selection, once the target rank lies within baseCase keys of the
+	// top of the active range.
 	baseCase = 128
 	// maxRounds bounds the sampling recursion; when exceeded, the
-	// algorithm falls back to the exact gather base case.
+	// algorithm finishes with the tail all-reduction.
 	maxRounds = 60
 )
 
@@ -125,11 +138,11 @@ type Result struct {
 	// [kLo, kHi] for approximate selection).
 	Rank int
 	// Rounds is the number of pivot-sampling rounds (the recursion depth
-	// of Sec 6.3's depth study).
+	// of Sec 6.3's depth study); a selection the tail all-reduction
+	// finishes right away took 0.
 	Rounds int
-	// Gathered reports whether the exact gather base case finished the
-	// selection.
-	Gathered bool
+	// Tail reports whether the tail all-reduction finished the selection.
+	Tail bool
 }
 
 const keyWords = 2 // a Key is one float64 plus one uint64
@@ -176,8 +189,11 @@ func selectRange(c *coll.Comm, s Seq, kLo, kHi int, lo, hi btree.Key, offset int
 		if tHi > n {
 			tHi = n
 		}
-		if n <= max(baseCase, 2*d) || rounds >= maxRounds {
-			r := gatherSelect(c, s, loCount, cnt, tLo)
+		// An exact target near the top of the active range costs the tail
+		// all-reduction less than another sampling round; a small active
+		// range, or one the recursion failed to narrow, ends there too.
+		if n <= max(baseCase, 2*d) || rounds >= maxRounds || (kLo == kHi && n-tLo+1 <= baseCase) {
+			r := tailSelect(c, s, loCount, cnt, n, tLo)
 			r.Rank += offset
 			r.Rounds = rounds
 			return r
@@ -285,7 +301,7 @@ func sampleLocal(s Seq, loCount, cnt int, q float64, src rng.Source) []btree.Key
 func mergeLargest(d int) coll.Op[[]btree.Key] {
 	return func(a, b []btree.Key) []btree.Key {
 		// Merge from the back, keeping d largest.
-		out := make([]btree.Key, 0, d)
+		out := make([]btree.Key, 0, min(len(a)+len(b), d))
 		i, j := len(a)-1, len(b)-1
 		for len(out) < d && (i >= 0 || j >= 0) {
 			switch {
@@ -311,33 +327,31 @@ func mergeLargest(d int) coll.Op[[]btree.Key] {
 	}
 }
 
-// gatherSelect is the exact base case: gather the active keys at PE 0,
-// select the tLo-th smallest there, and broadcast it. Rank in the returned
+// tailSelect is the exact finisher: it selects the key of rank t among
+// the n active keys (local ranks loCount+1 .. loCount+cnt) from the
+// nearer tail of the active range. Near the top it is the smallest of the
+// n−t+1 largest keys: each PE contributes its largest min(cnt, n−t+1)
+// active keys, read off the right edge of its active range, and one
+// all-reduction keeps the n−t+1 largest of all of them. Near the bottom
+// it is, mirrored, the largest of the t smallest. Rank in the returned
 // Result is relative to the active range.
-func gatherSelect(c *coll.Comm, s Seq, loCount, cnt, tLo int) Result {
-	local := make([]btree.Key, 0, cnt)
-	for i := 1; i <= cnt; i++ {
-		k, ok := s.Select(loCount + i)
-		if !ok {
-			break
-		}
-		local = append(local, k)
+func tailSelect(c *coll.Comm, s Seq, loCount, cnt, n, t int) Result {
+	if m := n - t + 1; m <= t {
+		top := coll.AllReduceList(c, localKeys(s, loCount+cnt-min(m, cnt)+1, loCount+cnt), mergeLargest(m), keyWords)
+		return Result{Key: top[0], Rank: t, Tail: true}
 	}
-	parts := coll.Gather(c, 0, local, keyWords)
-	var chosen btree.Key
-	if c.Rank() == 0 {
-		var all []btree.Key
-		for _, p := range parts {
-			all = append(all, p...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
-		if tLo > len(all) {
-			panic(fmt.Sprintf("distsel: base case rank %d exceeds %d gathered keys", tLo, len(all)))
-		}
-		chosen = all[tLo-1]
+	low := coll.AllReduceList(c, localKeys(s, loCount+1, loCount+min(t, cnt)), coll.MergeSmallest(t, btree.Key.Less), keyWords)
+	return Result{Key: low[t-1], Rank: t, Tail: true}
+}
+
+// localKeys returns the local keys of ranks from..to, ascending.
+func localKeys(s Seq, from, to int) []btree.Key {
+	out := make([]btree.Key, 0, max(to-from+1, 0))
+	for r := from; r <= to; r++ {
+		k, _ := s.Select(r)
+		out = append(out, k)
 	}
-	chosen = coll.Broadcast(c, 0, chosen, keyWords)
-	return Result{Key: chosen, Rank: tLo, Gathered: true}
+	return out
 }
 
 // RandomDistKth selects the globally k-th smallest key assuming the keys
@@ -355,7 +369,7 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 		panic(fmt.Sprintf("distsel: rank %d outside 1..%d", k, n))
 	}
 	if n <= max(baseCase, 2*opt.Pivots) {
-		return gatherSelect(c, s, 0, cnt, k)
+		return tailSelect(c, s, 0, cnt, n, k)
 	}
 	m := int(math.Ceil(math.Sqrt(float64(c.P())))) * 4
 	q := float64(m) / float64(n)

@@ -259,3 +259,123 @@ func TestOptionsValidation(t *testing.T) {
 	}()
 	Options{}.withDefaults()
 }
+
+// countingRNG counts the variates drawn from it.
+type countingRNG struct {
+	src   rng.Source
+	draws *int
+}
+
+func (c countingRNG) Uint64() uint64 {
+	*c.draws++
+	return c.src.Uint64()
+}
+
+// tailInput spreads n keys over p PEs for the tail tests. PE 0 holds no
+// keys when p > 1, the last PE holds at most two, and every tenth key
+// repeats the previous V, so ties are broken by ID alone.
+func tailInput(r *rand.Rand, p, n int) (local [][]btree.Key, global []btree.Key) {
+	local = make([][]btree.Key, p)
+	v := 0.0
+	for i := 0; i < n; i++ {
+		if i%10 != 9 {
+			v = r.Float64()
+		}
+		k := btree.Key{V: v, ID: uint64(i)}
+		pe := 0
+		if p > 1 {
+			pe = 1 + r.Intn(p-1)
+			if pe == p-1 && p > 2 && len(local[pe]) >= 2 {
+				pe = 1
+			}
+		}
+		local[pe] = append(local[pe], k)
+		global = append(global, k)
+	}
+	for _, l := range local {
+		sort.Slice(l, func(i, j int) bool { return l[i].Less(l[j]) })
+	}
+	sort.Slice(global, func(i, j int) bool { return global[i].Less(global[j]) })
+	return local, global
+}
+
+// TestTailSelectAgainstSortedUnion checks the exact finisher against the
+// sorted union, from both tails, on the whole key range and on an active
+// range strictly inside it.
+func TestTailSelectAgainstSortedUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, p := range []int{1, 3, 4, 5} {
+		for _, m := range []int{1, 2, 127, 128, 129} {
+			// Upper tail: rank t = n−m+1 with t >= m. Lower tail: rank m
+			// with n−m+1 > m.
+			for _, n := range []int{2*m - 1, 2*m + 40} {
+				for _, t0 := range []int{n - m + 1, m} {
+					if t0 < 1 {
+						continue
+					}
+					for _, inner := range []bool{false, true} {
+						local, global := tailInput(r, p, n+20)
+						// The active range drops the 10 smallest and 10
+						// largest keys when inner, else the 20 largest.
+						lo, hi, offset := btree.MinKey, global[n-1], 0
+						if inner {
+							lo, hi, offset = global[9], global[n+9], 10
+						}
+						tt := t0
+						res := runSelection(t, p, func(c *coll.Comm, pe int) Result {
+							s := KeySlice(local[pe])
+							loCount := s.CountLeq(lo)
+							return tailSelect(c, s, loCount, s.CountLeq(hi)-loCount, n, tt)
+						})
+						if want := global[offset+tt-1]; res.Key != want || res.Rank != tt || !res.Tail {
+							t.Fatalf("p=%d m=%d n=%d t=%d inner=%v: got %+v, want key %v rank %d",
+								p, m, n, tt, inner, res, want, tt)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKthSmallestTailNearTop checks that an exact selection within
+// baseCase keys of the top finishes with the tail all-reduction, drawing
+// no variate and running no sampling round, and that one rank further
+// down it samples as before.
+func TestKthSmallestTailNearTop(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	p, n := 4, 3000
+	local, global := buildInput(r, p, n, false)
+	for _, m := range []int{1, 2, baseCase, baseCase + 1} {
+		k := n - m + 1
+		draws := make([]int, p)
+		res := runSelection(t, p, func(c *coll.Comm, pe int) Result {
+			opt := Options{KnownN: n, RNG: countingRNG{src: rng.NewXoshiro256(uint64(pe + 1)), draws: &draws[pe]}}
+			return KthSmallest(c, KeySlice(local[pe]), k, opt)
+		})
+		if res.Key != global[k-1] || res.Rank != k {
+			t.Fatalf("k=%d: got (%v, %d), want (%v, %d)", k, res.Key, res.Rank, global[k-1], k)
+		}
+		total := draws[0] + draws[1] + draws[2] + draws[3]
+		if m <= baseCase && (res.Rounds != 0 || total != 0 || !res.Tail) ||
+			m > baseCase && (res.Rounds == 0 || total == 0) {
+			t.Fatalf("m=%d: rounds %d, %d variates drawn, tail %v", m, res.Rounds, total, res.Tail)
+		}
+	}
+}
+
+// TestApproxSelectBaseCaseReturnsLowRank checks that an approximate
+// selection over at most baseCase keys finishes exactly at rank kLo.
+func TestApproxSelectBaseCaseReturnsLowRank(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	p, n := 5, baseCase
+	local, global := buildInput(r, p, n, true)
+	for _, w := range [][2]int{{1, 3}, {40, 90}, {100, 128}} {
+		res := runSelection(t, p, func(c *coll.Comm, pe int) Result {
+			return ApproxSelect(c, KeySlice(local[pe]), w[0], w[1], Options{Pivots: 4, RNG: rng.NewXoshiro256(uint64(pe))})
+		})
+		if res.Rank != w[0] || res.Key != global[w[0]-1] || res.Rounds != 0 || !res.Tail {
+			t.Fatalf("[%d,%d]: got %+v, want rank %d key %v", w[0], w[1], res, w[0], global[w[0]-1])
+		}
+	}
+}

@@ -99,7 +99,7 @@ func TestDiskStateRoundTrip(t *testing.T) {
 	// field order, each a little-endian uint64, then the sampler bytes.
 	known := diskState{Round: 0x0102, Epoch: 3, Counters: reservoir.Counters{
 		ItemsProcessed: 4, Inserted: 5, CandidateWords: 6,
-		Selections: 7, SelectionRounds: 8, GatheredSelections: 0x0a09,
+		Selections: 7, SelectionRounds: 8, TailSelections: 0x0a09,
 	}, Sampler: []byte{0xee}}
 	want := []byte{
 		0x02, 0x01, 0, 0, 0, 0, 0, 0,

@@ -16,6 +16,8 @@ import (
 	"reservoir/internal/btree"
 	"reservoir/internal/coll"
 	"reservoir/internal/core"
+	"reservoir/internal/distsel"
+	"reservoir/internal/rng"
 	"reservoir/internal/simnet"
 	"reservoir/internal/transport"
 	"reservoir/internal/transport/tcpnet"
@@ -59,6 +61,18 @@ func collectiveScript(p int) func(c *coll.Comm) []string {
 			{V: float64(c.Rank()*3) + 0.75, ID: uint64(c.Rank() + 100)},
 		}
 		add("allreduce_merge", coll.AllReduce(c, keys, coll.MergeSmallest(3, btree.Key.Less), 6))
+
+		// The exact tail selection, with the last rank holding no keys
+		// once p > 1: its empty []btree.Key crosses the wire into the
+		// merge, from the top tail and from the bottom one.
+		var own distsel.KeySlice
+		if c.Rank() < p-1 || p == 1 {
+			own = keys
+		}
+		n := 2 * max(p-1, 1)
+		for _, k := range []int{n, 1} {
+			add("tail_select", distsel.KthSmallest(c, own, k, distsel.Options{RNG: rng.NewXoshiro256(1)}))
+		}
 
 		// Variable-length gather, including an empty contribution.
 		var items []workload.Item

@@ -17,7 +17,7 @@ func init() {
 			buf = transport.AppendVarint(buf, v.Ops.CandidateWords)
 			buf = transport.AppendVarint(buf, v.Ops.Selections)
 			buf = transport.AppendVarint(buf, v.Ops.SelectionRounds)
-			buf = transport.AppendVarint(buf, v.Ops.GatheredSelections)
+			buf = transport.AppendVarint(buf, v.Ops.TailSelections)
 			buf = transport.AppendVarint(buf, v.Phase.ScanNS)
 			buf = transport.AppendVarint(buf, v.Phase.CollNS)
 			buf = transport.AppendVarint(buf, v.Phase.OverlapNS)
@@ -32,12 +32,12 @@ func init() {
 					Bytes:    d.Varint(),
 				},
 				Ops: Counters{
-					ItemsProcessed:     d.Varint(),
-					Inserted:           d.Varint(),
-					CandidateWords:     d.Varint(),
-					Selections:         d.Varint(),
-					SelectionRounds:    d.Varint(),
-					GatheredSelections: d.Varint(),
+					ItemsProcessed:  d.Varint(),
+					Inserted:        d.Varint(),
+					CandidateWords:  d.Varint(),
+					Selections:      d.Varint(),
+					SelectionRounds: d.Varint(),
+					TailSelections:  d.Varint(),
 				},
 				Phase: PhaseStats{
 					ScanNS:    d.Varint(),

@@ -16,12 +16,12 @@ func TestClusterStatsWireRoundTrip(t *testing.T) {
 		{
 			Net: NetworkStats{Messages: 1, Words: 236, Bytes: 194918},
 			Ops: Counters{
-				ItemsProcessed:     600000,
-				Inserted:           1234,
-				CandidateWords:     77,
-				Selections:         9,
-				SelectionRounds:    244,
-				GatheredSelections: 3,
+				ItemsProcessed:  600000,
+				Inserted:        1234,
+				CandidateWords:  77,
+				Selections:      9,
+				SelectionRounds: 244,
+				TailSelections:  3,
 			},
 		},
 		{Net: NetworkStats{Messages: -1}, Ops: Counters{ItemsProcessed: -5}},
