@@ -24,7 +24,8 @@
 // key of rank t among n active keys is the smallest of the n−t+1 largest,
 // so each PE contributes its n−t+1 largest active keys and one
 // all-reduction keeping the n−t+1 largest returns it on every PE, with no
-// random draw. Selection is exact, so finishing this way selects the same
+// random draw (nearer the bottom, mirrored: the largest of the t
+// smallest). Selection is exact, so finishing this way selects the same
 // key the pivot recursion would have (paper Sec 3.3). In the sampler's
 // steady state the union holds k plus a few new keys, so the tail finishes
 // most selections in one collective and zero sampling rounds.
@@ -346,7 +347,7 @@ func tailSelect(c *coll.Comm, s Seq, loCount, cnt, n, t int) Result {
 
 // localKeys returns the local keys of ranks from..to, ascending.
 func localKeys(s Seq, from, to int) []btree.Key {
-	out := make([]btree.Key, 0, max(to-from+1, 0))
+	out := make([]btree.Key, 0, to-from+1)
 	for r := from; r <= to; r++ {
 		k, _ := s.Select(r)
 		out = append(out, k)

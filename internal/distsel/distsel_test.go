@@ -379,3 +379,28 @@ func TestApproxSelectBaseCaseReturnsLowRank(t *testing.T) {
 		}
 	}
 }
+
+// TestTailSelectSendsNearerTail checks that the tail all-reduction reads
+// from the nearer tail: selecting the largest or the smallest of 1,000
+// keys moves one key per message, never the other 999.
+func TestTailSelectSendsNearerTail(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	p, n := 4, 1000
+	local, global := buildInput(r, p, n, false)
+	for _, k := range []int{1, n} {
+		cl := simnet.NewCluster(p, simnet.DefaultCost())
+		got := make([]btree.Key, p)
+		cl.Parallel(func(pe *simnet.PE) {
+			s := KeySlice(local[pe.ID()])
+			got[pe.ID()] = tailSelect(coll.New(pe), s, 0, s.Len(), n, k).Key
+		})
+		for pe, key := range got {
+			if key != global[k-1] {
+				t.Fatalf("k=%d: PE %d got %v, want %v", k, pe, key, global[k-1])
+			}
+		}
+		if st := cl.Stats(); st.Words != keyWords*st.Messages {
+			t.Fatalf("k=%d: %d words in %d messages, want %d per message", k, st.Words, st.Messages, keyWords)
+		}
+	}
+}
