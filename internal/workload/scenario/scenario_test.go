@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -460,6 +461,87 @@ func TestScenarioStreamsPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[spec.Name] {
 			t.Errorf("%s stream digest %s, pinned %s", spec.Name, got, want[spec.Name])
+		}
+	}
+}
+
+// checkFillMatchesAt fails unless workload.FillWeightsFrom gives b.At's
+// weight bit-for-bit at offsets 0 and 7 and at lengths 0, 1, 3, 4, 5 and
+// 4097, which run every unroll tail of the bulk kernels.
+func checkFillMatchesAt(t *testing.T, label string, b workload.Batch) {
+	t.Helper()
+	for _, lo := range []int{0, 7} {
+		for _, n := range []int{0, 1, 3, 4, 5, 4097} {
+			if lo+n > b.Len() {
+				t.Fatalf("%s: batch of %d items is shorter than %d+%d", label, b.Len(), lo, n)
+			}
+			dst := make([]float64, n)
+			workload.FillWeightsFrom(b, lo, dst)
+			for j, got := range dst {
+				if want := b.At(lo + j).W; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: item %d weighs %v via FillWeightsFrom(lo=%d, n=%d), %v via At", label, lo+j, got, lo, n, want)
+				}
+			}
+		}
+	}
+}
+
+// longBatch returns PE 0's first batch, from round `from` on, that holds
+// at least need items; the bursty presets draw short rounds too.
+func longBatch(t *testing.T, src *Source, from, need int) workload.Batch {
+	t.Helper()
+	for round := from; round < from+64; round++ {
+		if b := src.NextBatch(0, round); b.Len() >= need {
+			return b
+		}
+	}
+	t.Fatalf("no batch of %d items in 64 rounds", need)
+	return nil
+}
+
+// TestFillWeightsMatchesAtScenario pins the path the scans read —
+// workload.FillWeights — to Batch.At, which TestScenarioStreamsPinned
+// pins, for every preset and every law × hot-key × drift combination.
+func TestFillWeightsMatchesAtScenario(t *testing.T) {
+	const need = 4097 + 7
+	for _, spec := range Presets() {
+		src := mustSource(t, spec, 0xF111, 8192)
+		checkFillMatchesAt(t, spec.Name, longBatch(t, src, 3, need))
+	}
+	for _, law := range []string{"uniform", "zipf", "pareto", "lognormal"} {
+		for _, hot := range []float64{0, 0.3, 1} {
+			for _, drift := range []string{"none", "ramp", "cycle"} {
+				spec := Spec{Law: law, HotFrac: hot, HotBoost: 7, Drift: drift, DriftRate: 0.25, DriftPeriod: 5}
+				src := mustSource(t, spec, 0xF112, need)
+				label := fmt.Sprintf("%s/hot=%g/%s", law, hot, drift)
+				checkFillMatchesAt(t, label, longBatch(t, src, 3, need))
+			}
+		}
+	}
+}
+
+// TestNextBatchFillAllocs bounds the allocations of one NextBatch plus
+// its weight fill per preset, at the counts the per-item closures made:
+// the bulk kernels must not buy speed with garbage.
+func TestNextBatchFillAllocs(t *testing.T) {
+	limit := map[string]float64{
+		"uniform_poisson": 4,
+		"zipf_hot":        3,
+		"pareto_burst":    4,
+		"lognormal_drift": 4,
+		"onoff_skew":      3,
+	}
+	for _, spec := range Presets() {
+		src := mustSource(t, spec, 1, 512)
+		dst := make([]float64, 1<<16)
+		round := 0
+		got := testing.AllocsPerRun(50, func() {
+			b := src.NextBatch(0, round)
+			workload.FillWeights(b, dst[:b.Len()])
+			round++
+		})
+		if got > limit[spec.Name] {
+			t.Errorf("%s: NextBatch plus FillWeights makes %v allocations, want at most %v", spec.Name, got, limit[spec.Name])
 		}
 	}
 }

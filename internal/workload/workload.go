@@ -70,24 +70,29 @@ func (b *SynthBatch) At(i int) Item {
 // costs an interface dispatch (and for SynthBatch an Item construction)
 // per item, so the hot paths materialize weights into a flat slice once
 // via this helper, which devirtualizes the known batch kinds.
-func FillWeights(b Batch, dst []float64) {
+func FillWeights(b Batch, dst []float64) { FillWeightsFrom(b, 0, dst) }
+
+// FillWeightsFrom copies the weights of items [lo, lo+len(dst)) into dst:
+// the offset form of FillWeights, with which each scan shard fills its
+// own index range.
+func FillWeightsFrom(b Batch, lo int, dst []float64) {
 	switch bb := b.(type) {
 	case *SynthBatch:
 		if bb.WBulk != nil {
-			bb.WBulk(0, dst)
+			bb.WBulk(uint64(lo), dst)
 			return
 		}
 		w := bb.W
 		for i := range dst {
-			dst[i] = w(uint64(i))
+			dst[i] = w(uint64(lo + i))
 		}
 	case SliceBatch:
-		for i := range dst {
-			dst[i] = bb[i].W
+		for i, it := range bb[lo : lo+len(dst)] {
+			dst[i] = it.W
 		}
 	default:
 		for i := range dst {
-			dst[i] = b.At(i).W
+			dst[i] = b.At(lo + i).W
 		}
 	}
 }

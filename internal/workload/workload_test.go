@@ -164,11 +164,18 @@ func TestMaterialize(t *testing.T) {
 
 // FillWeights must agree exactly with Batch.At for every batch kind — the
 // skip scans read weights through it while inserts still go through At,
-// and any divergence would silently corrupt the sample.
+// and any divergence would silently corrupt the sample. FillWeightsFrom
+// is checked at an odd offset and at lengths that run every unroll tail.
 func TestFillWeightsMatchesAt(t *testing.T) {
 	batches := map[string]Batch{
 		"slice": SliceBatch{{W: 1.5, ID: 1}, {W: -0.0, ID: 2}, {W: 3, ID: 3}},
 		"uniform-bulk": UniformSource{Seed: 7, BatchLen: 1000, Lo: 0, Hi: 100}.
+			NextBatch(2, 5),
+		"skewed": SkewedSource{Seed: 7, BatchLen: 1000, BaseMean: 10, RoundInc: 1, RankInc: 2, SD: 3}.
+			NextBatch(2, 5),
+		"skewed-floor": SkewedSource{Seed: 8, BatchLen: 1000, BaseMean: 0, SD: 1}.
+			NextBatch(1, 0),
+		"pareto": ParetoSource{Seed: 7, BatchLen: 1000, Shape: 1.5}.
 			NextBatch(2, 5),
 		"synth-no-bulk": &SynthBatch{N: 500, W: UniformWeight(9, 1, 2)},
 	}
@@ -178,6 +185,20 @@ func TestFillWeightsMatchesAt(t *testing.T) {
 		for i := range dst {
 			if got, want := dst[i], b.At(i).W; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: weight %d = %v via FillWeights, %v via At", name, i, got, want)
+			}
+		}
+		for _, lo := range []int{0, 1} {
+			for _, n := range []int{0, 1, 3, 4, 5, b.Len() - lo} {
+				if lo+n > b.Len() {
+					continue
+				}
+				dst := make([]float64, n)
+				FillWeightsFrom(b, lo, dst)
+				for j := range dst {
+					if got, want := dst[j], b.At(lo+j).W; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: weight %d = %v via FillWeightsFrom(lo=%d, n=%d), %v via At", name, lo+j, got, lo, n, want)
+					}
+				}
 			}
 		}
 	}
