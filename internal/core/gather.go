@@ -190,7 +190,8 @@ func (pe *GatherPE) filterAll(b workload.Batch) {
 // batch, appending surviving items to the candidate array.
 func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	n := b.Len()
-	wp := grabWeights(b, n)
+	wp := grabWeights(n)
+	workload.FillWeights(b, *wp)
 	var draws int64
 	pe.scan, draws = scanShardWeighted(pe.src, *wp, 0, n, pe.thresh.V, false, pe.scan[:0])
 	releaseWeights(wp)

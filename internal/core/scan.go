@@ -107,10 +107,12 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 		buf.mode = scanUniform
 	}
 
+	// A weighted scan materializes the batch's weights, each shard its
+	// own range ws[lo:hi], so weight synthesis runs in parallel too.
 	var ws []float64
 	var wsP *[]float64
 	if pe.cfg.Weighted {
-		wsP = grabWeights(b, n)
+		wsP = grabWeights(n)
 		ws = *wsP
 	}
 	t := pe.scanThresh
@@ -118,6 +120,9 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 	blocked := pe.cfg.BlockedSkip
 	parscan.Run(S, func(s int) {
 		lo, hi := n*s/S, n*(s+1)/S
+		if ws != nil {
+			workload.FillWeightsFrom(b, lo, ws[lo:hi])
+		}
 		src := pe.shardSrc[s]
 		out := buf.shards[s][:0]
 		var draws int64

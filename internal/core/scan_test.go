@@ -9,13 +9,16 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"reservoir/internal/coll"
 	"reservoir/internal/rng"
 	"reservoir/internal/simnet"
 	"reservoir/internal/workload"
+	"reservoir/internal/workload/scenario"
 )
 
 // runSharded drives a p-PE distributed run and returns the collected
@@ -258,5 +261,77 @@ func TestScanZeroThreshold(t *testing.T) {
 		if len(out) != 0 || draws != 1 {
 			t.Errorf("blocked=%v: %d candidates after %d draws, want none after 1", blocked, len(out), draws)
 		}
+	}
+}
+
+// TestShardFillMatchesSerialFill checks that shards filling their own
+// weight ranges scan exactly what a scan of the whole batch's serially
+// filled weights does: the same candidates, keys and draw counts. The
+// Zipf hot-key batch's shard ranges start at odd offsets.
+func TestShardFillMatchesSerialFill(t *testing.T) {
+	spec, _ := scenario.Preset("zipf_hot")
+	src, err := spec.Source(5, 4003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blocked := range []bool{false, true} {
+		cl := simnet.NewCluster(1, simnet.CostParams{})
+		pe, err := NewDistPE(coll.New(cl.PE(0)), Config{K: 64, Weighted: true, Shards: 4, Seed: 3, BlockedSkip: blocked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, thresh := range []float64{1e-3, 1e-2, 0.1} {
+			b := src.NextBatch(0, round)
+			n, S := b.Len(), len(pe.shardSrc)
+			ws := make([]float64, n)
+			workload.FillWeights(b, ws)
+			streams := make([]rng.Xoshiro256, S)
+			for s, str := range pe.shardSrc {
+				streams[s] = *str
+			}
+			pe.scanThresh, pe.scanHaveT = thresh, true
+			buf := pe.StartScan(b)
+			for s := range streams {
+				lo, hi := n*s/S, n*(s+1)/S
+				want, draws := scanShardWeighted(&streams[s], ws, lo, hi, thresh, blocked, nil)
+				if len(want) == 0 || len(buf.shards[s]) != len(want) || buf.draws[s] != draws {
+					t.Fatalf("blocked=%v round %d shard %d: %d candidates, %d draws; serial fill gives %d, %d",
+						blocked, round, s, len(buf.shards[s]), buf.draws[s], len(want), draws)
+				}
+				for i, c := range want {
+					if buf.shards[s][i] != c {
+						t.Fatalf("blocked=%v round %d shard %d candidate %d: %+v, serial fill gives %+v", blocked, round, s, i, buf.shards[s][i], c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStartScan measures one PE's weighted scan of a 50,000-item
+// uniform batch in steady state, weight synthesis included, at one and
+// four shards; each shard fills its own range of the weights. Run it at
+// -cpu 1,2 to see the shards' fills and scans spread over cores.
+func BenchmarkStartScan(b *testing.B) {
+	const items = 50000
+	src := workload.UniformSource{Seed: 1, BatchLen: items, Lo: 0, Hi: 100}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cl := simnet.NewCluster(1, simnet.CostParams{})
+			pe, err := NewDistPE(coll.New(cl.PE(0)), Config{K: 256, Weighted: true, Shards: shards, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// A committed threshold that admits about 16 items a batch
+			// (mean weight 50), as after the first few rounds.
+			pe.scanThresh, pe.scanHaveT = 16.0/(items*50), true
+			b.ReportAllocs()
+			round := 0
+			for b.Loop() {
+				pe.StartScan(src.NextBatch(0, round))
+				round++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
+		})
 	}
 }

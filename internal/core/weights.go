@@ -1,25 +1,21 @@
 package core
 
-import (
-	"sync"
-
-	"reservoir/internal/workload"
-)
+import "sync"
 
 // weightBufs pools the flat weight slices the skip scans materialize per
 // batch (see workload.FillWeights): one slice per in-flight batch, reused
 // across rounds so the steady-state scan allocates nothing.
 var weightBufs = sync.Pool{New: func() any { b := make([]float64, 0, 1024); return &b }}
 
-// grabWeights returns a pooled slice of length n filled with b's weights.
-// Release it with releaseWeights when the scan is done.
-func grabWeights(b workload.Batch, n int) *[]float64 {
+// grabWeights returns a pooled slice of length n for a batch's weights;
+// the caller fills it. Release it with releaseWeights when the scan is
+// done.
+func grabWeights(n int) *[]float64 {
 	p := weightBufs.Get().(*[]float64)
 	if cap(*p) < n {
 		*p = make([]float64, n)
 	}
 	*p = (*p)[:n]
-	workload.FillWeights(b, *p)
 	return p
 }
 

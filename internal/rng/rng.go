@@ -156,17 +156,33 @@ func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float
 	v := s.h + base*phi
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
+		d := dst[i : i+4 : i+4] // one bounds check for the four stores
 		v1, v2, v3 := v+phi, v+phi+phi, v+phi+phi+phi
-		dst[i] = lo + toU01(Mix64(v))*scale
-		dst[i+1] = lo + toU01(Mix64(v1))*scale
-		dst[i+2] = lo + toU01(Mix64(v2))*scale
-		dst[i+3] = lo + toU01(Mix64(v3))*scale
+		d[0] = lo + toU01(Mix64(v))*scale
+		d[1] = lo + toU01(Mix64(v1))*scale
+		d[2] = lo + toU01(Mix64(v2))*scale
+		d[3] = lo + toU01(Mix64(v3))*scale
 		v = v3 + phi
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = lo + toU01(Mix64(v))*scale
 		v += phi
 	}
+}
+
+// U01Cut returns the integer form of the test U01At(i) <= p: for every
+// 64-bit word x, toU01(x) <= p exactly when x>>11 < U01Cut(p). A bulk
+// kernel can then decide on the raw counter word without converting it.
+// toU01(x) is (x>>11 + 1)·2^-53, and scaling p by 2^53 is exact, so the
+// test is x>>11 + 1 <= p·2^53, i.e. x>>11 < floor(p·2^53).
+func U01Cut(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN, which no draw is <=
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(p * (1 << 53))
 }
 
 // --- Variates ---------------------------------------------------------
@@ -176,7 +192,9 @@ func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float
 // multiple of 2^-53. The paper's rand() draws from (0,1]; excluding 0 keeps
 // log(rand()) finite.
 func toU01(x uint64) float64 {
-	return float64((x>>11)+1) * (1.0 / (1 << 53))
+	// The word is below 2^53, so converting it as an int64 is exact and
+	// spares the compiler's branch for uint64 values of 2^63 and up.
+	return float64(int64(x>>11)+1) * (1.0 / (1 << 53))
 }
 
 // U01 draws a uniform variate from (0, 1].

@@ -392,3 +392,34 @@ func TestU01AffineFillMatchesPerIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestU01CutMatchesFloatTest checks the integer hot-key test against
+// U01At(i) <= p on words at, just below and just above each cut, for
+// cuts on and between the 2^-53 grid and at the ends of the range.
+func TestU01CutMatchesFloatTest(t *testing.T) {
+	ps := []float64{math.NaN(), math.Inf(-1), -1, 0, 0x1p-60, 0x1p-53, 0.01, 0.3, 0.5,
+		math.Nextafter(1, 0), 1, 2, math.Inf(1)}
+	for k := 1; k <= 3; k++ {
+		g := float64(k) * 0x1p-53
+		ps = append(ps, math.Nextafter(g, 0), g, math.Nextafter(g, 2))
+	}
+	for _, q := range []float64{0.01, 0.3, 0.75} {
+		g := math.Floor(q*(1<<53)) * 0x1p-53
+		ps = append(ps, math.Nextafter(g, 0), g, math.Nextafter(g, 2))
+	}
+	sm := NewSplitMix64(5)
+	for _, p := range ps {
+		cut := U01Cut(p)
+		for _, hi := range []uint64{0, 1, cut - 1, cut, cut + 1, 1<<53 - 1} {
+			if hi >= 1<<53 {
+				continue
+			}
+			for _, low := range []uint64{0, 1<<11 - 1, sm.Uint64() & (1<<11 - 1)} {
+				x := hi<<11 | low
+				if got, want := x>>11 < cut, toU01(x) <= p; got != want {
+					t.Fatalf("p=%v x=%#x: integer test %v, U01 test %v", p, x, got, want)
+				}
+			}
+		}
+	}
+}

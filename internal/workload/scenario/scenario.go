@@ -294,13 +294,16 @@ func idBase(pe, round int) uint64 {
 }
 
 // NextBatch implements workload.Source. The batch is a SynthBatch: items
-// are recomputed on demand from the counter streams, never stored.
+// are recomputed on demand from the counter streams, never stored. Its
+// WBulk fills whole index ranges through the bulk kernels, and W, which
+// serves only Batch.At, fills one item through the same kernels.
 func (s *Source) NextBatch(pe, round int) workload.Batch {
-	w := s.weightFn(pe, round)
+	g := s.weights(pe, round)
 	return &workload.SynthBatch{
 		N:      s.BatchLen(pe, round),
 		IDBase: idBase(pe, round),
-		W:      w,
+		W:      func(i uint64) float64 { return g.at(i) },
+		WBulk:  func(base uint64, dst []float64) { g.fill(base, dst) },
 	}
 }
 
@@ -367,51 +370,92 @@ func (s *Source) driftScale(round int) float64 {
 	}
 }
 
-// weightFn builds the stateless per-item weight function of (pe, round):
-// law draw × hot-key boost × drift scale, each from its own counter
-// substream so item i's weight is a pure function of (seed, pe, round, i).
-func (s *Source) weightFn(pe, round int) func(i uint64) float64 {
-	law := s.lawFn(pe, round)
-	scale := s.driftScale(round)
-	if s.spec.HotFrac <= 0 {
-		return func(i uint64) float64 { return law(i) * scale }
-	}
-	hot := rng.Counter{Seed: s.subSeed(domainHot, pe, round)}
-	frac, boost := s.spec.HotFrac, s.spec.HotBoost
-	return func(i uint64) float64 {
-		w := law(i) * scale
-		if hot.U01At(i) <= frac {
-			w *= boost
-		}
-		return w
+// batchWeights is the stateless weight synthesis of one (pe, round):
+// law draw × drift scale × hot-key boost, each draw from its own counter
+// substream, so item i's weight is a pure function of (seed, pe, round,
+// i). Both substreams are hoisted once per batch.
+type batchWeights struct {
+	law      string
+	w, h     rng.CounterStream // weight and hot-key substreams
+	lo, span float64           // uniform: lo + u·span
+	inv      float64           // pareto: u^inv
+	mu       float64           // lognormal: exp(mu + sigma·z)
+	sigma    float64
+	zipf     *zipfTable
+	scale    float64 // drift
+	cut      uint64  // rng.U01Cut(HotFrac); 0 boosts no item
+	boost    float64
+}
+
+// weights compiles the weight synthesis of (pe, round).
+func (s *Source) weights(pe, round int) batchWeights {
+	return batchWeights{
+		law:   s.spec.Law,
+		w:     rng.Counter{Seed: s.subSeed(domainWeight, pe, round)}.Stream(),
+		h:     rng.Counter{Seed: s.subSeed(domainHot, pe, round)}.Stream(),
+		lo:    s.spec.Lo,
+		span:  s.spec.Hi - s.spec.Lo,
+		inv:   -1 / s.spec.Alpha,
+		mu:    s.spec.Mu,
+		sigma: s.spec.Sigma,
+		zipf:  s.zipf,
+		scale: s.driftScale(round),
+		cut:   rng.U01Cut(s.spec.HotFrac),
+		boost: s.spec.HotBoost,
 	}
 }
 
-// lawFn is the raw weight-law draw for one (pe, round) stream.
-func (s *Source) lawFn(pe, round int) func(i uint64) float64 {
-	c := rng.Counter{Seed: s.subSeed(domainWeight, pe, round)}
-	switch s.spec.Law {
+// at is item i's weight, filled through the same kernels as a batch.
+func (g batchWeights) at(i uint64) float64 {
+	var w [1]float64
+	g.fill(i, w[:])
+	return w[0]
+}
+
+// fill sets dst[j] to the weight of item base+j, a pass at a time: the
+// uniform draws in one unrolled hashing pass; the Zipf ranks, Pareto
+// powers or lognormal transforms in their own pass (a rank lookup's
+// mispredicted branches stall hashing fused into its loop); then the
+// drift scale and the hot-key boost, whose test compares the hot-key
+// stream's words with rng.U01Cut(HotFrac) instead of converting them:
+// the same decision as U01At(i) <= HotFrac.
+func (g batchWeights) fill(base uint64, dst []float64) {
+	switch g.law {
 	case "uniform":
-		lo, hi := s.spec.Lo, s.spec.Hi
-		return func(i uint64) float64 { return lo + c.U01At(i)*(hi-lo) }
+		g.w.U01AffineFill(base, dst, g.lo, g.span)
 	case "zipf":
-		z := s.zipf
-		return func(i uint64) float64 { return float64(z.rank(c.U01At(i)) + 1) }
+		// 0 + u·1 == u exactly, so the affine fill leaves the draws as is.
+		g.w.U01AffineFill(base, dst, 0, 1)
+		g.zipf.ranks(dst)
 	case "pareto":
-		inv := -1 / s.spec.Alpha
-		return func(i uint64) float64 { return math.Pow(c.U01At(i), inv) }
-	case "lognormal":
-		mu, sigma := s.spec.Mu, s.spec.Sigma
-		return func(i uint64) float64 {
-			// Box-Muller from two counter draws, as workload.NormalWeight.
-			u1 := c.U01At(2 * i)
-			u2 := c.U01At(2*i + 1)
-			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-			return math.Exp(mu + sigma*z)
+		g.w.U01AffineFill(base, dst, 0, 1)
+		for j, u := range dst {
+			dst[j] = math.Pow(u, g.inv)
 		}
-	default:
-		// Unreachable: Source() validated the law.
-		panic("scenario: uncompiled weight law " + s.spec.Law)
+	case "lognormal":
+		// Box-Muller from two counter draws, as workload.NormalWeight.
+		for j := range dst {
+			i := base + uint64(j)
+			u1 := g.w.U01At(2 * i)
+			u2 := g.w.U01At(2*i + 1)
+			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+			dst[j] = math.Exp(g.mu + g.sigma*z)
+		}
+	}
+	switch {
+	case g.cut > 0:
+		scale, boost, cut := g.scale, g.boost, g.cut
+		for j, w := range dst {
+			w *= scale
+			if g.h.At(base+uint64(j))>>11 < cut {
+				w *= boost
+			}
+			dst[j] = w
+		}
+	case g.scale != 1: // w·1 == w, so an unscaled batch skips the pass
+		for j := range dst {
+			dst[j] *= g.scale
+		}
 	}
 }
 
@@ -450,14 +494,23 @@ func newZipfTable(n int, alpha float64) *zipfTable {
 	return &zipfTable{cum: cum, guide: guide, m: float64(m)}
 }
 
-// rank returns the smallest r with cum[r] >= u, for u in [0, 1]. The scan
-// ends because cum[len(cum)-1] == 1.
-func (z *zipfTable) rank(u float64) int {
-	r := int(z.guide[int(u*z.m)])
-	for z.cum[r] < u {
-		r++
+// ranks replaces every draw u in dst, u in [0, 1], with its Zipf weight
+// r+1, r the smallest index with cum[r] >= u. Most draws land zero or one
+// ranks past their guide entry, so ranks counts those two steps without a
+// branch, comparing the non-negative floats by their bit patterns, and
+// steps on one at a time only from the second. The scan ends because
+// cum[len(cum)-1] == 1.
+func (z *zipfTable) ranks(dst []float64) {
+	cum, guide, m, last := z.cum, z.guide, z.m, len(z.cum)-1
+	for j, u := range dst {
+		r := int(guide[int(u*m)])
+		ub := int64(math.Float64bits(u))
+		r -= int((int64(math.Float64bits(cum[r]))-ub)>>63 + (int64(math.Float64bits(cum[min(r+1, last)]))-ub)>>63)
+		for cum[r] < u {
+			r++
+		}
+		dst[j] = float64(r + 1)
 	}
-	return r
 }
 
 // zipfCumulative precomputes the normalized CDF of P[R=r] ∝ r^-alpha over

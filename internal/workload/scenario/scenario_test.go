@@ -520,6 +520,37 @@ func TestFillWeightsMatchesAtScenario(t *testing.T) {
 	}
 }
 
+// TestHotKeyTestAtItsBoundary sets HotFrac on and next to one item's
+// hot-key draw u: the item is boosted exactly when u <= HotFrac, in the
+// bulk fill and in At alike, however the kernel phrases the test.
+func TestHotKeyTestAtItsBoundary(t *testing.T) {
+	const pe, round, i = 1, 2, 37
+	plain := mustSource(t, Spec{Law: "uniform"}, 9, 64)
+	base := plain.NextBatch(pe, round).At(i).W
+	u := rng.Counter{Seed: plain.subSeed(domainHot, pe, round)}.U01At(i)
+	for _, c := range []struct {
+		frac float64
+		hot  bool
+	}{
+		{u, true},
+		{math.Nextafter(u, 2), true},
+		{math.Nextafter(u, 0), false},
+		{u - 0x1p-53, false},
+	} {
+		src := mustSource(t, Spec{Law: "uniform", HotFrac: c.frac, HotBoost: 3}, 9, 64)
+		want := base
+		if c.hot {
+			want *= 3
+		}
+		b := src.NextBatch(pe, round)
+		dst := make([]float64, b.Len())
+		workload.FillWeights(b, dst)
+		if dst[i] != want || b.At(i).W != want {
+			t.Errorf("hot_frac %v, draw %v: weight %v (fill) and %v (At), want %v", c.frac, u, dst[i], b.At(i).W, want)
+		}
+	}
+}
+
 // TestNextBatchFillAllocs bounds the allocations of one NextBatch plus
 // its weight fill per preset, at the counts the per-item closures made:
 // the bulk kernels must not buy speed with garbage.
@@ -568,12 +599,17 @@ func TestZipfGuideMatchesSearch(t *testing.T) {
 			for i := uint64(0); i < 100000; i++ {
 				us = append(us, c.U01At(i))
 			}
+			in := us[:0]
 			for _, u := range us {
-				if u > 1 {
-					continue
+				if u <= 1 {
+					in = append(in, u)
 				}
-				if got, want := z.rank(u), sort.SearchFloat64s(z.cum, u); got != want {
-					t.Fatalf("n=%d alpha=%g u=%v: guide rank %d, binary search %d", n, alpha, u, got, want)
+			}
+			got := append([]float64(nil), in...)
+			z.ranks(got)
+			for k, u := range in {
+				if want := sort.SearchFloat64s(z.cum, u) + 1; got[k] != float64(want) {
+					t.Fatalf("n=%d alpha=%g u=%v: guide weight %v, binary search %d", n, alpha, u, got[k], want)
 				}
 			}
 		}

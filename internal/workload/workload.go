@@ -29,7 +29,9 @@ type Item struct {
 }
 
 // Batch is one mini-batch of items at one PE. Implementations must be
-// cheap to index repeatedly; the sampler reads items sequentially.
+// cheap to index repeatedly and safe for concurrent reads: a sharded scan
+// (Config.Shards > 1) reads each shard's index range of a weighted batch
+// on its own goroutine.
 type Batch interface {
 	Len() int
 	At(i int) Item
@@ -45,7 +47,7 @@ func (b SliceBatch) Len() int { return len(b) }
 func (b SliceBatch) At(i int) Item { return b[i] }
 
 // SynthBatch generates items on demand: item i has weight W(i) and ID
-// IDBase+i. It is safe for concurrent use if W is.
+// IDBase+i. It is safe for concurrent use if W and WBulk are.
 type SynthBatch struct {
 	N      int
 	IDBase uint64
@@ -53,7 +55,8 @@ type SynthBatch struct {
 	// WBulk, when non-nil, must fill dst[j] = W(base+j) for all j in one
 	// call. FillWeights prefers it: a closure call per item costs about
 	// twice what the generator math does, and the skip scans read every
-	// weight of every batch.
+	// weight of every batch. Every source in this module sets it, so W
+	// serves only At.
 	WBulk func(base uint64, dst []float64)
 }
 
@@ -125,17 +128,31 @@ func UniformWeightBulk(seed uint64, lo, hi float64) func(base uint64, dst []floa
 // NormalWeight returns a weight function drawing from N(mean, sd) truncated
 // to be strictly positive (values below floor are clamped to floor).
 func NormalWeight(seed uint64, mean, sd, floor float64) func(i uint64) float64 {
-	c := rng.Counter{Seed: seed}
-	return func(i uint64) float64 {
-		// Box-Muller from two counter draws.
-		u1 := c.U01At(2 * i)
-		u2 := c.U01At(2*i + 1)
-		w := mean + sd*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-		if w < floor {
-			return floor
+	cs := rng.Counter{Seed: seed}.Stream()
+	return func(i uint64) float64 { return normalAt(cs, i, mean, sd, floor) }
+}
+
+// NormalWeightBulk is the block-fill form of NormalWeight (same seed →
+// identical values).
+func NormalWeightBulk(seed uint64, mean, sd, floor float64) func(base uint64, dst []float64) {
+	cs := rng.Counter{Seed: seed}.Stream()
+	return func(base uint64, dst []float64) {
+		for j := range dst {
+			dst[j] = normalAt(cs, base+uint64(j), mean, sd, floor)
 		}
-		return w
 	}
+}
+
+// normalAt is item i's NormalWeight draw: Box-Muller from two counter
+// draws.
+func normalAt(cs rng.CounterStream, i uint64, mean, sd, floor float64) float64 {
+	u1 := cs.U01At(2 * i)
+	u2 := cs.U01At(2*i + 1)
+	w := mean + sd*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
+	if w < floor {
+		return floor
+	}
+	return w
 }
 
 // ParetoWeight returns a heavy-tailed weight function: Pareto with the
@@ -144,6 +161,20 @@ func ParetoWeight(seed uint64, shape float64) func(i uint64) float64 {
 	c := rng.Counter{Seed: seed}
 	return func(i uint64) float64 {
 		return math.Pow(c.U01At(i), -1/shape)
+	}
+}
+
+// ParetoWeightBulk is the block-fill form of ParetoWeight (same seed →
+// identical values): one unrolled pass of uniform draws, then the powers.
+func ParetoWeightBulk(seed uint64, shape float64) func(base uint64, dst []float64) {
+	cs := rng.Counter{Seed: seed}.Stream()
+	e := -1 / shape
+	return func(base uint64, dst []float64) {
+		// 0 + u·1 == u exactly, so the affine fill leaves the draws as is.
+		cs.U01AffineFill(base, dst, 0, 1)
+		for j, u := range dst {
+			dst[j] = math.Pow(u, e)
+		}
 	}
 }
 
@@ -201,10 +232,12 @@ type SkewedSource struct {
 // NextBatch implements Source.
 func (s SkewedSource) NextBatch(pe, round int) Batch {
 	mean := s.BaseMean + float64(round)*s.RoundInc + float64(pe)*s.RankInc
+	seed := batchSeed(s.Seed, pe, round)
 	return &SynthBatch{
 		N:      s.BatchLen,
 		IDBase: idBase(pe, round),
-		W:      NormalWeight(batchSeed(s.Seed, pe, round), mean, s.SD, 1e-9),
+		W:      NormalWeight(seed, mean, s.SD, 1e-9),
+		WBulk:  NormalWeightBulk(seed, mean, s.SD, 1e-9),
 	}
 }
 
@@ -218,10 +251,12 @@ type ParetoSource struct {
 
 // NextBatch implements Source.
 func (s ParetoSource) NextBatch(pe, round int) Batch {
+	seed := batchSeed(s.Seed, pe, round)
 	return &SynthBatch{
 		N:      s.BatchLen,
 		IDBase: idBase(pe, round),
-		W:      ParetoWeight(batchSeed(s.Seed, pe, round), s.Shape),
+		W:      ParetoWeight(seed, s.Shape),
+		WBulk:  ParetoWeightBulk(seed, s.Shape),
 	}
 }
 
