@@ -299,11 +299,16 @@ func idBase(pe, round int) uint64 {
 // serves only Batch.At, fills one item through the same kernels.
 func (s *Source) NextBatch(pe, round int) workload.Batch {
 	g := s.weights(pe, round)
+	fill := func(base uint64, dst []float64) { g.fill(base, dst) }
 	return &workload.SynthBatch{
 		N:      s.BatchLen(pe, round),
 		IDBase: idBase(pe, round),
-		W:      func(i uint64) float64 { return g.at(i) },
-		WBulk:  func(base uint64, dst []float64) { g.fill(base, dst) },
+		W: func(i uint64) float64 {
+			var w [1]float64
+			fill(i, w[:])
+			return w[0]
+		},
+		WBulk: fill,
 	}
 }
 
@@ -403,13 +408,6 @@ func (s *Source) weights(pe, round int) batchWeights {
 		cut:   rng.U01Cut(s.spec.HotFrac),
 		boost: s.spec.HotBoost,
 	}
-}
-
-// at is item i's weight, filled through the same kernels as a batch.
-func (g batchWeights) at(i uint64) float64 {
-	var w [1]float64
-	g.fill(i, w[:])
-	return w[0]
 }
 
 // fill sets dst[j] to the weight of item base+j, a pass at a time: the
