@@ -439,6 +439,9 @@ func (g batchWeights) fill(base uint64, dst []float64) {
 			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 			dst[j] = math.Exp(g.mu + g.sigma*z)
 		}
+	default:
+		// Unreachable: Source() validated the law.
+		panic("scenario: uncompiled weight law " + g.law)
 	}
 	switch {
 	case g.cut > 0:
@@ -496,7 +499,7 @@ func newZipfTable(n int, alpha float64) *zipfTable {
 // r+1, r the smallest index with cum[r] >= u. Most draws land zero or one
 // ranks past their guide entry, so ranks counts those two steps without a
 // branch, comparing the non-negative floats by their bit patterns, and
-// steps on one at a time only from the second. The scan ends because
+// steps on one at a time only past those two. The scan ends because
 // cum[len(cum)-1] == 1.
 func (z *zipfTable) ranks(dst []float64) {
 	cum, guide, m, last := z.cum, z.guide, z.m, len(z.cum)-1
