@@ -9,7 +9,7 @@ import (
 	"reservoir/internal/workload/scenario"
 )
 
-// acceptOpts collects the -accept mode flags (see main.go).
+// acceptOpts collects the acceptance-harness flags (see main.go).
 type acceptOpts struct {
 	scenarios string // comma list of preset names, or "all"
 	algos     string // comma list of algorithms

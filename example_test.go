@@ -59,19 +59,3 @@ func ExampleCluster_Snapshot() {
 	fmt.Println("identical thresholds:", t1 == t2)
 	// Output: identical thresholds: true
 }
-
-// ExampleNewWindowed samples from a sliding window of recent items.
-func ExampleNewWindowed() {
-	s := reservoir.NewWindowed(4, 1_000, 100, 5)
-	for i := uint64(0); i < 50_000; i++ {
-		s.Process(reservoir.Item{W: 1, ID: i})
-	}
-	old := 0
-	for _, it := range s.Sample() {
-		if it.ID < 49_000 {
-			old++
-		}
-	}
-	fmt.Println("expired items in sample:", old)
-	// Output: expired items in sample: 0
-}

@@ -17,8 +17,8 @@ import (
 // process after a restart — including the PRNG state, so a resumed run is
 // bit-identical to an uninterrupted one.
 //
-// Every sampler snapshot (these, the window sampler's and the per-PE
-// ones in distserialize.go and gatherserialize.go) starts with the same
+// Every sampler snapshot (these and the per-PE ones in
+// distserialize.go and gatherserialize.go) starts with the same
 // header (magic, version, kind), stores each PRNG stream as a u64 length
 // plus its state, and is decoded through the wire codec's bounds-checked
 // cursor (transport.Dec). All words are little endian.
@@ -32,6 +32,7 @@ const (
 	snapshotVersion = 1
 	kindWeighted    = byte(1)
 	kindUniform     = byte(2)
+	// Kind 5 tagged the deleted sliding-window sampler; never reuse it.
 )
 
 // appendSnapHeader appends the header every sampler snapshot starts with.
@@ -208,63 +209,4 @@ func unmarshalSeq(kind byte, data []byte) (seqState, error) {
 	st.h = decHeap(d, st.k)
 	st.src = decRNG(d)
 	return st, closeSnap(d)
-}
-
-// kindWindowed tags WindowedWeighted snapshots.
-const kindWindowed = byte(5)
-
-// MarshalBinary snapshots the sliding-window sampler: its shape (k,
-// chunkLen, chunks), the ring position (head, inChunk), the item count,
-// every ring chunk (a used flag and its heap), then the RNG state. The
-// random source must implement encoding.BinaryAppender (the default
-// xoshiro256** engine does).
-func (s *WindowedWeighted) MarshalBinary() ([]byte, error) {
-	size := 54 + 40
-	for i := range s.ring {
-		size += 9 + 24*s.ring[i].h.len()
-	}
-	b := appendSnapHeader(make([]byte, 0, size), kindWindowed)
-	for _, v := range [...]uint64{uint64(s.k), uint64(s.chunkLen), uint64(s.chunks),
-		uint64(s.head), uint64(s.inChunk), uint64(s.n)} {
-		b = transport.AppendU64(b, v)
-	}
-	for i := range s.ring {
-		b = appendHeap(transport.AppendBool(b, s.ring[i].used), &s.ring[i].h)
-	}
-	return appendRNG(b, s.src)
-}
-
-// UnmarshalBinary restores a snapshot produced by MarshalBinary into a
-// sampler built by NewWindowedWeighted with the same k, window and
-// chunkLen; a snapshot of a differently shaped sampler is refused.
-func (s *WindowedWeighted) UnmarshalBinary(data []byte) error {
-	d := transport.NewDec(data)
-	openSnap(d, kindWindowed)
-	k, chunkLen, chunks, head, inChunk, n := d.U64(), d.U64(), d.U64(), d.U64(), d.U64(), d.U64()
-	if k != uint64(s.k) || chunkLen != uint64(s.chunkLen) || chunks != uint64(s.chunks) {
-		d.Fail(fmt.Errorf("snapshot of a k=%d chunk_len=%d chunks=%d window sampler, this one is k=%d chunk_len=%d chunks=%d",
-			k, chunkLen, chunks, s.k, s.chunkLen, s.chunks))
-	}
-	if head >= chunks || inChunk > chunkLen {
-		d.Fail(fmt.Errorf("corrupt snapshot (head=%d, in_chunk=%d)", head, inChunk))
-	}
-	ring := make([]chunkSample, s.chunks)
-	for i := range ring {
-		c := &ring[i]
-		c.used = d.Bool()
-		c.h = decHeap(d, s.k)
-		if !c.used && c.h.len() > 0 {
-			d.Fail(fmt.Errorf("corrupt snapshot (unused chunk %d holds %d items)", i, c.h.len()))
-		}
-	}
-	src := decRNG(d)
-	if err := closeSnap(d); err != nil {
-		return err
-	}
-	s.ring = ring
-	s.head = int(head)
-	s.inChunk = int(inChunk)
-	s.n = int64(n)
-	s.src = src
-	return nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"reservoir/internal/rng"
@@ -164,66 +162,5 @@ func TestXoshiroRoundTrip(t *testing.T) {
 	}
 	if err := y.UnmarshalBinary(make([]byte, 32)); err == nil {
 		t.Error("all-zero state accepted")
-	}
-}
-
-// TestWindowedSnapshotResumesBitIdentical: a window sampler restored from
-// a snapshot taken before the first item, mid-chunk, on a chunk boundary
-// and after the ring wrapped continues exactly like the uninterrupted
-// one, and its snapshot round-trips byte for byte.
-func TestWindowedSnapshotResumesBitIdentical(t *testing.T) {
-	const k, window, chunk = 6, 200, 25
-	item := func(i int) workload.Item { return workload.Item{W: float64(i%17) + 0.25, ID: uint64(i)} }
-	for _, at := range []int{0, 13, 75, 1010} {
-		orig := NewWindowedWeighted(k, window, chunk, rng.NewXoshiro256(21))
-		for i := 0; i < at; i++ {
-			orig.Process(item(i))
-		}
-		blob, err := orig.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored := NewWindowedWeighted(k, window, chunk, rng.NewXoshiro256(999))
-		if err := restored.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("at %d: %v", at, err)
-		}
-		if again, _ := restored.MarshalBinary(); !bytes.Equal(again, blob) {
-			t.Fatalf("at %d: snapshot does not round-trip", at)
-		}
-		for i := at; i < at+333; i++ {
-			orig.Process(item(i))
-			restored.Process(item(i))
-		}
-		if !reflect.DeepEqual(orig.Sample(), restored.Sample()) || orig.Seen() != restored.Seen() ||
-			orig.WindowSpan() != restored.WindowSpan() {
-			t.Fatalf("at %d: restored sampler diverged", at)
-		}
-	}
-}
-
-// TestWindowedSnapshotRejectsOtherShape: a snapshot restores only into a
-// sampler with the same k, window and chunk length; truncations fail.
-func TestWindowedSnapshotRejectsOtherShape(t *testing.T) {
-	s := NewWindowedWeighted(4, 40, 10, rng.NewXoshiro256(3))
-	for i := 0; i < 57; i++ {
-		s.Process(workload.Item{W: 1 + float64(i%5), ID: uint64(i)})
-	}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, other := range []*WindowedWeighted{
-		NewWindowedWeighted(5, 40, 10, rng.NewXoshiro256(3)),
-		NewWindowedWeighted(4, 50, 10, rng.NewXoshiro256(3)),
-		NewWindowedWeighted(4, 40, 20, rng.NewXoshiro256(3)),
-	} {
-		if err := other.UnmarshalBinary(blob); err == nil {
-			t.Fatalf("k=%d chunk_len=%d chunks=%d accepted a k=4 chunk_len=10 chunks=4 snapshot", other.k, other.chunkLen, other.chunks)
-		}
-	}
-	for n := 0; n < len(blob); n++ {
-		if err := NewWindowedWeighted(4, 40, 10, rng.NewXoshiro256(3)).UnmarshalBinary(blob[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
-		}
 	}
 }

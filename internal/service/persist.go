@@ -22,10 +22,10 @@ import (
 
 // Sampler-kind tags stored in boundary slots (opaque bytes to the store).
 const (
-	snapKindCluster  = byte(1) // distributed and gather clusters alike
-	snapKindSeqW     = byte(2)
-	snapKindSeqU     = byte(3)
-	snapKindWindowed = byte(4)
+	snapKindCluster = byte(1) // distributed and gather clusters alike
+	snapKindSeqW    = byte(2)
+	snapKindSeqU    = byte(3)
+	// Tag 4 marked the deleted sliding-window run kind; never reuse it.
 )
 
 // boundary serializes the sampler at the current round boundary. Only

@@ -80,7 +80,7 @@ func equalIDs(a, b []uint64) bool {
 // persistedRunKinds is the recovery test matrix: every snapshot tag and
 // every cluster mode the service runs — distributed weighted, uniform,
 // variable-size, random-dist selection, sharded and pipelined, the gather
-// baseline, both sequential samplers and the windowed sampler.
+// baseline and both sequential samplers.
 var persistedRunKinds = []struct {
 	name string
 	cfg  string
@@ -94,7 +94,6 @@ var persistedRunKinds = []struct {
 	{"gather", `{"kind":"cluster","p":2,"k":32,"seed":12,"algorithm":"gather"}`, 2},
 	{"sequential", `{"kind":"sequential","k":24,"seed":13}`, 1},
 	{"sequential-uniform", `{"kind":"sequential","k":24,"seed":19,"uniform":true}`, 1},
-	{"windowed", `{"kind":"windowed","k":16,"window":1200,"chunk_len":300,"seed":14}`, 1},
 }
 
 // driveSchedule pushes an identical, deterministic ingest schedule into a
@@ -419,7 +418,7 @@ func slotFrame(t *testing.T, b []byte) []byte {
 }
 
 // TestTornNewestSlotRecoversPreviousRound tears the newest boundary of a
-// persisted cluster run and of a persisted windowed run at every byte
+// persisted cluster run and of a persisted sequential run at every byte
 // offset, as a crash mid slot write would: the slot keeps its previous
 // contents overwritten by a strict prefix of the new frame. Every
 // recovery must come back at the previous round equal to an
@@ -430,7 +429,7 @@ func TestTornNewestSlotRecoversPreviousRound(t *testing.T) {
 		p         int
 	}{
 		{"cluster", `{"kind":"cluster","p":2,"k":6,"seed":31}`, 2},
-		{"windowed", `{"kind":"windowed","k":4,"window":60,"chunk_len":20,"seed":32}`, 1},
+		{"sequential", `{"kind":"sequential","k":4,"seed":32}`, 1},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			batch := func(r int) string { return makeBatches(k.p, 30, uint64(r)*1000+1) }
@@ -610,8 +609,9 @@ func TestRecoverRefusesForeignSlotTag(t *testing.T) {
 	}{
 		{"cluster-seq-tag", `{"kind":"cluster","p":2,"k":8,"seed":41}`, 2, snapKindSeqW, "does not match run kind cluster"},
 		{"sequential-cluster-tag", `{"kind":"sequential","k":8,"seed":42}`, 1, snapKindCluster, "does not match run kind sequential"},
-		{"sequential-windowed-tag", `{"kind":"sequential","k":8,"seed":43,"uniform":true}`, 1, snapKindWindowed, "does not match run kind sequential"},
-		{"windowed-unknown-tag", `{"kind":"windowed","k":4,"window":60,"chunk_len":20,"seed":44}`, 1, 9, "unknown snapshot kind 9"},
+		// Tag 4 belonged to the deleted windowed run kind; no kind has it now.
+		{"sequential-windowed-tag", `{"kind":"sequential","k":8,"seed":43,"uniform":true}`, 1, 4, "unknown snapshot kind 4"},
+		{"cluster-unknown-tag", `{"kind":"cluster","p":2,"k":4,"seed":44}`, 2, 9, "unknown snapshot kind 9"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -665,6 +665,58 @@ func TestRecoverRefusesForeignSlotTag(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverRefusesWindowedRun: a store written before the sliding-window
+// run kind was deleted holds a run with kind "windowed" and tag-4 slots.
+// Recovery skips it with an error naming the kind, leaves its files in
+// place, and never hands its ID out again.
+func TestRecoverRefusesWindowedRun(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.WithFsync(store.FsyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "r1"
+	if err := st.SetNextID(1); err != nil {
+		t.Fatal(err)
+	}
+	slots, err := st.CreateSlots(id, []byte(`{"kind":"windowed","p":1,"k":4,"seed":44,"window":60,"chunk_len":20,"queue_depth":32}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 2; round++ {
+		if err := slots.Write(&store.Snapshot{Round: round, Kind: 4, Blob: []byte("sliding-window sampler state")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots.Close()
+	runDir := filepath.Join(dir, "runs", id)
+	before := map[string][]byte{"config.json": readFile(t, filepath.Join(runDir, "config.json"))}
+	for _, name := range slotFiles(t, runDir) {
+		before[name] = readFile(t, filepath.Join(runDir, name))
+	}
+
+	var logs strings.Builder
+	svc := New(WithStore(st), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	defer func() { svc.Close(); st.Close() }()
+	if err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.RunCount(); n != 0 {
+		t.Fatalf("%d runs recovered from a windowed run", n)
+	}
+	if !strings.Contains(logs.String(), "unknown kind") || !strings.Contains(logs.String(), "windowed") {
+		t.Fatalf("recovery log %q does not name the unknown kind", logs.String())
+	}
+	for name, want := range before {
+		if got := readFile(t, filepath.Join(runDir, name)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s changed after the refused recovery", name)
+		}
+	}
+	if next := createRunOn(t, svc, `{"kind":"sequential","k":8}`); next == id {
+		t.Fatalf("refused run's ID %s handed out again", id)
 	}
 }
 

@@ -25,7 +25,6 @@ var runKindPins = map[string]struct {
 	"gather":             {8, 1, "0cd66b48eb1941539e6e0f2e8300275a338b2cce8990273a73b28354c894e172", "6ee433caf499c8a2565ac4419b6b216b610bcafec8305f84fbdf61e7bdd14dc8", "b9f4b03ceec0c7cf6b6dffdc9fd34c88f7e217db45f4391c861f9c0243c8363f"},
 	"sequential":         {8, 2, "4f7d56d6823928517ff45aa9331595608251b33e6928628aa575901f6925de97", "4898411ae409296962f0af8cbf7c81c96b1118d2785ad2210d5024a362425765", "2d81de9b322ccc19a83d7eda83c1eee075c2e24734e217407b6f1bde087dd573"},
 	"sequential-uniform": {8, 3, "0b0dbedd12bb963f86a2c60213c853d7837e74b506057094aba2987e3955b680", "fbcc3388d08f8876d1887efa11ea7be63dc87007b0e3f36ffd04e9fecc59800d", "b8e356c15f63b107a566e66b99a543ae2e802e6914513c96e4ed484803960fd2"},
-	"windowed":           {8, 4, "69d3722d665cc03e6d0f6bd31a8ebe94bdc86a19b7902bfaaa67ded848b311b0", "2c6ae6ec53544f4f390d1e53231f2a2d98d260ea73f7c9ec24d93bb93b06e862", "c20c31928b1bc3c1195f47fb69f026ae873ff1706c4f4d9c69dc1d1203912732"},
 }
 
 // TestServiceRunKindsPinned drives the recovery schedule into a persisted

@@ -26,7 +26,7 @@ type sampler interface {
 // checkTag refuses a boundary slot whose tag is not want, the tag of the
 // run's own sampler; kind names the run's kind.
 func checkTag(tag, want byte, kind string) error {
-	if tag < snapKindCluster || tag > snapKindWindowed {
+	if tag < snapKindCluster || tag > snapKindSeqU {
 		return fmt.Errorf("unknown snapshot kind %d", tag)
 	}
 	if tag != want {
@@ -116,8 +116,8 @@ func (c *clusterSampler) restore(sn *store.Snapshot) error {
 	return nil
 }
 
-// streamSampler adapts the single-stream samplers (sequential weighted,
-// sequential uniform, windowed). They share the batch, sample and codec
+// streamSampler adapts the single-stream samplers (sequential weighted
+// and sequential uniform). They share the batch, sample and codec
 // methods and differ only in their stats and their slot tag.
 type streamSampler struct {
 	s interface {
@@ -127,7 +127,6 @@ type streamSampler struct {
 		encoding.BinaryUnmarshaler
 	}
 	tag  byte
-	kind string // the run kind, for refusing another kind's slot
 	fill func(st *Stats)
 }
 
@@ -145,7 +144,7 @@ func (a *streamSampler) marshal() (byte, []byte, error) {
 }
 
 func (a *streamSampler) restore(sn *store.Snapshot) error {
-	if err := checkTag(sn.Kind, a.tag, a.kind); err != nil {
+	if err := checkTag(sn.Kind, a.tag, KindSequential); err != nil {
 		return err
 	}
 	return a.s.UnmarshalBinary(sn.Blob)

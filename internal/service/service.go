@@ -1,9 +1,8 @@
 // Package service implements reservoir-serve: a long-running HTTP service
 // that hosts many concurrent sampler *runs*. A run is one sampler instance
 // — a reservoir.Cluster (the paper's distributed algorithm or the
-// centralized gathering baseline, fixed or variable sample size), a
-// sequential sampler, or a sliding-window sampler — created from a JSON
-// config and driven by batch ingest requests (see DESIGN.md §5 and
+// centralized gathering baseline, fixed or variable sample size) or a
+// sequential sampler — created from a JSON config and driven by batch ingest requests (see DESIGN.md §5 and
 // docs/API.md).
 //
 // Concurrency model (async sharded ingest): every run owns a dedicated
@@ -53,7 +52,6 @@ const (
 const (
 	KindCluster    = "cluster"
 	KindSequential = "sequential"
-	KindWindowed   = "windowed"
 )
 
 // WireItem is the JSON encoding of one weighted stream element.
@@ -65,8 +63,7 @@ type WireItem struct {
 // RunConfig is the JSON body of POST /v1/runs. The zero value of every
 // field is a usable default except K (or KMin/KMax), which must be set.
 type RunConfig struct {
-	// Kind selects the sampler: "cluster" (default), "sequential", or
-	// "windowed".
+	// Kind selects the sampler: "cluster" (default) or "sequential".
 	Kind string `json:"kind,omitempty"`
 	// P is the number of simulated PEs of a cluster run (default 4).
 	P int `json:"p,omitempty"`
@@ -98,10 +95,6 @@ type RunConfig struct {
 	// AlphaNS/BetaNS override the simulated network cost parameters.
 	AlphaNS float64 `json:"alpha_ns,omitempty"`
 	BetaNS  float64 `json:"beta_ns,omitempty"`
-	// Window and ChunkLen configure a windowed run (window must be a
-	// multiple of chunk_len).
-	Window   int `json:"window,omitempty"`
-	ChunkLen int `json:"chunk_len,omitempty"`
 	// QueueDepth bounds this run's ingest queue (jobs, not rounds);
 	// 0 uses the server default. A full queue rejects ingest with 429.
 	QueueDepth int `json:"queue_depth,omitempty"`
@@ -298,9 +291,6 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 	r := &Run{id: id, logger: slog.New(slog.DiscardHandler)}
 	switch cfg.Kind {
 	case KindCluster:
-		if cfg.Window != 0 || cfg.ChunkLen != 0 {
-			return nil, badRequestf("window/chunk_len are only valid for windowed runs")
-		}
 		if cfg.P == 0 {
 			cfg.P = 4
 		}
@@ -312,9 +302,9 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 			return nil, badRequestf("%v", err)
 		}
 		r.s = cs
-	case KindSequential, KindWindowed:
+	case KindSequential:
 		if cfg.P > 1 {
-			return nil, badRequestf("%s runs have a single stream; p must be 0 or 1", cfg.Kind)
+			return nil, badRequestf("sequential runs have a single stream; p must be 0 or 1")
 		}
 		cfg.P = 1
 		if cfg.KMin != 0 || cfg.KMax != 0 {
@@ -323,40 +313,24 @@ func newRun(id string, cfg RunConfig, queueDepth int) (*Run, error) {
 		if cfg.K < 1 {
 			return nil, badRequestf("sample size k must be >= 1, got %d", cfg.K)
 		}
-		if cfg.Kind == KindSequential {
-			if cfg.Window != 0 || cfg.ChunkLen != 0 {
-				return nil, badRequestf("window/chunk_len are only valid for windowed runs")
-			}
-			if cfg.Uniform {
-				s := reservoir.NewUniform(cfg.K, cfg.Seed)
-				r.s = &streamSampler{s: s, tag: snapKindSeqU, kind: cfg.Kind, fill: func(st *Stats) {
-					st.ItemsProcessed = s.Seen()
-					st.SampleSize = int(min(int64(cfg.K), st.ItemsProcessed))
-					st.Threshold, st.HaveThreshold = s.Threshold()
-				}}
-				break
-			}
-			s := reservoir.NewWeighted(cfg.K, cfg.Seed)
-			r.s = &streamSampler{s: s, tag: snapKindSeqW, kind: cfg.Kind, fill: func(st *Stats) {
-				st.ItemsProcessed, st.WeightSeen = s.Seen()
+		if cfg.Uniform {
+			s := reservoir.NewUniform(cfg.K, cfg.Seed)
+			r.s = &streamSampler{s: s, tag: snapKindSeqU, fill: func(st *Stats) {
+				st.ItemsProcessed = s.Seen()
 				st.SampleSize = int(min(int64(cfg.K), st.ItemsProcessed))
 				st.Threshold, st.HaveThreshold = s.Threshold()
 			}}
 			break
 		}
-		if cfg.Uniform {
-			return nil, badRequestf("the windowed sampler is weighted only")
-		}
-		if cfg.Window < 1 || cfg.ChunkLen < 1 || cfg.Window%cfg.ChunkLen != 0 {
-			return nil, badRequestf("windowed runs need window > 0, chunk_len > 0, and window %% chunk_len == 0")
-		}
-		s := reservoir.NewWindowed(cfg.K, cfg.Window, cfg.ChunkLen, cfg.Seed)
-		r.s = &streamSampler{s: s, tag: snapKindWindowed, kind: cfg.Kind, fill: func(st *Stats) {
-			st.ItemsProcessed, st.SampleSize = s.Seen(), s.SampleSize()
+		s := reservoir.NewWeighted(cfg.K, cfg.Seed)
+		r.s = &streamSampler{s: s, tag: snapKindSeqW, fill: func(st *Stats) {
+			st.ItemsProcessed, st.WeightSeen = s.Seen()
+			st.SampleSize = int(min(int64(cfg.K), st.ItemsProcessed))
+			st.Threshold, st.HaveThreshold = s.Threshold()
 		}}
 	default:
-		return nil, badRequestf("unknown kind %q (want %q, %q, or %q)",
-			cfg.Kind, KindCluster, KindSequential, KindWindowed)
+		return nil, badRequestf("unknown kind %q (want %q or %q)",
+			cfg.Kind, KindCluster, KindSequential)
 	}
 	r.cfg = cfg
 	r.queue = make(chan *ingestJob, cfg.QueueDepth)

@@ -120,14 +120,12 @@ func TestCreateRunDefaultsAndValidation(t *testing.T) {
 		`{"k":4,"strategy":"sideways"}`,         // unknown strategy
 		`{"k":4,"frobnicate":1}`,                // unknown field
 		`{"k":4}{"k":8}`,                        // trailing data
-		`{"kind":"cluster","k":4,"window":8}`,   // window on cluster
 		`{"kind":"sequential","k":4,"p":3}`,     // multi-stream sequential
 		`{"kind":"sequential","k":4,"k_max":8}`, // variable size, not cluster
-		`{"kind":"windowed","k":4}`,             // window missing
-		`{"kind":"windowed","k":4,"window":10,"chunk_len":4}`,               // not a multiple
-		`{"kind":"windowed","k":4,"window":8,"chunk_len":4,"uniform":true}`, // windowed is weighted only
-		`{"k":4,"checkpoint_rounds":64}`,                                    // removed option: every round is a boundary
-		`{"k":4,"checkpoint_bytes":4096}`,                                   // removed option
+		`{"kind":"windowed","k":4}`,             // deleted run kind
+		`{"k":4,"window":8}`,                    // deleted field
+		`{"k":4,"checkpoint_rounds":64}`,        // removed option: every round is a boundary
+		`{"k":4,"checkpoint_bytes":4096}`,       // removed option
 	}
 	for _, cfg := range bad {
 		if code, raw := doJSON(t, "POST", ts.URL+"/v1/runs", cfg, nil); code != http.StatusBadRequest {
@@ -389,34 +387,6 @@ func TestSequentialRuns(t *testing.T) {
 		doJSON(t, "GET", base+"/sample", "", &sr)
 		if sr.Count != 5 {
 			t.Fatalf("sequential sample count = %d, want 5", sr.Count)
-		}
-	}
-}
-
-func TestWindowedRun(t *testing.T) {
-	ts, _ := newTestServer(t)
-	run := createRun(t, ts, `{"kind":"windowed","k":4,"window":32,"chunk_len":8,"seed":13}`)
-	base := ts.URL + "/v1/runs/" + run.ID
-	var st Stats
-	doJSON(t, "POST", base+"/batches?wait=true", makeBatches(1, 3, 500), &st)
-	if st.SampleSize != 3 {
-		t.Fatalf("partially filled windowed sample size = %d, want 3", st.SampleSize)
-	}
-	doJSON(t, "POST", base+"/batches?wait=true", makeBatches(1, 100, 0), &st)
-	if st.Rounds != 2 || st.SampleSize != 4 || st.ItemsProcessed != 103 {
-		t.Fatalf("windowed stats: %+v", st)
-	}
-	var sr SampleResponse
-	doJSON(t, "GET", base+"/sample", "", &sr)
-	if sr.Count != 4 {
-		t.Fatalf("windowed sample count = %d, want 4", sr.Count)
-	}
-	// All sampled items must fall inside the sliding window: with 100
-	// items seen and a 32-item window at chunk granularity, nothing
-	// older than ID 64 can survive.
-	for _, it := range sr.Items {
-		if it.ID < 100-32-8 {
-			t.Fatalf("sampled item %d is outside the window", it.ID)
 		}
 	}
 }

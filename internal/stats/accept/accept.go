@@ -52,7 +52,8 @@ type Sampler interface {
 
 // Config parameterizes one harness run.
 type Config struct {
-	// Algorithms to test: "sequential", "distributed", "gather".
+	// Algorithms to test: "sequential", "distributed", "pipelined"
+	// (the distributed sampler with Pipeline on), "gather".
 	Algorithms []string
 	// Scenarios to run each algorithm over.
 	Scenarios []scenario.Spec
@@ -163,13 +164,13 @@ func runTrial(algo string, cfg Config, st *stream, k int, seed uint64) ([]worklo
 			s.Process(it)
 		}
 		return s.Sample(), nil
-	case "distributed", "gather":
+	case "distributed", "pipelined", "gather":
 		a := reservoir.Distributed
 		if algo == "gather" {
 			a = reservoir.CentralizedGather
 		}
 		cl, err := reservoir.NewCluster(cfg.P,
-			reservoir.Config{K: k, Weighted: true, Seed: seed, Shards: cfg.Shards},
+			reservoir.Config{K: k, Weighted: true, Seed: seed, Shards: cfg.Shards, Pipeline: algo == "pipelined"},
 			reservoir.WithAlgorithm(a))
 		if err != nil {
 			return nil, err
@@ -180,7 +181,7 @@ func runTrial(algo string, cfg Config, st *stream, k int, seed uint64) ([]worklo
 		}
 		return cl.Sample(), nil
 	default:
-		return nil, fmt.Errorf("accept: unknown algorithm %q (want sequential, distributed, or gather)", algo)
+		return nil, fmt.Errorf("accept: unknown algorithm %q (want sequential, distributed, pipelined, or gather)", algo)
 	}
 }
 

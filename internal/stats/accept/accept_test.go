@@ -41,14 +41,15 @@ func TestCorrectSamplersAccepted(t *testing.T) {
 		mustPreset(t, "pareto_burst"),
 		mustPreset(t, "zipf_hot"),
 	}
-	rep, err := Run(smallCfg([]string{"sequential", "distributed"}, scens))
+	algos := []string{"sequential", "distributed", "pipelined"}
+	rep, err := Run(smallCfg(algos, scens))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Pass {
 		t.Fatalf("correct samplers rejected: %v\n%s", rep.Failures(), rep.Summary())
 	}
-	wantCells := 2 * len(scens)
+	wantCells := len(algos) * len(scens)
 	if len(rep.Cells) != wantCells || rep.Tests != wantCells*checksPerCell {
 		t.Fatalf("want %d cells / %d tests, got %d / %d", wantCells, wantCells*checksPerCell, len(rep.Cells), rep.Tests)
 	}

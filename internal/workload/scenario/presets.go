@@ -4,7 +4,7 @@ package scenario
 // acceptance harness, loadgen, and the chaos harness run over. Kept in a
 // slice (not a map) so enumeration order is deterministic everywhere.
 //
-// Adding a preset here automatically adds it to `reservoir-verify -accept
+// Adding a preset here automatically adds it to `reservoir-verify
 // -scenario all` and the weekly CI acceptance matrix.
 var presets = []Spec{
 	{

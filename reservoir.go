@@ -28,8 +28,6 @@
 //   - SequentialWeighted / SequentialUniform: single-stream reservoir
 //     samplers with the paper's skip-value optimizations; see NewWeighted
 //     and NewUniform.
-//   - WindowedWeighted: sliding-window sampling (the paper's future-work
-//     extension); see NewWindowed.
 //
 // A minimal example:
 //
@@ -116,10 +114,6 @@ type SequentialWeighted = core.SeqWeighted
 // geometric jumps (paper Sec 4.3).
 type SequentialUniform = core.SeqUniform
 
-// WindowedWeighted samples from a sliding window of the most recent items
-// (the paper's future-work extension, chunk-granular).
-type WindowedWeighted = core.WindowedWeighted
-
 // NewWeighted returns a sequential weighted sampler with sample size k.
 func NewWeighted(k int, seed uint64) *SequentialWeighted {
 	return core.NewSeqWeighted(k, rng.NewXoshiro256(seed))
@@ -128,11 +122,4 @@ func NewWeighted(k int, seed uint64) *SequentialWeighted {
 // NewUniform returns a sequential uniform sampler with sample size k.
 func NewUniform(k int, seed uint64) *SequentialUniform {
 	return core.NewSeqUniform(k, rng.NewXoshiro256(seed))
-}
-
-// NewWindowed returns a sliding-window weighted sampler with sample size k
-// over a window of `window` items, tracked in chunks of chunkLen (window
-// must be a multiple of chunkLen).
-func NewWindowed(k, window, chunkLen int, seed uint64) *WindowedWeighted {
-	return core.NewWindowedWeighted(k, window, chunkLen, rng.NewXoshiro256(seed))
 }

@@ -123,16 +123,6 @@ func TestSequentialFacades(t *testing.T) {
 	if len(w.Sample()) != 10 || len(u.Sample()) != 10 {
 		t.Fatal("sequential facades broken")
 	}
-	win := NewWindowed(5, 100, 10, 3)
-	for i := 0; i < 1000; i++ {
-		win.Process(Item{W: 1, ID: uint64(i)})
-	}
-	if len(win.Sample()) != 5 {
-		t.Fatal("windowed facade broken")
-	}
-	if got := win.WindowSpan(); got < 91 || got > 100 {
-		t.Fatalf("window span %d", got)
-	}
 }
 
 func TestDefaultCostModel(t *testing.T) {
