@@ -335,3 +335,101 @@ func BenchmarkStartScan(b *testing.B) {
 		})
 	}
 }
+
+// plainScanWeighted is the weighted skip scan one item at a time, without
+// the 32-item blocks of Sec 5: the reference that the blocked loop of
+// scanShardWeighted must match draw for draw.
+func plainScanWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, out []cand) ([]cand, int64) {
+	var draws int64
+	x := skipWeight(src, t)
+	draws++
+	for j := lo; j < hi; j++ {
+		x -= ws[j]
+		if x <= 0 {
+			out = append(out, cand{int32(j), keyBelow(src, ws[j], t)})
+			x = skipWeight(src, t)
+			draws += 2
+		}
+	}
+	return out, draws
+}
+
+// scanTestItems is the batch length the scan tests and benchmarks set
+// their admission densities against.
+const scanTestItems = 50_000
+
+// scanTestWeights returns scanTestItems+7 weights of one law: "uniform"
+// in (0, 100], "pareto" with shape 1.3, or the zipf_hot scenario's
+// weights (its batches concatenated).
+func scanTestWeights(tb testing.TB, law string, seed uint64) []float64 {
+	tb.Helper()
+	const n = scanTestItems + 7
+	ws := make([]float64, n)
+	switch law {
+	case "uniform":
+		workload.FillWeights(workload.UniformSource{Seed: seed, BatchLen: n, Lo: 0, Hi: 100}.NextBatch(0, 0), ws)
+	case "pareto":
+		workload.FillWeights(workload.ParetoSource{Seed: seed, BatchLen: n, Shape: 1.3}.NextBatch(0, 0), ws)
+	case "zipf_hot":
+		spec, _ := scenario.Preset("zipf_hot")
+		src, err := spec.Source(seed, 4096)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for filled, round := 0, 0; filled < n; round++ {
+			b := src.NextBatch(0, round)
+			m := min(b.Len(), n-filled)
+			workload.FillWeightsFrom(b, 0, ws[filled:filled+m])
+			filled += m
+		}
+	default:
+		tb.Fatalf("unknown weight law %q", law)
+	}
+	return ws
+}
+
+// scanTestThreshold returns the threshold at which a skip scan of the
+// first scanTestItems weights admits about admit items.
+func scanTestThreshold(ws []float64, admit float64) float64 {
+	var total float64
+	for _, w := range ws[:scanTestItems] {
+		total += w
+	}
+	return admit / total
+}
+
+// TestBlockedScanMatchesPlain holds the blocked weighted skip scan equal
+// to the plain one: the same candidates, keys, draw counts and final
+// stream state, over three weight laws, three admission densities, two
+// start offsets and lengths around the 32-item block. The two loops
+// subtract a block's weight in one sum or item by item, so they could
+// part only where a skip ends within rounding of a block boundary.
+func TestBlockedScanMatchesPlain(t *testing.T) {
+	for _, law := range []string{"uniform", "pareto", "zipf_hot"} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			ws := scanTestWeights(t, law, seed)
+			for _, admit := range []float64{16, 256, 4096} {
+				th := scanTestThreshold(ws, admit)
+				for _, lo := range []int{0, 7} {
+					for _, n := range []int{0, 1, 31, 32, 33, 4097, scanTestItems} {
+						streamSeed := rng.Mix64(seed<<20 ^ uint64(admit)<<8 ^ uint64(lo+n))
+						blocked, plain := rng.NewXoshiro256(streamSeed), rng.NewXoshiro256(streamSeed)
+						got, gotDraws := scanShardWeighted(blocked, ws, lo, lo+n, th, true, nil)
+						want, wantDraws := plainScanWeighted(plain, ws, lo, lo+n, th, nil)
+						name := fmt.Sprintf("%s seed %d admit %g lo %d n %d", law, seed, admit, lo, n)
+						for i := range min(len(got), len(want)) {
+							if got[i] != want[i] {
+								t.Fatalf("%s: candidate %d is %+v (block offset %d), plain scan gives %+v (block offset %d)",
+									name, i, got[i], (int(got[i].idx)-lo)%32, want[i], (int(want[i].idx)-lo)%32)
+							}
+						}
+						if len(got) != len(want) || gotDraws != wantDraws || *blocked != *plain {
+							t.Fatalf("%s: %d candidates after %d draws, plain scan gives %d after %d (streams equal: %v)",
+								name, len(got), gotDraws, len(want), wantDraws, *blocked == *plain)
+						}
+					}
+				}
+			}
+		}
+	}
+}
