@@ -37,7 +37,6 @@ func main() {
 		Weighted:       !*uniform,
 		Seed:           *seed,
 		LocalThreshold: true,
-		BlockedSkip:    true,
 	}
 	clAlgo := reservoir.Distributed
 	switch *algo {

@@ -34,7 +34,7 @@ func main() {
 
 	// Two runs: the paper's distributed algorithm and the centralized
 	// gathering baseline, same workload scale.
-	ours := createRun(base, `{"kind":"cluster","p":8,"k":64,"seed":1,"local_threshold":true,"blocked_skip":true}`)
+	ours := createRun(base, `{"kind":"cluster","p":8,"k":64,"seed":1,"local_threshold":true}`)
 	gather := createRun(base, `{"kind":"cluster","p":8,"k":64,"seed":1,"algorithm":"gather"}`)
 	fmt.Printf("created runs %s (ours) and %s (gather)\n", ours, gather)
 

@@ -130,11 +130,10 @@ type RunParams struct {
 	Measure    int
 	Seed       uint64
 	Model      costmodel.Model
-	// NoLocalThreshold / NoBlockedSkip disable the Sec 5 optimizations
-	// (used by the ablation experiment; the paper's implementation always
-	// enables both).
+	// NoLocalThreshold disables the first-batch local thresholding of
+	// Sec 5 (used by the ablation experiment; the paper's implementation
+	// always enables it).
 	NoLocalThreshold bool
-	NoBlockedSkip    bool
 	// Skewed switches the workload to the paper's skewed-normal weights.
 	Skewed bool
 }
@@ -180,9 +179,8 @@ func Run(p RunParams) RunResult {
 		Strategy: p.Algo.Strategy,
 		Pivots:   p.Algo.Pivots,
 		// The paper's implementation always uses its Sec 5 optimizations;
-		// the ablation experiment switches them off selectively.
+		// the ablation experiment switches local thresholding off.
 		LocalThreshold: !p.NoLocalThreshold,
-		BlockedSkip:    !p.NoBlockedSkip,
 		Seed:           p.Seed,
 		Model:          p.Model,
 	}

@@ -79,7 +79,7 @@ func TestReportConverters(t *testing.T) {
 		Ours: PhaseFractions{Insert: 0.4, Total: 0.6}, Gather: PhaseFractions{Gather: 0.5, Total: 1}}})
 	rep.AddDepthRows([]DepthRow{{K: 1000, Depth1: 4.3, Depth8: 1.8, Ratio: 2.4}})
 	rep.AddInsertionRows([]InsertionRow{{K: 100, P: 8, MeasuredMeanPerPE: 40, PredictedMeanPerPE: 42}})
-	rep.AddAblationRows([]AblationRow{{Label: "neither", FirstBatchNS: 8e6, RoundNS: 2e6}})
+	rep.AddAblationRows([]AblationRow{{Label: "no local thresholding", FirstBatchNS: 8e6, RoundNS: 2e6}})
 	if len(rep.Results) != 5 {
 		t.Fatalf("got %d results, want 5", len(rep.Results))
 	}

@@ -95,8 +95,6 @@ type Config struct {
 	// LocalThreshold enables the first-batch local thresholding
 	// optimization of Sec 5.
 	LocalThreshold bool
-	// BlockedSkip enables the 32-item blocked skip of Sec 5.
-	BlockedSkip bool
 	// Shards is the fixed logical shard count of the distributed
 	// sampler's batch scan (0 means 1). Every batch is cut into Shards
 	// contiguous chunks, each scanned with its own domain-separated RNG

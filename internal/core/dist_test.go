@@ -272,7 +272,7 @@ func TestDistUniformMatchesExactProbability(t *testing.T) {
 }
 
 func TestDistOptimizationsPreserveDistribution(t *testing.T) {
-	// Local thresholding + blocked skip must not change the sampling
+	// First-batch local thresholding must not change the sampling
 	// distribution.
 	const n, k, p, rounds, trials = 48, 12, 4, 2, 1200
 	weights := func(i int) float64 { return float64(i%7) + 0.25 }
@@ -280,8 +280,7 @@ func TestDistOptimizationsPreserveDistribution(t *testing.T) {
 		return Config{K: k, Weighted: true, Seed: uint64(tr)*17 + 11}
 	}, false)
 	optimized := distInclusionCounts(t, n, k, p, rounds, trials, weights, func(tr int) Config {
-		return Config{K: k, Weighted: true, Seed: uint64(tr)*23 + 19,
-			LocalThreshold: true, BlockedSkip: true}
+		return Config{K: k, Weighted: true, Seed: uint64(tr)*23 + 19, LocalThreshold: true}
 	}, false)
 	twoSampleChi(t, "plain-vs-optimized", plain, optimized)
 }

@@ -117,7 +117,6 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 	}
 	t := pe.scanThresh
 	S := len(pe.shardSrc)
-	blocked := pe.cfg.BlockedSkip
 	parscan.Run(S, func(s int) {
 		lo, hi := n*s/S, n*(s+1)/S
 		if ws != nil {
@@ -139,7 +138,7 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 			}
 			draws = int64(hi - lo)
 		case scanWeighted:
-			out, draws = scanShardWeighted(src, ws, lo, hi, t, blocked, out)
+			out, draws = scanShardWeighted(src, ws, lo, hi, t, out)
 		case scanUniform:
 			out, draws = scanShardUniform(src, lo, hi, t, out)
 		}
@@ -155,41 +154,27 @@ func (pe *DistPE) StartScan(b workload.Batch) *ScanBuf {
 
 // scanShardWeighted is one shard's slice of the weighted skip scan: skip
 // an Exp(t) amount of weight, record the item the skip lands on with a
-// key drawn from (0, t), repeat (Algorithm 1's inner loop).
-func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, blocked bool, out []cand) ([]cand, int64) {
+// key drawn from (0, t), repeat (Algorithm 1's inner loop). It walks the
+// weights in 32-item blocks and jumps a whole block when its weight fits
+// in the remaining skip (Sec 5); only a block the skip ends in is walked
+// item by item.
+func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, out []cand) ([]cand, int64) {
+	const block = 32
 	var draws int64
 	x := skipWeight(src, t)
 	draws++
-	j := lo
-	if blocked {
-		// 32-item blocks: if the whole block's weight fits in the
-		// remaining skip, jump the block (Sec 5).
-		const block = 32
-		for j < hi {
-			end := j + block
-			if end > hi {
-				end = hi
-			}
-			var sum float64
-			for _, w := range ws[j:end] {
-				sum += w
-			}
-			if x > sum {
-				x -= sum
-				j = end
-				continue
-			}
-			for ; j < end; j++ {
-				x -= ws[j]
-				if x <= 0 {
-					out = append(out, cand{int32(j), keyBelow(src, ws[j], t)})
-					x = skipWeight(src, t)
-					draws += 2
-				}
-			}
+	for j := lo; j < hi; {
+		end := min(j+block, hi)
+		var sum float64
+		for _, w := range ws[j:end] {
+			sum += w
 		}
-	} else {
-		for ; j < hi; j++ {
+		if x > sum {
+			x -= sum
+			j = end
+			continue
+		}
+		for ; j < end; j++ {
 			x -= ws[j]
 			if x <= 0 {
 				out = append(out, cand{int32(j), keyBelow(src, ws[j], t)})
@@ -264,7 +249,7 @@ func (pe *DistPE) CommitScan(b workload.Batch, buf *ScanBuf) {
 	// Virtual scan cost: the shards run concurrently, so the elapsed
 	// scan time is the slowest shard's (items touched plus variates
 	// drawn); the merge below charges its tree inserts individually.
-	perItem := pe.model.ScanPerItemNS(buf.n, pe.cfg.BlockedSkip && buf.mode == scanWeighted)
+	perItem := pe.model.ScanPerItemNS(buf.n, buf.mode == scanWeighted)
 	var slowest float64
 	for s := range buf.draws {
 		c := float64(buf.items[s])*perItem + float64(buf.draws[s])*pe.model.RNGNS

@@ -249,18 +249,16 @@ func TestSnapshotWithoutShardSectionRefused(t *testing.T) {
 	}
 }
 
-// TestScanZeroThreshold: both weighted skip scans admit nothing against a
-// threshold of 0 and draw one infinite skip, not an Exp(0) panic.
+// TestScanZeroThreshold: the weighted skip scan admits nothing against a
+// threshold of 0 and draws one infinite skip, not an Exp(0) panic.
 func TestScanZeroThreshold(t *testing.T) {
 	ws := make([]float64, 100)
 	for i := range ws {
 		ws[i] = float64(i + 1)
 	}
-	for _, blocked := range []bool{false, true} {
-		out, draws := scanShardWeighted(rng.NewXoshiro256(1), ws, 0, len(ws), 0, blocked, nil)
-		if len(out) != 0 || draws != 1 {
-			t.Errorf("blocked=%v: %d candidates after %d draws, want none after 1", blocked, len(out), draws)
-		}
+	out, draws := scanShardWeighted(rng.NewXoshiro256(1), ws, 0, len(ws), 0, nil)
+	if len(out) != 0 || draws != 1 {
+		t.Errorf("%d candidates after %d draws, want none after 1", len(out), draws)
 	}
 }
 
@@ -274,34 +272,32 @@ func TestShardFillMatchesSerialFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, blocked := range []bool{false, true} {
-		cl := simnet.NewCluster(1, simnet.CostParams{})
-		pe, err := NewDistPE(coll.New(cl.PE(0)), Config{K: 64, Weighted: true, Shards: 4, Seed: 3, BlockedSkip: blocked})
-		if err != nil {
-			t.Fatal(err)
+	cl := simnet.NewCluster(1, simnet.CostParams{})
+	pe, err := NewDistPE(coll.New(cl.PE(0)), Config{K: 64, Weighted: true, Shards: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, thresh := range []float64{1e-3, 1e-2, 0.1} {
+		b := src.NextBatch(0, round)
+		n, S := b.Len(), len(pe.shardSrc)
+		ws := make([]float64, n)
+		workload.FillWeights(b, ws)
+		streams := make([]rng.Xoshiro256, S)
+		for s, str := range pe.shardSrc {
+			streams[s] = *str
 		}
-		for round, thresh := range []float64{1e-3, 1e-2, 0.1} {
-			b := src.NextBatch(0, round)
-			n, S := b.Len(), len(pe.shardSrc)
-			ws := make([]float64, n)
-			workload.FillWeights(b, ws)
-			streams := make([]rng.Xoshiro256, S)
-			for s, str := range pe.shardSrc {
-				streams[s] = *str
+		pe.scanThresh, pe.scanHaveT = thresh, true
+		buf := pe.StartScan(b)
+		for s := range streams {
+			lo, hi := n*s/S, n*(s+1)/S
+			want, draws := scanShardWeighted(&streams[s], ws, lo, hi, thresh, nil)
+			if len(want) == 0 || len(buf.shards[s]) != len(want) || buf.draws[s] != draws {
+				t.Fatalf("round %d shard %d: %d candidates, %d draws; serial fill gives %d, %d",
+					round, s, len(buf.shards[s]), buf.draws[s], len(want), draws)
 			}
-			pe.scanThresh, pe.scanHaveT = thresh, true
-			buf := pe.StartScan(b)
-			for s := range streams {
-				lo, hi := n*s/S, n*(s+1)/S
-				want, draws := scanShardWeighted(&streams[s], ws, lo, hi, thresh, blocked, nil)
-				if len(want) == 0 || len(buf.shards[s]) != len(want) || buf.draws[s] != draws {
-					t.Fatalf("blocked=%v round %d shard %d: %d candidates, %d draws; serial fill gives %d, %d",
-						blocked, round, s, len(buf.shards[s]), buf.draws[s], len(want), draws)
-				}
-				for i, c := range want {
-					if buf.shards[s][i] != c {
-						t.Fatalf("blocked=%v round %d shard %d candidate %d: %+v, serial fill gives %+v", blocked, round, s, i, buf.shards[s][i], c)
-					}
+			for i, c := range want {
+				if buf.shards[s][i] != c {
+					t.Fatalf("round %d shard %d candidate %d: %+v, serial fill gives %+v", round, s, i, buf.shards[s][i], c)
 				}
 			}
 		}
@@ -337,8 +333,8 @@ func BenchmarkStartScan(b *testing.B) {
 }
 
 // plainScanWeighted is the weighted skip scan one item at a time, without
-// the 32-item blocks of Sec 5: the reference that the blocked loop of
-// scanShardWeighted must match draw for draw.
+// the 32-item blocks of Sec 5: the loop scanShardWeighted replaced, kept as
+// the reference it must match draw for draw.
 func plainScanWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, out []cand) ([]cand, int64) {
 	var draws int64
 	x := skipWeight(src, t)
@@ -414,7 +410,7 @@ func TestBlockedScanMatchesPlain(t *testing.T) {
 					for _, n := range []int{0, 1, 31, 32, 33, 4097, scanTestItems} {
 						streamSeed := rng.Mix64(seed<<20 ^ uint64(admit)<<8 ^ uint64(lo+n))
 						blocked, plain := rng.NewXoshiro256(streamSeed), rng.NewXoshiro256(streamSeed)
-						got, gotDraws := scanShardWeighted(blocked, ws, lo, lo+n, th, true, nil)
+						got, gotDraws := scanShardWeighted(blocked, ws, lo, lo+n, th, nil)
 						want, wantDraws := plainScanWeighted(plain, ws, lo, lo+n, th, nil)
 						name := fmt.Sprintf("%s seed %d admit %g lo %d n %d", law, seed, admit, lo, n)
 						for i := range min(len(got), len(want)) {

@@ -722,6 +722,48 @@ func TestRecoverRefusesWindowedRun(t *testing.T) {
 
 // TestRunDirStaysAtSlotRing: however many rounds a run ingests, its
 // directory holds only config.json and its slots.
+// TestRecoverAcceptsBlockedSkipConfig: a run created while RunConfig had
+// a blocked_skip field has it in its stored config. Recovery decodes the
+// stored config leniently, so the run comes back with the same rounds and
+// sample and keeps ingesting; only a create request refuses the field.
+func TestRecoverAcceptsBlockedSkipConfig(t *testing.T) {
+	dir := t.TempDir()
+	svc, st := openRecovered(t, dir)
+	id := createRunOn(t, svc, `{"kind":"cluster","p":2,"k":16,"seed":21}`)
+	if code := ingestDirect(svc, id, makeBatches(2, 60, 1)); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
+	want := viewOf(t, svc, id)
+	svc.Close()
+	st.Close()
+
+	path := filepath.Join(dir, "runs", id, "config.json")
+	var cfg map[string]any
+	if err := json.Unmarshal(readFile(t, path), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["blocked_skip"] = true
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rsvc, rst := openRecovered(t, dir)
+	defer func() { rsvc.Close(); rst.Close() }()
+	if n := rsvc.RunCount(); n != 1 {
+		t.Fatalf("%d runs recovered from a config with blocked_skip, want 1", n)
+	}
+	if got := viewOf(t, rsvc, id); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered run differs:\n  got  %+v\n  want %+v", got, want)
+	}
+	if code := ingestDirect(rsvc, id, makeBatches(2, 60, 2)); code != http.StatusOK {
+		t.Fatalf("ingest after recovery: %d", code)
+	}
+}
+
 func TestRunDirStaysAtSlotRing(t *testing.T) {
 	dir := t.TempDir()
 	svc, st := openRecovered(t, dir)

@@ -59,7 +59,6 @@ func newClusterSampler(cfg RunConfig) (*clusterSampler, error) {
 		Strategy:       cfg.Strategy,
 		Pivots:         cfg.Pivots,
 		LocalThreshold: cfg.LocalThreshold,
-		BlockedSkip:    cfg.BlockedSkip,
 		Shards:         cfg.Shards,
 		Pipeline:       cfg.Pipeline,
 		Seed:           cfg.Seed,

@@ -81,9 +81,8 @@ type RunConfig struct {
 	Algorithm reservoir.Algorithm   `json:"algorithm,omitempty"`
 	Strategy  reservoir.SelStrategy `json:"strategy,omitempty"`
 	Pivots    int                   `json:"pivots,omitempty"`
-	// LocalThreshold and BlockedSkip toggle the Sec 5 optimizations.
+	// LocalThreshold toggles the first-batch local thresholding of Sec 5.
 	LocalThreshold bool `json:"local_threshold,omitempty"`
-	BlockedSkip    bool `json:"blocked_skip,omitempty"`
 	// Shards fixes the logical scan-shard count (cluster runs; part of
 	// the sampling stream's identity, 0 means 1). Pipeline defers each
 	// round's selection so the next scan can overlap it. See DESIGN.md

@@ -124,6 +124,7 @@ func TestCreateRunDefaultsAndValidation(t *testing.T) {
 		`{"kind":"sequential","k":4,"k_max":8}`, // variable size, not cluster
 		`{"kind":"windowed","k":4}`,             // deleted run kind
 		`{"k":4,"window":8}`,                    // deleted field
+		`{"k":4,"blocked_skip":true}`,           // deleted field: blocked skip is the only weighted scan
 		`{"k":4,"checkpoint_rounds":64}`,        // removed option: every round is a boundary
 		`{"k":4,"checkpoint_bytes":4096}`,       // removed option
 	}
