@@ -214,9 +214,9 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		sha      string
 		vtime    float64
 	}{
-		{"ours", false, true, Distributed, "0605922daf68c8ad601c110cf0c10b70d23e8a9c22e601d9ac48baf08bf567aa", 182181.5795888879},
-		{"ours-pipeline", true, true, Distributed, "4dcc2bb6cd744a79d8c3fc8b18a4239fc602ce3599d40313fb203c8946715402", 181093.12444506446},
-		{"gather", false, true, CentralizedGather, "1891d7058cb929b4d54480ba8eeda60c120fbd9748de5b03a0cba1dd34558ffc", 97735},
+		{"ours", false, true, Distributed, "0605922daf68c8ad601c110cf0c10b70d23e8a9c22e601d9ac48baf08bf567aa", 181929.5795888879},
+		{"ours-pipeline", true, true, Distributed, "4dcc2bb6cd744a79d8c3fc8b18a4239fc602ce3599d40313fb203c8946715402", 180883.12444506446},
+		{"gather", false, true, CentralizedGather, "1891d7058cb929b4d54480ba8eeda60c120fbd9748de5b03a0cba1dd34558ffc", 96727},
 		{"gather-uniform", false, false, CentralizedGather, "e91d1690b86fa80d72641dab40c77dd823a4127ef53c3c87a7df8d2a528919dd", 96435},
 	}
 	src := UniformSource{Seed: 3, BatchLen: 700, Lo: 0, Hi: 100}
