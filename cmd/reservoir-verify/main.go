@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Uint64("seed", 7, "base seed")
 	match := flag.String("match", "", "verify a cluster sample dump (reservoir-loadgen -cluster -sample-out) against a simulator replay instead of running the acceptance harness")
 	scenarios := flag.String("scenario", "all", "comma-separated scenario presets, or \"all\"")
-	algos := flag.String("algos", "sequential,distributed,gather", "comma-separated algorithms: sequential, distributed, pipelined, gather")
+	algos := flag.String("algos", "sequential,distributed,gather", "comma-separated algorithms: sequential, distributed, pipelined, random-dist, gather")
 	acceptTrials := flag.Int("accept-trials", 400, "trials per (algorithm x scenario) cell")
 	rounds := flag.Int("rounds", 8, "rounds per trial")
 	batch := flag.Int("batch", 64, "mean items per PE per round")

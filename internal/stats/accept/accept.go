@@ -53,7 +53,8 @@ type Sampler interface {
 // Config parameterizes one harness run.
 type Config struct {
 	// Algorithms to test: "sequential", "distributed", "pipelined"
-	// (the distributed sampler with Pipeline on), "gather".
+	// (the distributed sampler with Pipeline on), "random-dist" (the
+	// distributed sampler selecting with SelRandomDist), "gather".
 	Algorithms []string
 	// Scenarios to run each algorithm over.
 	Scenarios []scenario.Spec
@@ -164,14 +165,16 @@ func runTrial(algo string, cfg Config, st *stream, k int, seed uint64) ([]worklo
 			s.Process(it)
 		}
 		return s.Sample(), nil
-	case "distributed", "pipelined", "gather":
+	case "distributed", "pipelined", "random-dist", "gather":
 		a := reservoir.Distributed
 		if algo == "gather" {
 			a = reservoir.CentralizedGather
 		}
-		cl, err := reservoir.NewCluster(cfg.P,
-			reservoir.Config{K: k, Weighted: true, Seed: seed, Shards: cfg.Shards, Pipeline: algo == "pipelined"},
-			reservoir.WithAlgorithm(a))
+		c := reservoir.Config{K: k, Weighted: true, Seed: seed, Shards: cfg.Shards, Pipeline: algo == "pipelined"}
+		if algo == "random-dist" {
+			c.Strategy = reservoir.SelRandomDist
+		}
+		cl, err := reservoir.NewCluster(cfg.P, c, reservoir.WithAlgorithm(a))
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +184,7 @@ func runTrial(algo string, cfg Config, st *stream, k int, seed uint64) ([]worklo
 		}
 		return cl.Sample(), nil
 	default:
-		return nil, fmt.Errorf("accept: unknown algorithm %q (want sequential, distributed, pipelined, or gather)", algo)
+		return nil, fmt.Errorf("accept: unknown algorithm %q (want sequential, distributed, pipelined, random-dist, or gather)", algo)
 	}
 }
 

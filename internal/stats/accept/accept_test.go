@@ -41,7 +41,7 @@ func TestCorrectSamplersAccepted(t *testing.T) {
 		mustPreset(t, "pareto_burst"),
 		mustPreset(t, "zipf_hot"),
 	}
-	algos := []string{"sequential", "distributed", "pipelined"}
+	algos := []string{"sequential", "distributed", "pipelined", "random-dist"}
 	rep, err := Run(smallCfg(algos, scens))
 	if err != nil {
 		t.Fatal(err)
