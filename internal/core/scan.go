@@ -165,11 +165,19 @@ func scanShardWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64,
 	draws++
 	for j := lo; j < hi; {
 		end := min(j+block, hi)
-		var sum float64
-		for _, w := range ws[j:end] {
-			sum += w
+		// Four partial sums, so the adds do not wait on each other.
+		var s0, s1, s2, s3 float64
+		bw := ws[j:end]
+		for ; len(bw) >= 4; bw = bw[4:] {
+			s0 += bw[0]
+			s1 += bw[1]
+			s2 += bw[2]
+			s3 += bw[3]
 		}
-		if x > sum {
+		for _, w := range bw {
+			s0 += w
+		}
+		if sum := (s0 + s1) + (s2 + s3); x > sum {
 			x -= sum
 			j = end
 			continue

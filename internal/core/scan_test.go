@@ -333,8 +333,8 @@ func BenchmarkStartScan(b *testing.B) {
 }
 
 // plainScanWeighted is the weighted skip scan one item at a time, without
-// the 32-item blocks of Sec 5: the loop scanShardWeighted replaced, kept as
-// the reference it must match draw for draw.
+// the 32-item blocks of Sec 5: the reference that scanShardWeighted must
+// match draw for draw, and the baseline of BenchmarkWeightedScan.
 func plainScanWeighted(src *rng.Xoshiro256, ws []float64, lo, hi int, t float64, out []cand) ([]cand, int64) {
 	var draws int64
 	x := skipWeight(src, t)
