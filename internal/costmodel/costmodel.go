@@ -27,8 +27,8 @@ type Model struct {
 	ScanColdNS float64
 	CacheItems int
 
-	// BlockedSkipFactor multiplies the scan cost when the 32-item blocked
-	// (SIMD-style) skip of Sec 5 is enabled.
+	// BlockedSkipFactor multiplies the scan cost of the weighted skip
+	// scan, whose 32-item blocked skip (Sec 5) jumps whole blocks.
 	BlockedSkipFactor float64
 
 	// RNGNS is the cost per random variate.
@@ -68,7 +68,8 @@ func Default() Model {
 }
 
 // ScanPerItemNS returns the charge for touching one item of a batch of
-// batchLen items during the skip scan.
+// batchLen items during the skip scan; blocked marks the weighted skip
+// scan, which is charged BlockedSkipFactor.
 func (m Model) ScanPerItemNS(batchLen int, blocked bool) float64 {
 	c := m.ScanColdNS
 	switch {
