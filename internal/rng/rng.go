@@ -154,7 +154,8 @@ func (s CounterStream) U01At(i uint64) float64 { return toU01(s.At(i)) }
 func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float64) {
 	const phi uint64 = 0x9e3779b97f4a7c15
 	v := s.h + base*phi
-	i := 0
+	i := u01AffineFillVec(v, dst, lo, scale)
+	v += uint64(i) * phi
 	for ; i+4 <= len(dst); i += 4 {
 		d := dst[i : i+4 : i+4] // one bounds check for the four stores
 		v1, v2, v3 := v+phi, v+phi+phi, v+phi+phi+phi

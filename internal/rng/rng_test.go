@@ -373,20 +373,46 @@ func TestCounterStreamMatchesCounter(t *testing.T) {
 	}
 }
 
-// TestU01AffineFillMatchesPerIndex checks the unrolled fill (including
-// its remainder loop) against per-index evaluation at several lengths
-// and bases.
+// TestU01AffineFillMatchesPerIndex pins the bulk fill, on each path this
+// build can take, to per-index evaluation bit-for-bit: every length up to
+// 40 (the vector kernel's blocks of eight plus the Go loop's tail) and two
+// shard-sized ones past the kernel's chunk, bases whose counters wrap
+// 2^64, and affine maps whose multiply-add rounds, underflows to
+// subnormals or nears overflow.
 func TestU01AffineFillMatchesPerIndex(t *testing.T) {
 	c := Counter{Seed: 991}
 	s := c.Stream()
-	for _, n := range []int{0, 1, 3, 4, 5, 8, 127, 1000} {
-		for _, base := range []uint64{0, 9, 1 << 30} {
+	var lens []int
+	for n := 0; n <= 40; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 12500, 50000)
+	bases := []uint64{0, 9, 1 << 30, 1<<63 - 5, math.MaxUint64 - 20, math.MaxUint64}
+	maps := [][2]float64{{0, 1}, {0, 100}, {2.5, 97.5}, {0, 5e-324}, {1, math.MaxFloat64 / 4}}
+	paths := []struct {
+		name string
+		vec  bool
+	}{{"kernel", true}, {"go", false}}
+	if !vecFill {
+		t.Log("no vector fill kernel on this CPU or GOARCH; only the Go loop ran")
+		paths = paths[1:]
+	}
+	defer func(saved bool) { vecFill = saved }(vecFill)
+	for _, path := range paths {
+		vecFill = path.vec
+		for _, n := range lens {
 			dst := make([]float64, n)
-			s.U01AffineFill(base, dst, 2.5, 97.5)
-			for j := range dst {
-				want := 2.5 + c.U01At(base+uint64(j))*97.5
-				if dst[j] != want {
-					t.Fatalf("n=%d base=%d j=%d: fill=%v per-index=%v", n, base, j, dst[j], want)
+			for _, base := range bases {
+				for _, m := range maps {
+					lo, scale := m[0], m[1]
+					s.U01AffineFill(base, dst, lo, scale)
+					for j := range dst {
+						want := lo + float64(c.U01At(base+uint64(j))*scale)
+						if math.Float64bits(dst[j]) != math.Float64bits(want) {
+							t.Fatalf("%s: n=%d base=%d lo=%v scale=%v j=%d: fill=%x per-index=%x",
+								path.name, n, base, lo, scale, j, math.Float64bits(dst[j]), math.Float64bits(want))
+						}
+					}
 				}
 			}
 		}
