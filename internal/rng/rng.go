@@ -148,9 +148,11 @@ func (s CounterStream) At(i uint64) uint64 {
 func (s CounterStream) U01At(i uint64) float64 { return toU01(s.At(i)) }
 
 // U01AffineFill fills dst[j] = lo + U01At(base+j)*scale for every j in
-// one pass. The counter multiply is strength-reduced to an addition and
-// the loop is unrolled four wide so the Mix64 chains overlap; the values
-// are bit-identical to calling U01At per index.
+// one pass. On CPUs with AVX-512 a vector kernel fills the leading
+// multiple of eight items (fill_amd64.s); the Go loop fills the rest, and
+// everything elsewhere. The counter multiply is strength-reduced to an
+// addition and the loop is unrolled four wide so the Mix64 chains
+// overlap. Both paths are bit-identical to calling U01At per index.
 func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float64) {
 	const phi uint64 = 0x9e3779b97f4a7c15
 	v := s.h + base*phi

@@ -449,3 +449,29 @@ func TestU01CutMatchesFloatTest(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkU01AffineFill fills one node_bulk scan shard's weights
+// (12,500 items) with the vector kernel and with the Go loop; without a
+// kernel the kernel sub-benchmark is skipped.
+func BenchmarkU01AffineFill(b *testing.B) {
+	s := Counter{Seed: 7}.Stream()
+	dst := make([]float64, 12500)
+	defer func(saved bool) { vecFill = saved }(vecFill)
+	for _, path := range []struct {
+		name string
+		vec  bool
+	}{{"kernel", vecFill}, {"go", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.name == "kernel" && !path.vec {
+				b.Skip("no vector fill kernel on this CPU or GOARCH")
+			}
+			vecFill = path.vec
+			var base uint64
+			for b.Loop() {
+				s.U01AffineFill(base, dst, 2.5, 97.5)
+				base += uint64(len(dst))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/item")
+		})
+	}
+}
