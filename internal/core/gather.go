@@ -196,7 +196,7 @@ func (pe *GatherPE) filterWeighted(b workload.Batch) {
 	pe.scan, draws = scanShardWeighted(pe.src, *wp, 0, n, pe.thresh.V, pe.scan[:0])
 	releaseWeights(wp)
 	pe.appendScanned(b)
-	pe.comm.Conn.Work(float64(n)*pe.model.ScanPerItemNS(n, true) + float64(draws)*pe.model.RNGNS)
+	pe.comm.Conn.Work(float64(float64(n)*pe.model.ScanPerItemNS(n, true)) + float64(float64(draws)*pe.model.RNGNS))
 }
 
 // filterUniform runs the geometric jumps of Sec 4.3.

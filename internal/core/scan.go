@@ -260,7 +260,7 @@ func (pe *DistPE) CommitScan(b workload.Batch, buf *ScanBuf) {
 	perItem := pe.model.ScanPerItemNS(buf.n, buf.mode == scanWeighted)
 	var slowest float64
 	for s := range buf.draws {
-		c := float64(buf.items[s])*perItem + float64(buf.draws[s])*pe.model.RNGNS
+		c := float64(float64(buf.items[s])*perItem) + float64(float64(buf.draws[s])*pe.model.RNGNS)
 		if c > slowest {
 			slowest = c
 		}

@@ -78,7 +78,7 @@ func (m Model) ScanPerItemNS(batchLen int, blocked bool) float64 {
 	case batchLen < 2*m.CacheItems:
 		// Linear interpolation across the crossover region.
 		f := float64(batchLen-m.CacheItems) / float64(m.CacheItems)
-		c = m.ScanHotNS + f*(m.ScanColdNS-m.ScanHotNS)
+		c = m.ScanHotNS + float64(f*(m.ScanColdNS-m.ScanHotNS))
 	}
 	if blocked {
 		c *= m.BlockedSkipFactor
@@ -89,7 +89,7 @@ func (m Model) ScanPerItemNS(batchLen int, blocked bool) float64 {
 // TreeOpNS returns the charge for one B+ tree operation on a tree currently
 // holding size items.
 func (m Model) TreeOpNS(size int) float64 {
-	return m.TreeLevelNS * math.Log2(float64(size)+2)
+	return float64(m.TreeLevelNS * math.Log2(float64(size)+2))
 }
 
 // QuickselectCostNS returns the charge for selecting within n elements at

@@ -386,8 +386,8 @@ func RandomDistKth(c *coll.Comm, s Seq, k int, opt Options) Result {
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
 		if len(all) > 0 {
-			pos := float64(k) / float64(n) * float64(len(all))
-			delta := 2*math.Sqrt(float64(len(all))) + 1
+			pos := float64(float64(k) / float64(n) * float64(len(all)))
+			delta := float64(2*math.Sqrt(float64(len(all)))) + 1
 			loIdx := int(pos - delta)
 			hiIdx := int(pos + delta)
 			if loIdx >= 1 {

@@ -161,14 +161,14 @@ func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float
 	for ; i+4 <= len(dst); i += 4 {
 		d := dst[i : i+4 : i+4] // one bounds check for the four stores
 		v1, v2, v3 := v+phi, v+phi+phi, v+phi+phi+phi
-		d[0] = lo + toU01(Mix64(v))*scale
-		d[1] = lo + toU01(Mix64(v1))*scale
-		d[2] = lo + toU01(Mix64(v2))*scale
-		d[3] = lo + toU01(Mix64(v3))*scale
+		d[0] = lo + float64(toU01(Mix64(v))*scale)
+		d[1] = lo + float64(toU01(Mix64(v1))*scale)
+		d[2] = lo + float64(toU01(Mix64(v2))*scale)
+		d[3] = lo + float64(toU01(Mix64(v3))*scale)
 		v = v3 + phi
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = lo + toU01(Mix64(v))*scale
+		dst[i] = lo + float64(toU01(Mix64(v))*scale)
 		v += phi
 	}
 }
@@ -205,11 +205,11 @@ func U01(s Source) float64 { return toU01(s.Uint64()) }
 
 // U01CO draws a uniform variate from [0, 1).
 func U01CO(s Source) float64 {
-	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(s.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Uniform draws from (a, b], matching the paper's rand(a,b) := a + rand()(b-a).
-func Uniform(s Source, a, b float64) float64 { return a + U01(s)*(b-a) }
+func Uniform(s Source, a, b float64) float64 { return a + float64(U01(s)*(b-a)) }
 
 // Exponential draws an exponential variate with the given rate parameter,
 // i.e. -ln(rand())/rate. It panics if rate is not strictly positive.
@@ -268,9 +268,9 @@ func Normal(s Source, mean, stddev float64) float64 {
 	for {
 		u := 2*U01CO(s) - 1
 		v := 2*U01CO(s) - 1
-		r := u*u + v*v
+		r := float64(u*u) + float64(v*v)
 		if r > 0 && r < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(r)/r)
+			return mean + float64(stddev*u*math.Sqrt(-2*math.Log(r)/r))
 		}
 	}
 }

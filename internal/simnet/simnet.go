@@ -189,7 +189,7 @@ func (pe *PE) Send(to, tag int, payload any, words int) {
 	if words < 1 {
 		words = 1
 	}
-	cost := pe.c.cost.AlphaNS + pe.c.cost.BetaNS*float64(words)
+	cost := pe.c.cost.AlphaNS + float64(pe.c.cost.BetaNS*float64(words))
 	pe.clock += cost
 	pe.SentMessages++
 	pe.SentWords += int64(words)

@@ -227,9 +227,9 @@ func (s Spec) minWeight() float64 {
 	var w float64
 	switch s.Law {
 	case "uniform":
-		w = s.Lo + 0x1p-53*(s.Hi-s.Lo)
+		w = s.Lo + float64(0x1p-53*(s.Hi-s.Lo))
 	case "lognormal":
-		w = math.Exp(s.Mu - s.Sigma*zMax)
+		w = math.Exp(s.Mu - float64(s.Sigma*zMax))
 	default: // zipf ranks and Pareto draws are at least 1
 		w = 1
 	}
@@ -367,9 +367,9 @@ func (s *Source) peRate(pe int) float64 {
 func (s *Source) driftScale(round int) float64 {
 	switch s.spec.Drift {
 	case "ramp":
-		return 1 + s.spec.DriftRate*float64(round)
+		return 1 + float64(s.spec.DriftRate*float64(round))
 	case "cycle":
-		return 1 + s.spec.DriftRate*math.Sin(2*math.Pi*float64(round)/float64(s.spec.DriftPeriod))
+		return 1 + float64(s.spec.DriftRate*math.Sin(2*math.Pi*float64(round)/float64(s.spec.DriftPeriod)))
 	default:
 		return 1
 	}
@@ -437,7 +437,7 @@ func (g batchWeights) fill(base uint64, dst []float64) {
 			u1 := g.w.U01At(2 * i)
 			u2 := g.w.U01At(2*i + 1)
 			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-			dst[j] = math.Exp(g.mu + g.sigma*z)
+			dst[j] = math.Exp(g.mu + float64(g.sigma*z))
 		}
 	default:
 		// Unreachable: Source() validated the law.

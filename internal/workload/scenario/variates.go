@@ -46,16 +46,16 @@ func gamma(src rng.Source, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.Normal(src, 0, 1)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.U01(src)
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

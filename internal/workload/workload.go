@@ -107,7 +107,7 @@ func FillWeightsFrom(b Batch, lo int, dst []float64) {
 func UniformWeight(seed uint64, lo, hi float64) func(i uint64) float64 {
 	c := rng.Counter{Seed: seed}
 	return func(i uint64) float64 {
-		return lo + c.U01At(i)*(hi-lo)
+		return lo + float64(c.U01At(i)*(hi-lo))
 	}
 }
 
@@ -148,7 +148,7 @@ func NormalWeightBulk(seed uint64, mean, sd, floor float64) func(base uint64, ds
 func normalAt(cs rng.CounterStream, i uint64, mean, sd, floor float64) float64 {
 	u1 := cs.U01At(2 * i)
 	u2 := cs.U01At(2*i + 1)
-	w := mean + sd*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
+	w := mean + float64(sd*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2))
 	if w < floor {
 		return floor
 	}
@@ -231,7 +231,7 @@ type SkewedSource struct {
 
 // NextBatch implements Source.
 func (s SkewedSource) NextBatch(pe, round int) Batch {
-	mean := s.BaseMean + float64(round)*s.RoundInc + float64(pe)*s.RankInc
+	mean := s.BaseMean + float64(float64(round)*s.RoundInc) + float64(float64(pe)*s.RankInc)
 	seed := batchSeed(s.Seed, pe, round)
 	return &SynthBatch{
 		N:      s.BatchLen,
