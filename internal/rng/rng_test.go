@@ -373,6 +373,33 @@ func TestCounterStreamMatchesCounter(t *testing.T) {
 	}
 }
 
+// TestXoshiroStateRoundTrip checks that a marshalled engine resumes its
+// stream exactly, and that malformed states are refused.
+func TestXoshiroStateRoundTrip(t *testing.T) {
+	x := NewXoshiro256(17)
+	for range 5 {
+		x.Uint64()
+	}
+	b, err := x.MarshalBinary()
+	if err != nil || len(b) != 32 {
+		t.Fatalf("MarshalBinary: %d bytes, %v", len(b), err)
+	}
+	var y Xoshiro256
+	if err := y.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100 {
+		if got, want := y.Uint64(), x.Uint64(); got != want {
+			t.Fatalf("draw %d after restore: %x, want %x", i, got, want)
+		}
+	}
+	for _, bad := range [][]byte{nil, b[:31], append(b, 0), make([]byte, 32)} {
+		if err := y.UnmarshalBinary(bad); err == nil {
+			t.Errorf("UnmarshalBinary accepted a %d-byte state %x", len(bad), bad)
+		}
+	}
+}
+
 // TestU01AffineFillMatchesPerIndex pins the bulk fill, on each path this
 // build can take, to per-index evaluation bit-for-bit: every length up to
 // 40 (the vector kernel's blocks of eight plus the Go loop's tail) and two
