@@ -87,7 +87,8 @@ func (m Model) ScanPerItemNS(batchLen int, blocked bool) float64 {
 }
 
 // TreeOpNS returns the charge for one B+ tree operation on a tree currently
-// holding size items.
+// holding size items. The result is rounded here so a caller's
+// clock += TreeOpNS(n)*2 cannot fuse into an arm64 multiply-add.
 func (m Model) TreeOpNS(size int) float64 {
 	return float64(m.TreeLevelNS * math.Log2(float64(size)+2))
 }

@@ -17,7 +17,6 @@ func u01AffineFillVec(v uint64, dst []float64, lo, scale float64) int {
 	if !vecFill {
 		return 0
 	}
-	const phi uint64 = 0x9e3779b97f4a7c15
 	n := len(dst) &^ 7
 	for i := 0; i < n; i += vecFillChunk {
 		end := min(i+vecFillChunk, n)

@@ -22,15 +22,15 @@ TEXT ·u01AffineFillAVX512(SB), NOSPLIT, $0-48
 	SHLQ         $3, AX
 	VPBROADCASTQ AX, Z1                  // Z1: 8*phi, one block's step
 	MOVQ         $0xbf58476d1ce4e5b9, AX
-	VPBROADCASTQ AX, Z2
+	VPBROADCASTQ AX, Z2                  // Z2: Mix64's c1
 	MOVQ         $0x94d049bb133111eb, AX
-	VPBROADCASTQ AX, Z3
+	VPBROADCASTQ AX, Z3                  // Z3: Mix64's c2
 	MOVQ         $1, AX
-	VPBROADCASTQ AX, Z4
-	MOVQ         $0x3ca0000000000000, AX // 2^-53
-	VPBROADCASTQ AX, Z5
-	VBROADCASTSD lo+32(FP), Z6
-	VBROADCASTSD scale+40(FP), Z7
+	VPBROADCASTQ AX, Z4                  // Z4: 1
+	MOVQ         $0x3ca0000000000000, AX
+	VPBROADCASTQ AX, Z5                  // Z5: 2^-53
+	VBROADCASTSD lo+32(FP), Z6           // Z6: lo
+	VBROADCASTSD scale+40(FP), Z7        // Z7: scale
 
 loop:
 	// Mix64: x ^= x>>30; x *= c1; x ^= x>>27; x *= c2; x ^= x>>31.

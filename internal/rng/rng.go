@@ -9,6 +9,12 @@
 //
 // All variate helpers are written against the small Source interface so any
 // engine can back them.
+//
+// Every draw must be the same bits on every GOARCH. A product that feeds a
+// sum is therefore wrapped in float64(...): the Go spec makes the
+// conversion round, which keeps arm64 from fusing a + b*c into one
+// multiply-add that rounds once where amd64 rounds twice. The other
+// deterministic packages follow the same rule.
 package rng
 
 import (
@@ -139,9 +145,12 @@ type CounterStream struct {
 	h uint64
 }
 
+// phi is the counter step: word i of a stream mixes h + i*phi.
+const phi uint64 = 0x9e3779b97f4a7c15
+
 // At returns the i-th 64-bit word of the stream.
 func (s CounterStream) At(i uint64) uint64 {
-	return Mix64(s.h + i*0x9e3779b97f4a7c15)
+	return Mix64(s.h + i*phi)
 }
 
 // U01At returns the i-th uniform variate in (0,1] of the stream.
@@ -154,7 +163,6 @@ func (s CounterStream) U01At(i uint64) float64 { return toU01(s.At(i)) }
 // addition and the loop is unrolled four wide so the Mix64 chains
 // overlap. Both paths are bit-identical to calling U01At per index.
 func (s CounterStream) U01AffineFill(base uint64, dst []float64, lo, scale float64) {
-	const phi uint64 = 0x9e3779b97f4a7c15
 	v := s.h + base*phi
 	i := u01AffineFillVec(v, dst, lo, scale)
 	v += uint64(i) * phi
@@ -203,7 +211,8 @@ func toU01(x uint64) float64 {
 // U01 draws a uniform variate from (0, 1].
 func U01(s Source) float64 { return toU01(s.Uint64()) }
 
-// U01CO draws a uniform variate from [0, 1).
+// U01CO draws a uniform variate from [0, 1). The conversion of the
+// (exact) product keeps a caller's 2*U01CO(s) - 1 from fusing into an FMA.
 func U01CO(s Source) float64 {
 	return float64(float64(s.Uint64()>>11) * (1.0 / (1 << 53)))
 }

@@ -50,7 +50,7 @@ func gamma(src rng.Source, shape float64) float64 {
 		if v <= 0 {
 			continue
 		}
-		v = float64(v * v * v)
+		v = float64(v * v * v) // rounded, so 1-v below cannot fuse
 		u := rng.U01(src)
 		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
